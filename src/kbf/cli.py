@@ -11,6 +11,7 @@ command-line flags, with flags taking precedence.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,7 @@ from .harness import (
 from .model import ModelParams, linear_symbol
 from .reference import integrating_factor_rk4_solve, linear_exact_solution, logistic_exact
 from .spectral import (
+    DEALIAS_RULES,
     GridSpec,
     NormSpec,
     SpectralState,
@@ -77,7 +79,8 @@ _DEFAULTS = {
     "ic.path": "",
 }
 
-_REQUIRED = ("nu", "mu", "gamma", "eps_conv", "eps_react", "n_modes", "dt", "t_final", "ic.kind")
+_COEFFICIENTS = ("nu", "mu", "gamma", "eps_conv", "eps_react")
+_REQUIRED = (*_COEFFICIENTS, "n_modes", "dt", "t_final", "ic.kind")
 
 
 @dataclass(frozen=True)
@@ -139,19 +142,13 @@ def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
         if key not in raw:
             raise ValidationError(key, "required key is missing")
 
-    nu = _to_float("nu", raw["nu"])
-    if nu < 0:
+    coeffs = {key: _to_float(key, raw[key]) for key in _COEFFICIENTS}
+    for key, value in coeffs.items():
+        if not math.isfinite(value):
+            raise ValidationError(key, f"must be finite, got {raw[key]!r}")
+    if coeffs["nu"] < 0:
         raise ValidationError("nu", "nu must be >= 0")
-    try:
-        params = ModelParams(
-            nu=nu,
-            mu=_to_float("mu", raw["mu"]),
-            gamma=_to_float("gamma", raw["gamma"]),
-            eps_conv=_to_float("eps_conv", raw["eps_conv"]),
-            eps_react=_to_float("eps_react", raw["eps_react"]),
-        )
-    except ValueError as exc:
-        raise ValidationError("nu", str(exc)) from None
+    params = ModelParams(**coeffs)
 
     try:
         grid = make_grid(
@@ -166,8 +163,8 @@ def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
     if scheme not in SCHEMES:
         raise ValidationError("scheme", f"must be one of {SCHEMES}, got {scheme!r}")
     dealias = raw["dealias"]
-    if dealias not in ("none", "two_thirds"):
-        raise ValidationError("dealias", f"must be 'none' or 'two_thirds', got {dealias!r}")
+    if dealias not in DEALIAS_RULES:
+        raise ValidationError("dealias", f"must be one of {DEALIAS_RULES}, got {dealias!r}")
     substeps = _to_int("substeps", raw["substeps"])
     if substeps < 1:
         raise ValidationError("substeps", "must be >= 1")

@@ -9,13 +9,14 @@ right-hand side.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, NegativeDuration, NonFiniteState
-from .model import LinearSymbol, ModelParams, _nonlinear_rhs_coeffs
-from .spectral import GridSpec, SpectralState, _derivative_symbol, dealias_mask
+from .errors import ConfigError, GridMismatch, NegativeDuration, NonFiniteState
+from .model import LinearSymbol, ModelParams
+from .spectral import DEALIAS_RULES, GridSpec, SpectralState, _from_half, _real_half
 
 __all__ = [
     "LinearPropagator",
@@ -44,8 +45,10 @@ class NonlinearFlowConfig:
     dealias: str = "none"
 
     def __post_init__(self):
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        if not isinstance(self.substeps, numbers.Integral) or self.substeps < 1:
+            raise ConfigError(f"substeps must be an integer >= 1, got {self.substeps!r}")
+        if self.dealias not in DEALIAS_RULES:
+            raise ConfigError(f"dealias must be one of {DEALIAS_RULES}, got {self.dealias!r}")
 
 
 def build_propagator(symbol: LinearSymbol, t: float) -> LinearPropagator:
@@ -94,23 +97,6 @@ def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
     return SpectralState(_rk4_coeffs(state.coeffs, dt, f), grid)
 
 
-def _nonlinear_flow_coeffs(
-    coeffs: np.ndarray,
-    dt: float,
-    params: ModelParams,
-    ik: np.ndarray,
-    mask: np.ndarray | None,
-    substeps: int,
-) -> np.ndarray:
-    def f(c):
-        return _nonlinear_rhs_coeffs(c, params, ik, mask)
-
-    sub_dt = dt / substeps
-    for _ in range(substeps):
-        coeffs = _rk4_coeffs(coeffs, sub_dt, f)
-    return coeffs
-
-
 def nonlinear_flow(
     state: SpectralState,
     dt: float,
@@ -120,8 +106,8 @@ def nonlinear_flow(
     """Advance the nonlinear subproblem by ``dt`` using RK4 substeps."""
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
-    grid = state.grid
-    ik = _derivative_symbol(grid, 1)
-    mask = None if cfg.dealias == "none" else dealias_mask(grid, cfg.dealias)
-    out = _nonlinear_flow_coeffs(state.coeffs, dt, params, ik, mask, cfg.substeps)
-    return SpectralState(out, grid)
+    # imported here because splitting imports this module
+    from .splitting import _Stepper
+
+    half = _Stepper(state.grid, params, dt, cfg).nonlinear(_real_half(state))
+    return _from_half(half, state.grid)

@@ -10,8 +10,6 @@ structured text form, both of which reparse exactly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .conditions import InitialConditionSpec, build_initial
@@ -121,21 +119,6 @@ def observed_order(errors, refinement_factor: float = 2.0) -> list[float]:
     return [math.log(a / b) / logf for a, b in zip(errs[:-1], errs[1:])]
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("KBF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = min(_thread_count(), len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _echo_common(spec: ExperimentSpec) -> dict:
     p, g, ic = spec.params, spec.grid, spec.initial_condition
     echo = {
@@ -184,8 +167,8 @@ def temporal_convergence_study(
 ) -> ConvergenceReport:
     """Errors versus step count at fixed N, against the integrating-factor reference.
 
-    The reference is computed once before the step-count fan-out; the error
-    is measured at the final time only.  The errors are absolute.
+    The reference is computed once and shared by every step count; the
+    error is measured at the final time only.  The errors are absolute.
     """
     initial = build_initial(spec.initial_condition, spec.grid)
     symbol = linear_symbol(spec.params, spec.grid)
@@ -209,7 +192,7 @@ def temporal_convergence_study(
         return error_norm(traj.final, ref, spec.norm)
 
     axis = tuple(sorted(spec.axis))
-    errors = tuple(_map_ordered(run, list(axis)))
+    errors = tuple(run(n) for n in axis)
     orders = tuple(observed_order(errors)) if min(errors) > ORDER_FLOOR else ()
     echo = _echo_common(spec)
     echo["study"] = "temporal"
@@ -262,9 +245,7 @@ def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> 
 
     ref = run_on(ref_grid.n_modes)
     axis = tuple(sorted(spec.axis))
-    errors = tuple(
-        _map_ordered(lambda n: error_norm(run_on(n), ref, spec.norm), list(axis))
-    )
+    errors = tuple(error_norm(run_on(n), ref, spec.norm) for n in axis)
     orders = tuple(observed_order(errors)) if min(errors) > ORDER_FLOOR else ()
     echo = _echo_common(spec)
     echo["study"] = "spatial"

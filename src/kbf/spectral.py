@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     InvalidGrid,
     InvalidTestFunction,
@@ -141,7 +142,11 @@ class NormSpec:
 
 
 def to_spectral(values: np.ndarray, grid: GridSpec) -> SpectralState:
-    """Forward DFT of real grid values (unscaled forward convention)."""
+    """Forward DFT of real grid values (unscaled forward convention).
+
+    The coefficients come from ``rfft`` plus the conjugate mirror, so the
+    result is exactly Hermitian.
+    """
     v = np.asarray(values, dtype=np.float64)
     if v.shape != (grid.n_modes,):
         raise DimensionMismatch(
@@ -149,7 +154,26 @@ def to_spectral(values: np.ndarray, grid: GridSpec) -> SpectralState:
         )
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("values contain NaN or infinity")
-    return SpectralState(np.fft.fft(v), grid)
+    return _from_half(np.fft.rfft(v), grid)
+
+
+def _from_half(half: np.ndarray, grid: GridSpec) -> SpectralState:
+    """FFT-order state of real data from its half-spectrum ``k = 0..N/2``."""
+    return SpectralState(np.concatenate((half, np.conj(half[-2:0:-1]))), grid)
+
+
+def _real_half(state: SpectralState, tol: float = 1e-8) -> np.ndarray:
+    """Hermitian part of a state on ``k = 0..N/2``; the inverse of ``_from_half``.
+
+    Raises NotRealRepresentable, as ``to_physical`` does, when the imaginary
+    residue exceeds ``tol``.
+    """
+    residue = real_residue(state.coeffs)
+    if residue > tol:
+        raise NotRealRepresentable(f"imaginary residue {residue:.3e} exceeds {tol:g}")
+    c = state.coeffs
+    m = state.grid.n_modes // 2 + 1
+    return 0.5 * (c[:m] + np.conj(c[-np.arange(m)]))
 
 
 def real_residue(coeffs: np.ndarray) -> float:
@@ -258,14 +282,16 @@ def norm(obj, spec: NormSpec = NormSpec(), grid: GridSpec | None = None) -> floa
     return norm(to_spectral(v, grid), spec)
 
 
+DEALIAS_RULES = ("none", "two_thirds")
+
+
 def dealias_mask(grid: GridSpec, rule: str = "none") -> np.ndarray:
     """Boolean keep-mask over modes; ``two_thirds`` keeps ``|k| <= floor(N/3)``."""
+    if rule not in DEALIAS_RULES:
+        raise ConfigError(f"dealias rule must be one of {DEALIAS_RULES}, got {rule!r}")
     if rule == "none":
         return np.ones(grid.n_modes, dtype=bool)
-    if rule == "two_thirds":
-        cutoff = grid.n_modes // 3
-        return np.abs(grid.wavenumbers) <= cutoff
-    raise ValueError(f"unknown dealias rule {rule!r}")
+    return np.abs(grid.wavenumbers) <= grid.n_modes // 3
 
 
 TEST_FUNCTIONS = {

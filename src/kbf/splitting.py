@@ -2,9 +2,15 @@
 
 One Strang step applies half a linear step, a full nonlinear step and
 another half linear step; the Lie-Trotter baseline applies a full linear
-step followed by a full nonlinear step.  ``evolve`` runs a whole number of
-steps with optional snapshots, an observer hook, blow-up guarding and
-optional fusion of adjacent linear half steps.
+step followed by a full nonlinear step.  Both compositions, and the
+nonlinear flow on its own, run in one stepping kernel built once per solve.
+The kernel works on the real half-spectrum ``k = 0..N/2`` (``rfft``
+layout): each nonlinear right-hand side costs one ``irfft`` and one
+batched ``rfft`` of ``[y^3, y^2]``.  The public functions convert between
+FFT-order ``SpectralState`` vectors and the half-spectrum at the boundary,
+so every state they return is exactly Hermitian, and they reject states
+that are not real-representable.  ``evolve`` runs a whole number of steps
+with optional snapshots, an observer hook and blow-up guarding.
 """
 
 from __future__ import annotations
@@ -15,9 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, ConfigError, NonFiniteState
-from .flows import NonlinearFlowConfig, _nonlinear_flow_coeffs, build_propagator
+from .flows import NonlinearFlowConfig, _rk4_coeffs, build_propagator
 from .model import LinearSymbol, ModelParams, linear_symbol
-from .spectral import SpectralState, _derivative_symbol, dealias_mask
+from .spectral import (
+    GridSpec,
+    SpectralState,
+    _derivative_symbol,
+    _from_half,
+    _real_half,
+    dealias_mask,
+)
 
 __all__ = [
     "SolveConfig",
@@ -41,7 +54,6 @@ class SolveConfig:
     t_final: float
     scheme: str = "strang"
     nonlinear_cfg: NonlinearFlowConfig = NonlinearFlowConfig()
-    fuse_half_steps: bool = False
     snapshot_stride: int = 0
 
     def __post_init__(self):
@@ -74,6 +86,76 @@ class Trajectory:
     steps_taken: int
 
 
+class _Stepper:
+    """One splitting step on the real half-spectrum, built once per solve.
+
+    Holds the linear factors of the scheme (``exp(lambda*dt/2)`` for Strang,
+    ``exp(lambda*dt)`` for Lie-Trotter) and the nonlinear data on
+    ``k = 0..N/2``.  Built without a symbol it only runs the nonlinear flow.
+    """
+
+    def __init__(
+        self,
+        grid: GridSpec,
+        params: ModelParams,
+        dt: float,
+        cfg: NonlinearFlowConfig,
+        symbol: LinearSymbol | None = None,
+        scheme: str = "strang",
+    ):
+        m = grid.n_modes // 2 + 1
+        self.n_modes = grid.n_modes
+        self.strang = scheme == "strang"
+        if symbol is not None:
+            duration = dt / 2.0 if self.strang else dt
+            self.linear = build_propagator(symbol, duration).factors[:m]
+        self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
+        self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[:m]
+        self.react = params.eps_react
+        self.substeps = cfg.substeps
+        self.sub_dt = dt / cfg.substeps
+        self.powers = np.empty((2, grid.n_modes))
+
+    def rhs(self, c: np.ndarray) -> np.ndarray:
+        """Conservative right-hand side ``-(eps/3)*ik*T(y^3) + eps_react*(c - T(y^2))``."""
+        y = np.fft.irfft(c, self.n_modes)
+        powers = self.powers
+        np.multiply(y, y, out=powers[1])
+        np.multiply(powers[1], y, out=powers[0])
+        cubed, squared = spectra = np.fft.rfft(powers)
+        if self.drop is not None:
+            spectra[:, self.drop] = 0.0
+        out = self.conv * cubed
+        if self.react != 0.0:
+            # in place on the fresh transform; equals eps_react*(c - T(y^2)) bit for bit
+            squared -= c
+            squared *= -self.react
+            out += squared
+        return out
+
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        for _ in range(self.substeps):
+            c = _rk4_coeffs(c, self.sub_dt, self.rhs)
+        return c
+
+    def step(self, c: np.ndarray) -> np.ndarray:
+        c = self.nonlinear(self.linear * c)
+        return self.linear * c if self.strang else c
+
+
+def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
+    """Discrete L2 norm of the real data whose half-spectrum is ``half``."""
+    sq = 2.0 * np.vdot(half, half).real - abs(half[0]) ** 2 - abs(half[-1]) ** 2
+    return math.sqrt(sq * grid.spacing / grid.n_modes)
+
+
+def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
+    if not (dt > 0):
+        raise ConfigError(f"dt must be positive, got {dt}")
+    stepper = _Stepper(state.grid, params, dt, cfg, symbol, scheme)
+    return _from_half(stepper.step(_real_half(state)), state.grid)
+
+
 def strang_step(
     state: SpectralState,
     dt: float,
@@ -82,16 +164,7 @@ def strang_step(
     cfg: NonlinearFlowConfig = NonlinearFlowConfig(),
 ) -> SpectralState:
     """One Strang step: half linear, full nonlinear, half linear."""
-    if not (dt > 0):
-        raise ConfigError(f"dt must be positive, got {dt}")
-    half = build_propagator(symbol, dt / 2.0)
-    grid = state.grid
-    ik = _derivative_symbol(grid, 1)
-    mask = None if cfg.dealias == "none" else dealias_mask(grid, cfg.dealias)
-    c = half.factors * state.coeffs
-    c = _nonlinear_flow_coeffs(c, dt, params, ik, mask, cfg.substeps)
-    c = half.factors * c
-    return SpectralState(c, grid)
+    return _one_step(state, dt, params, symbol, cfg, "strang")
 
 
 def lie_trotter_step(
@@ -102,19 +175,7 @@ def lie_trotter_step(
     cfg: NonlinearFlowConfig = NonlinearFlowConfig(),
 ) -> SpectralState:
     """One Lie-Trotter step: full linear step, then full nonlinear step."""
-    if not (dt > 0):
-        raise ConfigError(f"dt must be positive, got {dt}")
-    full = build_propagator(symbol, dt)
-    grid = state.grid
-    ik = _derivative_symbol(grid, 1)
-    mask = None if cfg.dealias == "none" else dealias_mask(grid, cfg.dealias)
-    c = full.factors * state.coeffs
-    c = _nonlinear_flow_coeffs(c, dt, params, ik, mask, cfg.substeps)
-    return SpectralState(c, grid)
-
-
-def _l2_from_coeffs(coeffs: np.ndarray, grid) -> float:
-    return math.sqrt(float(np.sum(np.abs(coeffs) ** 2)) * grid.spacing / grid.n_modes)
+    return _one_step(state, dt, params, symbol, cfg, "lie_trotter")
 
 
 def evolve(
@@ -132,80 +193,45 @@ def evolve(
     past ``BLOWUP_NORM_FACTOR`` times the initial norm.
     """
     grid = initial.grid
-    symbol = linear_symbol(params, grid)
-    cfg = config.nonlinear_cfg
     n = config.n_steps
     dt = config.dt
     stride = config.snapshot_stride
-
-    ik = _derivative_symbol(grid, 1)
-    mask = None if cfg.dealias == "none" else dealias_mask(grid, cfg.dealias)
-    half = build_propagator(symbol, dt / 2.0).factors
-    full = build_propagator(symbol, dt).factors
-
-    initial_norm = _l2_from_coeffs(initial.coeffs, grid)
-    norm_cap = BLOWUP_NORM_FACTOR * max(initial_norm, 1e-300)
+    stepper = _Stepper(
+        grid, params, dt, config.nonlinear_cfg, linear_symbol(params, grid), config.scheme
+    )
+    c = _real_half(initial)
+    norm_cap = BLOWUP_NORM_FACTOR * max(_half_l2(c, grid), 1e-300)
 
     snap_steps = {n}
     if stride > 0:
         snap_steps.update(range(0, n + 1, stride))
-        snap_steps.add(0)
 
     times = []
     states = []
 
-    def record(step, coeffs):
+    def record(step, half):
         t = config.t_final if step == n else step * dt
-        s = SpectralState(coeffs, grid)
+        s = _from_half(half, grid)
         times.append(t)
         states.append(s)
         if observer is not None:
             observer(step, t, s)
 
-    def step_nonlinear(step, coeffs):
+    if 0 in snap_steps:
+        record(0, c)
+    for step in range(1, n + 1):
         try:
-            return _nonlinear_flow_coeffs(coeffs, dt, params, ik, mask, cfg.substeps)
+            c = stepper.step(c)
         except NonFiniteState as exc:
             raise BlowUp(step, step * dt, str(exc)) from exc
-
-    def guard(step, coeffs):
-        if not np.all(np.isfinite(coeffs)):
-            raise BlowUp(step, step * dt, "state turned non-finite")
-        if _l2_from_coeffs(coeffs, grid) > norm_cap:
-            raise BlowUp(step, step * dt, "L2 norm exploded")
-
-    c = initial.coeffs.copy()
-    if 0 in snap_steps:
-        record(0, c.copy())
-
-    if config.scheme == "lie_trotter":
-        for step in range(1, n + 1):
-            c = step_nonlinear(step, full * c)
-            guard(step, c)
-            if step in snap_steps:
-                record(step, c.copy())
-    elif not config.fuse_half_steps:
-        for step in range(1, n + 1):
-            c = half * (step_nonlinear(step, half * c))
-            guard(step, c)
-            if step in snap_steps:
-                record(step, c.copy())
-    else:
-        # Merge the trailing and leading linear half steps of adjacent Strang
-        # steps into one full step, except where a snapshot needs the true
-        # end-of-step state.
-        c = half * c
-        for step in range(1, n + 1):
-            c = step_nonlinear(step, c)
-            if step in snap_steps:
-                c = half * c
-                guard(step, c)
-                record(step, c.copy())
-                if step < n:
-                    c = half * c
-            else:
-                guard(step, c)
-                c = full * c
+        # NaN fails the comparison, so one reduction checks both guards
+        if not _half_l2(c, grid) <= norm_cap:
+            finite = np.all(np.isfinite(c))
+            raise BlowUp(
+                step, step * dt, "L2 norm exploded" if finite else "state turned non-finite"
+            )
+        if step in snap_steps:
+            record(step, c)
 
     return Trajectory(
         times=tuple(times), states=tuple(states), final=states[-1], steps_taken=n

@@ -199,6 +199,22 @@ def test_validation_failure_exits_1(tmp_path, capsys):
     assert "kbf: error: ValidationError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["nu", "mu", "gamma", "eps_conv", "eps_react"])
+def test_non_finite_coefficient_reported_under_its_key(tmp_path, capsys, key):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG)
+    flag = "--" + key.replace("_", "-")
+    code = run_cli(["solve", "--config", str(cfg_file), flag, "inf", "--output", str(tmp_path / "o")])
+    assert code == 1
+    assert f"kbf: error: ValidationError: {key}:" in capsys.readouterr().err
+
+
+def test_unknown_dealias_rule_rejected():
+    with pytest.raises(ValidationError) as info:
+        parse_config(HEAT_CONFIG, {"dealias": "foo"})
+    assert info.value.key == "dealias"
+
+
 def test_converge_time_matches_target_orders(tmp_path, capsys, full_params):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(FULL_CONFIG)

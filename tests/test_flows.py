@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kbf import (
+    ConfigError,
     GridMismatch,
     InitialConditionSpec,
     ModelParams,
@@ -27,6 +28,17 @@ from kbf import (
 
 TWO_PI = 2.0 * np.pi
 FISHER = ModelParams(eps_react=1.0)
+
+
+# ----- configuration -----
+
+@pytest.mark.parametrize(
+    "kwargs", [{"dealias": "foo"}, {"substeps": 0}, {"substeps": -2}, {"substeps": 1.5}]
+)
+def test_nonlinear_flow_config_rejects_bad_values(kwargs):
+    # rejected when constructed, not at the first step with a bare ValueError
+    with pytest.raises(ConfigError):
+        NonlinearFlowConfig(**kwargs)
 
 
 # ----- linear propagator -----

@@ -171,14 +171,6 @@ def test_study_determinism(full_params, grid256):
     assert report_to_csv(a) == report_to_csv(b)
 
 
-def test_threaded_study_matches_serial(full_params, grid256, monkeypatch):
-    spec = _study_spec(full_params, grid256, (24, 48, 96))
-    serial = temporal_convergence_study(spec)
-    monkeypatch.setenv("KBF_THREADS", "3")
-    threaded = temporal_convergence_study(spec)
-    assert serial == threaded
-
-
 # ----- report serialization -----
 
 def test_report_round_trips(full_params, grid256):

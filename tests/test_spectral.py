@@ -5,6 +5,7 @@ import pytest
 
 from helpers import fd_derivative, random_band_limited, slow_dft
 from kbf import (
+    ConfigError,
     DimensionMismatch,
     InvalidGrid,
     InvalidTestFunction,
@@ -279,6 +280,11 @@ def test_dealias_two_thirds_n12():
     mask = dealias_mask(g, "two_thirds")
     kept = set(g.wavenumbers[mask])
     assert kept == set(range(-4, 5))
+
+
+def test_dealias_rejects_unknown_rule():
+    with pytest.raises(ConfigError):
+        dealias_mask(make_grid(12, 0.0, TWO_PI), "foo")
 
 
 def test_dealias_none_keeps_all():

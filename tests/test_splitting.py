@@ -6,6 +6,8 @@ from kbf import (
     ConfigError,
     InitialConditionSpec,
     ModelParams,
+    NonlinearFlowConfig,
+    NotRealRepresentable,
     SolveConfig,
     SpectralState,
     apply_linear,
@@ -24,6 +26,7 @@ from kbf import (
     to_physical,
     to_spectral,
 )
+from helpers import full_spectrum_solve
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,16 +132,6 @@ def test_evolve_matches_repeated_strang_steps(full_params, grid256, sine_initial
     assert np.max(np.abs(traj.final.coeffs - s.coeffs)) < 1e-12 * np.max(np.abs(s.coeffs))
 
 
-def test_fusion_equivalence(full_params, grid256, sine_initial):
-    base = SolveConfig(dt=1.0 / 32, t_final=1.0, snapshot_stride=8)
-    fused = SolveConfig(dt=1.0 / 32, t_final=1.0, snapshot_stride=8, fuse_half_steps=True)
-    t1 = evolve(sine_initial, full_params, base)
-    t2 = evolve(sine_initial, full_params, fused)
-    assert t1.times == t2.times
-    for a, b in zip(t1.states, t2.states):
-        assert error_norm(a, b) < 1e-12
-
-
 def test_equilibria_preserved_over_1000_steps(full_params):
     g = make_grid(16, 0.0, TWO_PI)
     for c in (0.0, 1.0):
@@ -187,6 +180,18 @@ def test_blow_up_raises_with_location():
     assert 0.0 < info.value.time <= 2.0
 
 
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+def test_blow_up_trips_l2_guard_at_step_23(scheme):
+    # logistic data c0 = -1/2 diverge at t* = ln 3; with dt = 0.05 the L2 cap
+    # trips at step 23 (t = 1.15) for either scheme
+    g = make_grid(16, 0.0, TWO_PI)
+    initial = to_spectral(np.full(16, -0.5), g)
+    cfg = SolveConfig(dt=0.05, t_final=2.0, scheme=scheme)
+    with pytest.raises(BlowUp, match="L2 norm exploded") as info:
+        evolve(initial, ModelParams(eps_react=1.0), cfg)
+    assert info.value.step == 23
+
+
 def test_local_defect_third_order_in_asymptotic_window(full_params, grid256, sine_initial):
     # one-step defect |Psi(dt) - Psi(dt/2)^2| decays at the local order 3 once
     # |lambda|*dt < 1 for the populated modes (dt below ~2^-7 here)
@@ -201,3 +206,72 @@ def test_local_defect_third_order_in_asymptotic_window(full_params, grid256, sin
         defects.append(error_norm(one, half))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
     assert slope >= 2.7
+
+
+# ----- the half-spectrum kernel -----
+
+def _rich_initial(n):
+    g = make_grid(n, 0.0, TWO_PI)
+    x = g.points
+    return to_spectral(0.5 + 0.25 * np.sin(x) + 0.1 * np.cos(3 * x) - 0.05 * np.sin(5 * x), g)
+
+
+@pytest.mark.parametrize("n_modes", [16, 256])
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+def test_kernel_matches_full_spectrum_composition(full_params, scheme, dealias, substeps, n_modes):
+    initial = _rich_initial(n_modes)
+    sym = linear_symbol(full_params, initial.grid)
+    dt, n_steps = 1.0 / 64, 64
+    cfg = SolveConfig(
+        dt=dt,
+        t_final=1.0,
+        scheme=scheme,
+        nonlinear_cfg=NonlinearFlowConfig(substeps=substeps, dealias=dealias),
+    )
+    ours = evolve(initial, full_params, cfg).final.coeffs
+    ref = full_spectrum_solve(initial, full_params, sym, dt, n_steps, scheme, dealias, substeps)
+    assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _assert_exactly_hermitian(coeffs):
+    n = len(coeffs)
+    assert coeffs[0].imag == 0.0
+    assert coeffs[n // 2].imag == 0.0
+    np.testing.assert_array_equal(coeffs[n // 2 + 1 :], np.conj(coeffs[1 : n // 2][::-1]))
+
+
+def test_outputs_are_exactly_hermitian(rng, full_params):
+    for n in (16, 64, 256):
+        g = make_grid(n, 0.0, TWO_PI)
+        state = to_spectral(rng.standard_normal(n), g)
+        _assert_exactly_hermitian(state.coeffs)
+    sym = linear_symbol(full_params, g)
+    # a state that is real only to within rounding is projected at the boundary
+    c = state.coeffs.copy()
+    c[3] += 1e-12j
+    nearly_real = SpectralState(c, g)
+    cfg = SolveConfig(dt=1.0 / 32, t_final=0.25, snapshot_stride=4)
+    for s in (state, nearly_real):
+        for snap in evolve(s, full_params, cfg).states:
+            _assert_exactly_hermitian(snap.coeffs)
+        _assert_exactly_hermitian(strang_step(s, 0.01, full_params, sym).coeffs)
+        _assert_exactly_hermitian(lie_trotter_step(s, 0.01, full_params, sym).coeffs)
+        _assert_exactly_hermitian(nonlinear_flow(s, 0.01, full_params).coeffs)
+
+
+def test_non_real_input_is_rejected(full_params):
+    g = make_grid(16, 0.0, TWO_PI)
+    c = np.zeros(16, dtype=complex)
+    c[1] = 8.0  # exp(i*x) alone: complex grid values
+    state = SpectralState(c, g)
+    sym = linear_symbol(full_params, g)
+    with pytest.raises(NotRealRepresentable):
+        evolve(state, full_params, SolveConfig(dt=0.1, t_final=1.0))
+    with pytest.raises(NotRealRepresentable):
+        strang_step(state, 0.1, full_params, sym)
+    with pytest.raises(NotRealRepresentable):
+        lie_trotter_step(state, 0.1, full_params, sym)
+    with pytest.raises(NotRealRepresentable):
+        nonlinear_flow(state, 0.1, full_params)
