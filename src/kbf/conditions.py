@@ -45,7 +45,11 @@ class InitialConditionSpec:
 
 def _read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     xs, ys = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError("ic.path", f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -5,7 +5,26 @@ class KbfError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidGrid(KbfError):
+class ValidationError(KbfError, ValueError):
+    """An input has an invalid or missing value; raised where it is constructed.
+
+    The one construction-time error: library constructors raise it (or a
+    subclass) naming their own field, and the CLI reports it under that
+    name.  It is also a ``ValueError``.
+
+    Attributes
+    ----------
+    key : name of the offending field or config key
+    message : the complaint, without the key
+    """
+
+    def __init__(self, key, message):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key}: {message}")
+
+
+class InvalidGrid(ValidationError):
     """Grid construction arguments violate the grid invariants."""
 
 
@@ -52,7 +71,7 @@ class BlowUp(KbfError):
         super().__init__(message or f"blow-up detected at step {step}, t={time:g}")
 
 
-class ConfigError(KbfError):
+class ConfigError(ValidationError):
     """Solve configuration is inconsistent (e.g. non-integral step count)."""
 
 
@@ -71,19 +90,6 @@ class ParseError(KbfError):
     def __init__(self, line, message):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-class ValidationError(KbfError):
-    """A config key has an invalid or missing value.
-
-    Attributes
-    ----------
-    key : name of the offending key
-    """
-
-    def __init__(self, key, message):
-        self.key = key
-        super().__init__(f"{key}: {message}")
 
 
 class FileFormatError(KbfError):

@@ -46,9 +46,9 @@ class NonlinearFlowConfig:
 
     def __post_init__(self):
         if not isinstance(self.substeps, numbers.Integral) or self.substeps < 1:
-            raise ConfigError(f"substeps must be an integer >= 1, got {self.substeps!r}")
+            raise ConfigError("substeps", f"must be an integer >= 1, got {self.substeps!r}")
         if self.dealias not in DEALIAS_RULES:
-            raise ConfigError(f"dealias must be one of {DEALIAS_RULES}, got {self.dealias!r}")
+            raise ConfigError("dealias", f"must be one of {DEALIAS_RULES}, got {self.dealias!r}")
 
 
 def build_propagator(symbol: LinearSymbol, t: float) -> LinearPropagator:
@@ -85,7 +85,7 @@ def _rk4_coeffs(coeffs: np.ndarray, dt: float, f) -> np.ndarray:
 def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
     """One classical four-stage Runge-Kutta step of ``state' = rhs(state)``."""
     if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
+        raise ConfigError("dt", f"must be finite, got {dt}")
     grid = state.grid
 
     def f(coeffs):
@@ -105,7 +105,7 @@ def nonlinear_flow(
 ) -> SpectralState:
     """Advance the nonlinear subproblem by ``dt`` using RK4 substeps."""
     if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
+        raise ConfigError("dt", f"must be finite, got {dt}")
     # imported here because splitting imports this module
     from .splitting import _Stepper
 

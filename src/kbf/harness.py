@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .conditions import InitialConditionSpec, build_initial
-from .errors import BlowUp, FileFormatError, GridMismatch, NonPositiveError
+from .errors import BlowUp, ConfigError, FileFormatError, GridMismatch, NonPositiveError
 from .flows import NonlinearFlowConfig
 from .model import ModelParams, linear_symbol
 from .reference import make_reference
@@ -64,9 +64,9 @@ class ConvergenceReport:
 
     def __post_init__(self):
         if list(self.axis) != sorted(self.axis) or len(set(self.axis)) != len(self.axis):
-            raise ValueError("axis must be strictly increasing")
+            raise ConfigError("axis", f"must be strictly increasing, got {self.axis}")
         if any(not math.isfinite(e) for e in self.errors):
-            raise ValueError("errors must be finite")
+            raise ConfigError("errors", f"must be finite, got {self.errors}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not self.axis:
-            raise ValueError("axis must be non-empty")
+            raise ConfigError("axis", "must be non-empty")
         object.__setattr__(self, "axis", tuple(int(a) for a in self.axis))
 
 
@@ -134,7 +134,7 @@ def _echo_common(spec: ExperimentSpec) -> dict:
         "t_final": _fmt(spec.t_final),
         "substeps": str(spec.nonlinear_cfg.substeps),
         "dealias": spec.nonlinear_cfg.dealias,
-        "norm": _norm_to_str(spec.norm),
+        "norm": str(spec.norm),
         "ic.kind": ic.kind,
     }
     if ic.kind == "constant":
@@ -146,18 +146,6 @@ def _echo_common(spec: ExperimentSpec) -> dict:
     elif ic.kind == "file":
         echo["ic.path"] = ic.path
     return echo
-
-
-def _norm_to_str(n: NormSpec) -> str:
-    return "l2" if n.kind == "l2" else f"h{n.s}"
-
-
-def _norm_from_str(s: str) -> NormSpec:
-    if s == "l2":
-        return NormSpec("l2", 0)
-    if s.startswith("h") and s[1:].isdigit():
-        return NormSpec("hs", int(s[1:]))
-    raise FileFormatError(f"bad norm spec {s!r}")
 
 
 def temporal_convergence_study(
@@ -223,10 +211,10 @@ def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> 
     ref_grid = spec.grid
     for n in spec.axis:
         if n % 2 != 0 or n < 4:
-            raise ValueError(f"axis mode counts must be even and >= 4, got {n}")
+            raise ConfigError("axis", f"mode counts must be even and >= 4, got {n}")
         if n >= ref_grid.n_modes:
-            raise ValueError(
-                f"axis mode count {n} must stay below the reference grid ({ref_grid.n_modes})"
+            raise ConfigError(
+                "axis", f"mode count {n} must stay below the reference grid ({ref_grid.n_modes})"
             )
 
     def run_on(n_modes: int) -> SpectralState:
@@ -295,17 +283,18 @@ def _report_from_parts(echo: dict, rows: list) -> ConvergenceReport:
     study = echo.get("study", "")
     if study not in ("temporal", "spatial"):
         raise FileFormatError(f"bad or missing study kind {study!r}")
-    axis = tuple(int(r[0]) for r in rows)
-    errors = tuple(float(r[2]) for r in rows)
-    orders = tuple(float(r[3]) for r in rows if r[3] not in ("", "-"))
-    return ConvergenceReport(
-        study_kind=study,
-        axis=axis,
-        errors=errors,
-        orders=orders,
-        norm=_norm_from_str(echo.get("norm", "l2")),
-        config_echo=echo,
-    )
+    try:
+        return ConvergenceReport(
+            study_kind=study,
+            axis=tuple(int(r[0]) for r in rows),
+            errors=tuple(float(r[2]) for r in rows),
+            orders=tuple(float(r[3]) for r in rows if r[3] not in ("", "-")),
+            norm=NormSpec.parse(echo.get("norm", "l2")),
+            config_echo=echo,
+        )
+    except ValueError as exc:
+        # non-numeric cells, and every ConvergenceReport/NormSpec rule (ValidationErrors)
+        raise FileFormatError(f"bad report: {exc}") from None
 
 
 def report_from_csv(text: str) -> ConvergenceReport:

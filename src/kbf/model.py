@@ -19,12 +19,12 @@ powers taken in physical space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import GridMismatch, NonFiniteInput, NotRealRepresentable
-from .spectral import GridSpec, SpectralState, _derivative_symbol, real_residue
+from .errors import GridMismatch, NonFiniteInput, ValidationError
+from .spectral import GridSpec, SpectralState, _derivative_symbol, to_physical
 
 __all__ = [
     "ModelParams",
@@ -47,11 +47,12 @@ class ModelParams:
     eps_react: float = 0.0
 
     def __post_init__(self):
-        vals = (self.nu, self.mu, self.gamma, self.eps_conv, self.eps_react)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("model parameters must be finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValidationError(f.name, f"must be finite, got {value!r}")
         if self.nu < 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
+            raise ValidationError("nu", f"must be >= 0, got {self.nu}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +75,6 @@ def linear_symbol(params: ModelParams, grid: GridSpec) -> LinearSymbol:
     values[grid.n_modes // 2] = values[grid.n_modes // 2].real
     values.setflags(write=False)
     return LinearSymbol(values=values, grid=grid, params=params)
-
-
-def _check_real(state: SpectralState, tol: float = 1e-8):
-    if real_residue(state.coeffs) > tol:
-        raise NotRealRepresentable("state is not real-representable")
 
 
 def nonlinear_rhs_physical(values: np.ndarray, params: ModelParams, grid: GridSpec) -> np.ndarray:
@@ -126,7 +122,7 @@ def nonlinear_rhs_spectral(
     dealias: np.ndarray | None = None,
 ) -> SpectralState:
     """Conservative spectral right-hand side of the nonlinear subproblem."""
-    _check_real(state)
+    to_physical(state)  # rejects a state that is not real-representable
     ik = _derivative_symbol(state.grid, 1)
     out = _nonlinear_rhs_coeffs(state.coeffs, params, ik, dealias)
     return SpectralState(out, state.grid)

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .model import LinearSymbol, ModelParams, _nonlinear_rhs_coeffs
 from .spectral import GridSpec, SpectralState, _derivative_symbol
+from .splitting import _step_count
 
 __all__ = [
     "integrating_factor_rk4_solve",
@@ -57,12 +58,7 @@ def integrating_factor_rk4_solve(
     ``dt/2`` and ``dt`` are precomputed once.  Exact for any ``dt`` when the
     nonlinear coefficients vanish.
     """
-    if not (dt > 0):
-        raise ConfigError(f"dt must be positive, got {dt}")
-    ratio = t_final / dt
-    n = round(ratio)
-    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
-        raise ConfigError(f"t_final/dt = {ratio!r} is not a whole number of steps")
+    n = _step_count(dt, t_final)
     grid = initial.grid
     ik = _derivative_symbol(grid, 1)
     e_half = np.exp(symbol.values * (dt / 2.0))
@@ -182,7 +178,7 @@ def make_reference(
     an in-memory cache and, when ``cache_dir`` is given, on disk.
     """
     if quality not in _QUALITY_STEPS:
-        raise ConfigError(f"quality must be one of {sorted(_QUALITY_STEPS)}")
+        raise ConfigError("quality", f"must be one of {sorted(_QUALITY_STEPS)}, got {quality!r}")
     key = _content_key(initial, params, t_final, quality)
     with _cache_lock:
         hit = _memory_cache.get(key)

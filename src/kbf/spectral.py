@@ -27,6 +27,7 @@ from .errors import (
     InvalidTestFunction,
     NonFiniteInput,
     NotRealRepresentable,
+    ValidationError,
 )
 
 __all__ = [
@@ -93,11 +94,11 @@ def make_grid(n_modes: int, domain_start: float, domain_length: float) -> GridSp
     ``n_modes`` must be even and at least 4; ``domain_length`` positive.
     """
     if n_modes < 4 or n_modes % 2 != 0:
-        raise InvalidGrid(f"n_modes must be even and >= 4, got {n_modes}")
-    if not (domain_length > 0) or not math.isfinite(domain_length):
-        raise InvalidGrid(f"domain_length must be positive, got {domain_length}")
+        raise InvalidGrid("n_modes", f"must be even and >= 4, got {n_modes}")
     if not math.isfinite(domain_start):
-        raise InvalidGrid("domain_start must be finite")
+        raise InvalidGrid("domain_start", f"must be finite, got {domain_start}")
+    if not (0 < domain_length < math.inf):
+        raise InvalidGrid("domain_length", f"must be positive and finite, got {domain_length}")
     points = domain_start + np.arange(n_modes) * (domain_length / n_modes)
     points.setflags(write=False)
     return GridSpec(
@@ -129,16 +130,31 @@ class SpectralState:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Choice of discrete norm: plain L2 or Sobolev H^s."""
+    """Choice of discrete norm: plain L2 or Sobolev H^s.
+
+    Written as ``l2`` or ``h<s>`` in configs and reports; ``str`` and
+    ``NormSpec.parse`` convert between the two forms.
+    """
 
     kind: str = "l2"
     s: int = 0
 
     def __post_init__(self):
         if self.kind not in ("l2", "hs"):
-            raise ValueError(f"norm kind must be 'l2' or 'hs', got {self.kind!r}")
+            raise ValidationError("norm", f"kind must be 'l2' or 'hs', got {self.kind!r}")
         if self.s < 0:
-            raise ValueError("Sobolev index s must be nonnegative")
+            raise ValidationError("norm", f"Sobolev index must be >= 0, got {self.s}")
+
+    def __str__(self):
+        return "l2" if self.kind == "l2" else f"h{self.s}"
+
+    @classmethod
+    def parse(cls, text: str) -> NormSpec:
+        if text == "l2":
+            return cls("l2", 0)
+        if text.startswith("h") and text[1:].isdigit():
+            return cls("hs", int(text[1:]))
+        raise ValidationError("norm", f"expected 'l2' or 'h<s>', got {text!r}")
 
 
 def to_spectral(values: np.ndarray, grid: GridSpec) -> SpectralState:
@@ -168,35 +184,33 @@ def _real_half(state: SpectralState, tol: float = 1e-8) -> np.ndarray:
     Raises NotRealRepresentable, as ``to_physical`` does, when the imaginary
     residue exceeds ``tol``.
     """
-    residue = real_residue(state.coeffs)
-    if residue > tol:
-        raise NotRealRepresentable(f"imaginary residue {residue:.3e} exceeds {tol:g}")
+    to_physical(state, tol)
     c = state.coeffs
     m = state.grid.n_modes // 2 + 1
     return 0.5 * (c[:m] + np.conj(c[-np.arange(m)]))
 
 
+def _residue(z: np.ndarray) -> float:
+    scale = np.max(np.abs(z))
+    return float(np.max(np.abs(z.imag)) / scale) if scale > 0.0 else 0.0
+
+
 def real_residue(coeffs: np.ndarray) -> float:
     """Relative size of the imaginary contamination of the grid values."""
-    z = np.fft.ifft(coeffs)
-    scale = np.max(np.abs(z))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(z.imag)) / scale)
+    return _residue(np.fft.ifft(coeffs))
 
 
 def to_physical(state: SpectralState, tol: float = 1e-8) -> np.ndarray:
     """Inverse DFT to real grid values.
 
     Raises NotRealRepresentable if the imaginary residue exceeds ``tol``
-    relative to the state's magnitude.
+    relative to the state's magnitude.  This is the package's one
+    real-representability check; it costs a single inverse DFT.
     """
     z = np.fft.ifft(state.coeffs)
-    scale = np.max(np.abs(z))
-    if scale > 0.0 and np.max(np.abs(z.imag)) > tol * scale:
-        raise NotRealRepresentable(
-            f"imaginary residue {np.max(np.abs(z.imag)) / scale:.3e} exceeds {tol:g}"
-        )
+    residue = _residue(z)
+    if residue > tol:
+        raise NotRealRepresentable(f"imaginary residue {residue:.3e} exceeds {tol:g}")
     return z.real
 
 
@@ -223,7 +237,7 @@ def _derivative_symbol(grid: GridSpec, order: int) -> np.ndarray:
 def derivative(state: SpectralState, order: int) -> SpectralState:
     """Spectral derivative of the given order (>= 1)."""
     if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
+        raise ConfigError("order", f"must be >= 1, got {order}")
     sym = _derivative_symbol(state.grid, order)
     return SpectralState(sym * state.coeffs, state.grid)
 
@@ -234,8 +248,7 @@ def eval_interpolant(state: SpectralState, points: np.ndarray, tol: float = 1e-8
     Direct summation over modes; the Nyquist coefficient contributes a pure
     cosine so real data yields a real interpolant.
     """
-    if real_residue(state.coeffs) > tol:
-        raise NotRealRepresentable("state is not real-representable")
+    to_physical(state, tol)
     pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
     grid = state.grid
     n = grid.n_modes
@@ -272,7 +285,7 @@ def norm(obj, spec: NormSpec = NormSpec(), grid: GridSpec | None = None) -> floa
         return math.sqrt(_hs_sq_from_coeffs(coeffs, g, s))
     v = np.asarray(obj, dtype=np.float64)
     if grid is None:
-        raise ValueError("raw values need an explicit grid")
+        raise ConfigError("grid", "raw values need an explicit grid")
     if v.shape != (grid.n_modes,):
         raise DimensionMismatch(f"expected {grid.n_modes} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -288,7 +301,7 @@ DEALIAS_RULES = ("none", "two_thirds")
 def dealias_mask(grid: GridSpec, rule: str = "none") -> np.ndarray:
     """Boolean keep-mask over modes; ``two_thirds`` keeps ``|k| <= floor(N/3)``."""
     if rule not in DEALIAS_RULES:
-        raise ConfigError(f"dealias rule must be one of {DEALIAS_RULES}, got {rule!r}")
+        raise ConfigError("dealias", f"must be one of {DEALIAS_RULES}, got {rule!r}")
     if rule == "none":
         return np.ones(grid.n_modes, dtype=bool)
     return np.abs(grid.wavenumbers) <= grid.n_modes // 3

@@ -16,6 +16,7 @@ with optional snapshots, an observer hook and blow-up guarding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,23 @@ SCHEMES = ("strang", "lie_trotter")
 BLOWUP_NORM_FACTOR = 1e6
 
 
+def _step_count(dt: float, t_final: float) -> int:
+    """Number of steps of size ``dt`` that make up ``t_final``.
+
+    Raises ConfigError unless ``dt`` is positive, ``t_final`` positive and
+    finite, and their ratio a whole number (to 1e-9 relative) of at least 1.
+    """
+    if not (dt > 0):
+        raise ConfigError("dt", f"must be positive, got {dt}")
+    if not (0 < t_final < math.inf):
+        raise ConfigError("t_final", f"must be positive and finite, got {t_final}")
+    ratio = t_final / dt
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
+        raise ConfigError("dt", f"t_final/dt = {ratio!r} is not a whole number of steps")
+    return n
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Time-stepping parameters; ``t_final/dt`` must be a whole number of steps."""
@@ -57,19 +75,13 @@ class SolveConfig:
     snapshot_stride: int = 0
 
     def __post_init__(self):
-        if not (self.dt > 0) or not (self.t_final > 0):
-            raise ConfigError("dt and t_final must be positive")
-        if self.dt > self.t_final * (1 + 1e-12):
-            raise ConfigError(f"dt={self.dt} exceeds t_final={self.t_final}")
-        ratio = self.t_final / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(
-                f"t_final/dt = {ratio!r} is not a whole number of steps"
-            )
+        _step_count(self.dt, self.t_final)
         if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.snapshot_stride < 0:
-            raise ConfigError("snapshot_stride must be >= 0")
+            raise ConfigError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
+        if not isinstance(self.snapshot_stride, numbers.Integral) or self.snapshot_stride < 0:
+            raise ConfigError(
+                "snapshot_stride", f"must be an integer >= 0, got {self.snapshot_stride!r}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -151,7 +163,7 @@ def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
 
 def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
     if not (dt > 0):
-        raise ConfigError(f"dt must be positive, got {dt}")
+        raise ConfigError("dt", f"must be positive, got {dt}")
     stepper = _Stepper(state.grid, params, dt, cfg, symbol, scheme)
     return _from_half(stepper.step(_real_half(state)), state.grid)
 

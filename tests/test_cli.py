@@ -209,6 +209,57 @@ def test_non_finite_coefficient_reported_under_its_key(tmp_path, capsys, key):
     assert f"kbf: error: ValidationError: {key}:" in capsys.readouterr().err
 
 
+BAD_VALUES = [
+    ("nu", "-1"),
+    *((coef, "inf") for coef in ("nu", "mu", "gamma", "eps_conv", "eps_react")),
+    ("n_modes", "5"),
+    ("domain_start", "inf"),
+    ("domain_length", "-1"),
+    ("dt", "0"),
+    ("t_final", "-1"),
+    ("t_final", "inf"),
+    ("scheme", "x"),
+    ("substeps", "0"),
+    ("dealias", "foo"),
+    ("snapshot_stride", "-1"),
+    ("ic.kind", "wavelet"),
+    ("norm", "hx"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES)
+def test_every_bad_key_reported_under_its_own_name(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG)
+    flag = "--" + key.replace(".", "-").replace("_", "-")
+    code = run_cli(["solve", "--config", str(cfg_file), flag, value, "--output", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kbf: error: ValidationError: {key}:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_file_ic_without_path_reported_under_ic_path(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG)
+    code = run_cli(["solve", "--config", str(cfg_file), "--ic", "file", "--output", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("kbf: error: ValidationError: ic.path:")
+
+
+def test_missing_ic_file_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG)
+    code = run_cli([
+        "solve", "--config", str(cfg_file), "--ic", "file",
+        "--ic-path", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kbf: error: ValidationError: ic.path:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_unknown_dealias_rule_rejected():
     with pytest.raises(ValidationError) as info:
         parse_config(HEAT_CONFIG, {"dealias": "foo"})

@@ -3,6 +3,7 @@ import pytest
 
 from kbf import (
     ExperimentSpec,
+    FileFormatError,
     GridMismatch,
     InitialConditionSpec,
     ModelParams,
@@ -183,3 +184,39 @@ def test_spatial_report_round_trips(full_params, grid256):
     report = spatial_convergence_study(_study_spec(full_params, grid256, (8, 16)))
     assert report_from_csv(report_to_csv(report)) == report
     assert report_from_text(report_to_text(report)) == report
+
+
+def _report_texts(rows, norm="l2"):
+    """The same hand-written report as CSV and as structured text."""
+    meta = ["study = temporal", "t_final = 1", f"norm = {norm}"]
+    csv = "\n".join([*(f"# {m}" for m in meta), "axis,dt_or_n,error,order", *(",".join(r) for r in rows)])
+    text = "\n".join([*meta, "", "axis dt_or_n error order", *(" ".join(c or "-" for c in r) for r in rows)])
+    return csv + "\n", text + "\n"
+
+
+GOOD_ROWS = [("24", "0.5", "0.001", ""), ("48", "0.25", "0.00025", "2")]
+
+
+def test_hand_written_report_parses():
+    for text, parse in zip(_report_texts(GOOD_ROWS, "h2"), (report_from_csv, report_from_text)):
+        report = parse(text)
+        assert report.axis == (24, 48) and report.errors == (0.001, 0.00025)
+        assert str(report.norm) == "h2"
+
+
+@pytest.mark.parametrize(
+    "rows,norm",
+    [
+        ([("abc", "0.5", "0.001", ""), GOOD_ROWS[1]], "l2"),  # non-numeric axis
+        ([GOOD_ROWS[0], ("48", "0.25", "x", "2")], "l2"),  # non-numeric error
+        ([GOOD_ROWS[1], GOOD_ROWS[0]], "l2"),  # non-increasing axis
+        ([GOOD_ROWS[0], ("48", "0.25", "nan", "")], "l2"),  # non-finite error
+        (GOOD_ROWS, "hx"),  # unknown norm
+    ],
+)
+def test_malformed_report_raises_file_format_error(rows, norm):
+    csv, text = _report_texts(rows, norm)
+    with pytest.raises(FileFormatError):
+        report_from_csv(csv)
+    with pytest.raises(FileFormatError):
+        report_from_text(text)

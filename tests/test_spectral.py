@@ -13,13 +13,17 @@ from kbf import (
     NormSpec,
     NotRealRepresentable,
     SpectralState,
+    ValidationError,
     dealias_mask,
     derivative,
     eval_interpolant,
     interpolation_error_decay,
+    linear_symbol,
     make_grid,
+    nonlinear_rhs_spectral,
     norm,
     real_residue,
+    strang_step,
     to_physical,
     to_spectral,
 )
@@ -120,6 +124,23 @@ def test_to_physical_conjugate_pair_is_trig():
     c[-3] = np.conj(c[3])
     expected = alpha * np.cos(3 * g.points) + beta * np.sin(3 * g.points)
     np.testing.assert_allclose(to_physical(SpectralState(c, g)), expected, atol=1e-12)
+
+
+def test_one_real_representability_check(full_params):
+    # every entry point that needs real data rejects it the same way
+    g = make_grid(8, 0.0, TWO_PI)
+    c = np.zeros(8, dtype=complex)
+    c[1] = 1.0
+    state = SpectralState(c, g)
+    checks = [
+        lambda: to_physical(state),
+        lambda: eval_interpolant(state, g.points),
+        lambda: nonlinear_rhs_spectral(state, full_params),
+        lambda: strang_step(state, 0.1, full_params, linear_symbol(full_params, g)),
+    ]
+    for check in checks:
+        with pytest.raises(NotRealRepresentable, match=r"imaginary residue 1\.000e\+00 exceeds 1e-08"):
+            check()
 
 
 def test_to_physical_rejects_contaminated_state():
@@ -271,6 +292,19 @@ def test_norm_rejects_nonfinite():
     bad[0] = np.inf
     with pytest.raises(NonFiniteInput):
         norm(bad, NormSpec("l2"), grid=g)
+
+
+@pytest.mark.parametrize("text,spec", [("l2", NormSpec()), ("h0", NormSpec("hs", 0)), ("h12", NormSpec("hs", 12))])
+def test_norm_spec_text_round_trip(text, spec):
+    assert NormSpec.parse(text) == spec
+    assert str(spec) == text
+
+
+@pytest.mark.parametrize("text", ["", "L2", "h", "h-1", "hx", "hs2", " h2"])
+def test_norm_spec_parse_rejects(text):
+    with pytest.raises(ValidationError) as info:
+        NormSpec.parse(text)
+    assert info.value.key == "norm"
 
 
 # ----- dealiasing -----

@@ -1,0 +1,105 @@
+"""Bad input fails where it is constructed, with a keyed KbfError that is also a ValueError."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kbf import (
+    ConfigError,
+    ConvergenceReport,
+    ExperimentSpec,
+    InitialConditionSpec,
+    InvalidGrid,
+    KbfError,
+    ModelParams,
+    NonlinearFlowConfig,
+    NormSpec,
+    SolveConfig,
+    ValidationError,
+    dealias_mask,
+    derivative,
+    integrating_factor_rk4_solve,
+    linear_symbol,
+    make_grid,
+    make_reference,
+    nonlinear_flow,
+    norm,
+    rk4_step,
+    spatial_convergence_study,
+    to_spectral,
+)
+
+G16 = make_grid(16, 0.0, 2.0 * np.pi)
+STATE = to_spectral(0.5 + 0.25 * np.sin(G16.points), G16)
+PARAMS = ModelParams(nu=1.0, eps_react=1.0)
+SYMBOL = linear_symbol(PARAMS, G16)
+
+
+def _spec(axis):
+    return ExperimentSpec(
+        params=PARAMS, grid=G16, initial_condition=InitialConditionSpec(), t_final=1.0, axis=axis
+    )
+
+
+CASES = {
+    "params_nu_sign": (lambda: ModelParams(nu=-1.0), "nu"),
+    "params_gamma_inf": (lambda: ModelParams(gamma=math.inf), "gamma"),
+    "params_eps_react_nan": (lambda: ModelParams(eps_react=math.nan), "eps_react"),
+    "grid_odd": (lambda: make_grid(5, 0.0, 1.0), "n_modes"),
+    "grid_start_inf": (lambda: make_grid(8, math.inf, 1.0), "domain_start"),
+    "grid_length_negative": (lambda: make_grid(8, 0.0, -1.0), "domain_length"),
+    "solve_dt_zero": (lambda: SolveConfig(dt=0.0, t_final=1.0), "dt"),
+    "solve_partial_steps": (lambda: SolveConfig(dt=0.3, t_final=1.0), "dt"),
+    "solve_dt_underflow": (lambda: SolveConfig(dt=1e-320, t_final=1.0), "dt"),
+    "solve_t_final_negative": (lambda: SolveConfig(dt=0.1, t_final=-1.0), "t_final"),
+    "solve_t_final_inf": (lambda: SolveConfig(dt=0.1, t_final=math.inf), "t_final"),
+    "solve_scheme": (lambda: SolveConfig(dt=0.5, t_final=1.0, scheme="x"), "scheme"),
+    "solve_stride": (lambda: SolveConfig(dt=0.5, t_final=1.0, snapshot_stride=-1), "snapshot_stride"),
+    "solve_stride_fraction": (
+        lambda: SolveConfig(dt=0.5, t_final=1.0, snapshot_stride=1.5), "snapshot_stride"
+    ),
+    "flow_substeps": (lambda: NonlinearFlowConfig(substeps=0), "substeps"),
+    "flow_dealias": (lambda: NonlinearFlowConfig(dealias="foo"), "dealias"),
+    "dealias_mask_rule": (lambda: dealias_mask(G16, "foo"), "dealias"),
+    "norm_kind": (lambda: NormSpec("h1"), "norm"),
+    "norm_index": (lambda: NormSpec("hs", -1), "norm"),
+    "norm_text": (lambda: NormSpec.parse("hx"), "norm"),
+    "reference_quality": (lambda: make_reference(STATE, PARAMS, SYMBOL, 1.0, quality="best"), "quality"),
+    "reference_dt": (lambda: integrating_factor_rk4_solve(STATE, PARAMS, SYMBOL, 0.0, 1.0), "dt"),
+    "reference_t_final_inf": (
+        lambda: integrating_factor_rk4_solve(STATE, PARAMS, SYMBOL, 0.5, math.inf), "t_final"
+    ),
+    "nonlinear_flow_dt": (lambda: nonlinear_flow(STATE, math.inf, PARAMS), "dt"),
+    "rk4_step_dt": (lambda: rk4_step(STATE, math.nan, lambda s: s), "dt"),
+    "derivative_order": (lambda: derivative(STATE, 0), "order"),
+    "norm_without_grid": (lambda: norm(np.zeros(16)), "grid"),
+    "experiment_empty_axis": (lambda: _spec(()), "axis"),
+    "spatial_odd_axis": (lambda: spatial_convergence_study(_spec((5,))), "axis"),
+    "spatial_small_axis": (lambda: spatial_convergence_study(_spec((2,))), "axis"),
+    "spatial_reference_collision": (lambda: spatial_convergence_study(_spec((8, 16))), "axis"),
+    "report_axis_order": (
+        lambda: ConvergenceReport("temporal", (48, 24), (1.0, 2.0), (), NormSpec()), "axis"
+    ),
+    "report_error_nan": (
+        lambda: ConvergenceReport("temporal", (24, 48), (1.0, math.nan), (), NormSpec()), "errors"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_public_api_raises_keyed_kbf_errors(case):
+    build, key = CASES[case]
+    with pytest.raises(Exception) as info:
+        build()
+    exc = info.value
+    assert isinstance(exc, KbfError)
+    assert isinstance(exc, ValidationError) and isinstance(exc, ValueError)
+    assert exc.key == key
+    assert str(exc) == f"{key}: {exc.message}"
+
+
+def test_construction_error_hierarchy():
+    for cls in (ConfigError, InvalidGrid):
+        assert issubclass(cls, ValidationError)
+    assert issubclass(ValidationError, KbfError) and issubclass(ValidationError, ValueError)
