@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveError,
     NotRealRepresentable,
     ParseError,
+    ReferenceNotConverged,
     SingularSolution,
     ValidationError,
 )

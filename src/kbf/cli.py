@@ -23,6 +23,7 @@ from .errors import (
     KbfError,
     NonFiniteState,
     ParseError,
+    ReferenceNotConverged,
     SingularSolution,
     ValidationError,
 )
@@ -233,32 +234,35 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _experiment(cfg: RunConfig, axis) -> ExperimentSpec:
-    return ExperimentSpec(
-        params=cfg.params,
-        grid=cfg.grid,
-        initial_condition=cfg.ic,
-        t_final=cfg.solve.t_final,
-        scheme=cfg.solve.scheme,
-        norm=cfg.norm,
-        axis=tuple(axis),
-        nonlinear_cfg=cfg.solve.nonlinear_cfg,
-    )
+def _experiment(cfg: RunConfig, flag: str, raw_axis: str) -> ExperimentSpec:
+    """The study spec for ``--<flag> raw_axis``; an axis error is reported under ``flag``."""
+    try:
+        return ExperimentSpec(
+            params=cfg.params,
+            grid=cfg.grid,
+            initial_condition=cfg.ic,
+            t_final=cfg.solve.t_final,
+            scheme=cfg.solve.scheme,
+            norm=cfg.norm,
+            axis=_parse_axis(flag, raw_axis),
+            nonlinear_cfg=cfg.solve.nonlinear_cfg,
+        )
+    except ValidationError as exc:
+        if exc.key != "axis":
+            raise
+        raise ValidationError(flag, exc.message) from None
 
 
 def _parse_axis(key, raw) -> tuple:
     try:
-        values = tuple(int(p) for p in raw.split(",") if p.strip())
+        return tuple(int(p) for p in raw.split(",") if p.strip())
     except ValueError:
         raise ValidationError(key, f"expected comma-separated integers, got {raw!r}") from None
-    if not values:
-        raise ValidationError(key, "axis is empty")
-    return values
 
 
 def _cmd_converge_time(cfg: RunConfig, steps: str, quality: str) -> int:
     out = _require_output(cfg)
-    spec = _experiment(cfg, _parse_axis("steps", steps))
+    spec = _experiment(cfg, "steps", steps)
     report = temporal_convergence_study(spec, quality=quality)
     (out / "convergence_time.csv").write_text(report_to_csv(report), encoding="utf-8")
     (out / "convergence_time.txt").write_text(report_to_text(report), encoding="utf-8")
@@ -271,7 +275,7 @@ def _cmd_converge_time(cfg: RunConfig, steps: str, quality: str) -> int:
 
 def _cmd_converge_space(cfg: RunConfig, modes: str, study_dt: float | None) -> int:
     out = _require_output(cfg)
-    spec = _experiment(cfg, _parse_axis("modes", modes))
+    spec = _experiment(cfg, "modes", modes)
     report = spatial_convergence_study(spec, dt=study_dt)
     (out / "convergence_space.csv").write_text(report_to_csv(report), encoding="utf-8")
     (out / "convergence_space.txt").write_text(report_to_text(report), encoding="utf-8")
@@ -375,7 +379,7 @@ def _build_parser() -> _Parser:
     p_time.add_argument("--steps", default="12,24,48,96,192,384",
                         help="comma-separated step counts")
     p_time.add_argument("--quality", default="high", choices=("standard", "high"),
-                        help="reference resolution")
+                        help="reference tolerance (relative: standard 1e-10, high 1e-12)")
 
     p_space = sub.add_parser("converge-space", help="spatial convergence study")
     add_config_flags(p_space)
@@ -422,7 +426,7 @@ def run_cli(argv) -> int:
         if args.command == "converge-space":
             return _cmd_converge_space(cfg, args.modes, args.study_dt)
         raise ValidationError("argv", f"unknown subcommand {args.command!r}")
-    except (BlowUp, NonFiniteState, SingularSolution) as exc:
+    except (BlowUp, NonFiniteState, ReferenceNotConverged, SingularSolution) as exc:
         print(f"kbf: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except KbfError as exc:

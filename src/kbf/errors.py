@@ -96,5 +96,9 @@ class FileFormatError(KbfError):
     """On-disk data file is malformed."""
 
 
+class ReferenceNotConverged(KbfError):
+    """The self-verifying reference solve could not meet its error tolerance."""
+
+
 class SingularSolution(KbfError):
     """Closed-form solution hits a singularity (finite-time blow-up)."""

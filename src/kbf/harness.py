@@ -26,7 +26,7 @@ from .spectral import (
     norm,
     to_physical,
 )
-from .splitting import SolveConfig, evolve
+from .splitting import SolveConfig, _check_scheme, evolve
 
 __all__ = [
     "ConvergenceReport",
@@ -83,9 +83,13 @@ class ExperimentSpec:
     nonlinear_cfg: NonlinearFlowConfig = NonlinearFlowConfig()
 
     def __post_init__(self):
+        _check_scheme(self.scheme)
         if not self.axis:
             raise ConfigError("axis", "must be non-empty")
-        object.__setattr__(self, "axis", tuple(int(a) for a in self.axis))
+        axis = tuple(int(a) for a in self.axis)
+        if min(axis) < 1:
+            raise ConfigError("axis", f"step and mode counts must be >= 1, got {axis}")
+        object.__setattr__(self, "axis", axis)
 
 
 def error_norm(

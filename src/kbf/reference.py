@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import threading
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,11 @@ from .errors import (
     FileFormatError,
     NegativeDuration,
     NonFiniteState,
+    ReferenceNotConverged,
     SingularSolution,
 )
 from .model import LinearSymbol, ModelParams, _nonlinear_rhs_coeffs
-from .spectral import GridSpec, SpectralState, _derivative_symbol
+from .spectral import GridSpec, SpectralState, _derivative_symbol, norm
 from .splitting import _step_count
 
 __all__ = [
@@ -39,8 +42,10 @@ __all__ = [
 _MAGIC = b"KBFR"
 _VERSION = 1
 
+# least recently used entries are evicted beyond this many
+_MEMORY_CACHE_SIZE = 8
 _cache_lock = threading.Lock()
-_memory_cache: dict[str, np.ndarray] = {}
+_memory_cache: OrderedDict[str, np.ndarray] = OrderedDict()
 
 
 def integrating_factor_rk4_solve(
@@ -103,7 +108,60 @@ def linear_exact_solution(
     return SpectralState(np.exp(symbol.values * t) * initial.coeffs, initial.grid)
 
 
-_QUALITY_STEPS = {"standard": 4096, "high": 16384}
+# Relative tolerance on the Richardson estimate behind each quality name.
+_QUALITY_TOL = {"standard": 1e-10, "high": 1e-12}
+# Step doubling starts here; the cap bounds the cost of a solve that never
+# verifies itself.
+_START_STEPS = 256
+_MAX_STEPS = 2**16
+# Part of the content key: a changed integrator never reads older entries.
+_METHOD = b"if-rk4 step-doubling v2"
+
+
+def _doubling_solve(
+    initial: SpectralState,
+    params: ModelParams,
+    symbol: LinearSymbol,
+    t_final: float,
+    tol: float,
+) -> tuple[SpectralState, int, float]:
+    """IF-RK4 solve at 256, 512, 1024, ... steps until it verifies itself.
+
+    After each doubling the error of the finer solution ``u_2n`` is
+    estimated as ``||u_2n - u_n|| / 15`` (Richardson, fourth order, discrete
+    L2); ``(u_2n, 2n, estimate)`` is returned once the estimate is at most
+    ``tol * ||u_2n||``.  A solve that turns non-finite below the cap counts
+    as not converged.  Raises ReferenceNotConverged when the difference
+    shrinks by less than 2x in one doubling (rounding error reached) or the
+    step cap is passed.
+    """
+    coarse = None
+    last_diff = math.inf
+    n = _START_STEPS
+    while n <= _MAX_STEPS:
+        try:
+            fine = integrating_factor_rk4_solve(initial, params, symbol, t_final / n, t_final)
+        except NonFiniteState:
+            if n == _MAX_STEPS:
+                raise
+            coarse, last_diff, n = None, math.inf, 2 * n
+            continue
+        if coarse is not None:
+            diff = norm(SpectralState(fine.coeffs - coarse.coeffs, fine.grid))
+            estimate = diff / 15.0
+            if estimate <= tol * norm(fine):
+                return fine, n, estimate
+            if diff > last_diff / 2.0:
+                raise ReferenceNotConverged(
+                    f"IF-RK4 reached rounding error at {n} steps: a doubling shrank "
+                    f"the difference from {last_diff:.3e} only to {diff:.3e}, "
+                    f"short of the relative tolerance {tol:g}"
+                )
+            last_diff = diff
+        coarse, n = fine, 2 * n
+    raise ReferenceNotConverged(
+        f"IF-RK4 did not meet the relative tolerance {tol:g} within {_MAX_STEPS} steps"
+    )
 
 
 def _content_key(
@@ -127,6 +185,7 @@ def _content_key(
     )
     h.update(struct.pack("<d", t_final))
     h.update(quality.encode())
+    h.update(_METHOD)
     return h.hexdigest()
 
 
@@ -163,6 +222,22 @@ def read_reference_file(path, grid: GridSpec) -> SpectralState:
     return SpectralState(payload[0::2] + 1j * payload[1::2], grid)
 
 
+def _cache_get(key: str):
+    with _cache_lock:
+        hit = _memory_cache.get(key)
+        if hit is not None:
+            _memory_cache.move_to_end(key)
+        return hit
+
+
+def _cache_put(key: str, coeffs: np.ndarray) -> None:
+    with _cache_lock:
+        _memory_cache[key] = coeffs
+        _memory_cache.move_to_end(key)
+        while len(_memory_cache) > _MEMORY_CACHE_SIZE:
+            _memory_cache.popitem(last=False)
+
+
 def make_reference(
     initial: SpectralState,
     params: ModelParams,
@@ -171,17 +246,25 @@ def make_reference(
     quality: str = "standard",
     cache_dir=None,
 ) -> SpectralState:
-    """Cached integrating-factor reference solution at ``t_final``.
+    """Cached, self-verifying integrating-factor reference solution at ``t_final``.
 
-    ``standard`` quality uses ``dt = t_final/4096``, ``high`` uses
-    ``t_final/16384``; results are keyed by a content hash of the inputs in
-    an in-memory cache and, when ``cache_dir`` is given, on disk.
+    Each quality names a relative tolerance: ``standard`` 1e-10, ``high``
+    1e-12.  The IF-RK4 solve starts at 256 steps and doubles the step count
+    until the Richardson estimate ``||u_2n - u_n|| / 15`` of its error is at
+    most the tolerance times ``||u_2n||``; ``u_2n`` is returned.  Raises
+    ReferenceNotConverged when rounding error stops a doubling from halving
+    the difference, or when 65536 steps do not suffice.
+
+    Results are keyed by a content hash of the inputs, the quality and the
+    method, in a small in-memory cache (least recently used entries evicted)
+    and, when ``cache_dir`` is given, on disk.  A disk entry is written to a
+    temporary file and renamed into place, so a crash never leaves a
+    truncated entry.
     """
-    if quality not in _QUALITY_STEPS:
-        raise ConfigError("quality", f"must be one of {sorted(_QUALITY_STEPS)}, got {quality!r}")
+    if quality not in _QUALITY_TOL:
+        raise ConfigError("quality", f"must be one of {sorted(_QUALITY_TOL)}, got {quality!r}")
     key = _content_key(initial, params, t_final, quality)
-    with _cache_lock:
-        hit = _memory_cache.get(key)
+    hit = _cache_get(key)
     if hit is not None:
         return SpectralState(hit, initial.grid)
 
@@ -190,17 +273,18 @@ def make_reference(
         disk_path = Path(cache_dir) / f"{key}.kbfr"
         if disk_path.exists():
             state = read_reference_file(disk_path, initial.grid)
-            with _cache_lock:
-                _memory_cache[key] = state.coeffs
+            _cache_put(key, state.coeffs)
             return state
 
-    steps = _QUALITY_STEPS[quality]
-    state = integrating_factor_rk4_solve(
-        initial, params, symbol, t_final / steps, t_final
-    )
-    with _cache_lock:
-        _memory_cache[key] = state.coeffs
+    state, _, _ = _doubling_solve(initial, params, symbol, t_final, _QUALITY_TOL[quality])
+    _cache_put(key, state.coeffs)
     if disk_path is not None:
         disk_path.parent.mkdir(parents=True, exist_ok=True)
-        write_reference_file(disk_path, state)
+        tmp_path = disk_path.with_name(f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            write_reference_file(tmp_path, state)
+            os.replace(tmp_path, disk_path)
+        except BaseException:
+            tmp_path.unlink(missing_ok=True)
+            raise
     return state

@@ -64,6 +64,11 @@ def _step_count(dt: float, t_final: float) -> int:
     return n
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigError("scheme", f"must be one of {SCHEMES}, got {scheme!r}")
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Time-stepping parameters; ``t_final/dt`` must be a whole number of steps."""
@@ -76,8 +81,7 @@ class SolveConfig:
 
     def __post_init__(self):
         _step_count(self.dt, self.t_final)
-        if self.scheme not in SCHEMES:
-            raise ConfigError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
+        _check_scheme(self.scheme)
         if not isinstance(self.snapshot_stride, numbers.Integral) or self.snapshot_stride < 0:
             raise ConfigError(
                 "snapshot_stride", f"must be an integer >= 0, got {self.snapshot_stride!r}"

@@ -1,6 +1,9 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+import kbf.reference as reference_module
 from kbf import ParseError, ValidationError, report_from_csv
 from kbf.cli import emit_config, parse_config, run_cli
 
@@ -236,6 +239,35 @@ def test_every_bad_key_reported_under_its_own_name(tmp_path, capsys, key, value)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"kbf: error: ValidationError: {key}:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("converge-time", "steps", ","),
+    ("converge-space", "modes", ","),
+    ("converge-time", "steps", "12,0"),
+])
+def test_bad_axis_reported_under_its_flag(tmp_path, capsys, command, flag, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG)
+    code = run_cli([command, "--config", str(cfg_file), f"--{flag}", value, "--output", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kbf: error: ValidationError: {flag}:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unconverged_reference_exits_2(tmp_path, capsys, monkeypatch):
+    # with the cap at the first step count no doubling can verify the solve
+    monkeypatch.setattr(reference_module, "_MAX_STEPS", 256)
+    monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG)
+    code = run_cli(["converge-time", "--config", str(cfg_file), "--steps", "10,20",
+                    "--output", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kbf: error: ReferenceNotConverged:")
     assert len(err.strip().splitlines()) == 1
 
 

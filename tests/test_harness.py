@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import kbf.harness as harness_module
 from kbf import (
+    ConfigError,
     ExperimentSpec,
     FileFormatError,
     GridMismatch,
@@ -156,6 +158,17 @@ def test_spatial_study_heat_only(grid256):
     )
     report = spatial_convergence_study(spec)
     assert report.errors[0] <= 1e-10
+
+
+def test_unknown_scheme_rejected_before_the_reference_is_made(monkeypatch, full_params):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference was made before the scheme was checked")
+
+    monkeypatch.setattr(harness_module, "make_reference", no_reference)
+    grid = make_grid(64, 0.0, TWO_PI)
+    with pytest.raises(ConfigError) as info:
+        temporal_convergence_study(_study_spec(full_params, grid, (12, 24), scheme="yoshida"))
+    assert info.value.key == "scheme"
 
 
 def test_spatial_study_rejects_reference_collision(full_params, grid256):

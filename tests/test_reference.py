@@ -1,11 +1,19 @@
+import hashlib
+import struct
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+import kbf.reference as reference_module
 from kbf import (
     ConfigError,
     FileFormatError,
     InitialConditionSpec,
+    KbfError,
     ModelParams,
+    NonFiniteState,
+    ReferenceNotConverged,
     SingularSolution,
     SpectralState,
     build_initial,
@@ -23,6 +31,7 @@ from kbf import (
     write_reference_file,
 )
 from kbf.errors import NegativeDuration
+from kbf.reference import _QUALITY_TOL, _doubling_solve
 
 TWO_PI = 2.0 * np.pi
 
@@ -194,6 +203,157 @@ def test_reference_file_mode_count_must_match(tmp_path, rng):
     write_reference_file(path, to_spectral(rng.standard_normal(16), g16))
     with pytest.raises(FileFormatError):
         read_reference_file(path, g32)
+
+
+# ----- step doubling -----
+
+@pytest.fixture(scope="module")
+def table1_if_rk4_16384(full_params, grid256, sine_initial):
+    """The Table-1 problem solved with the former fixed 16384-step "high" reference."""
+    sym = linear_symbol(full_params, grid256)
+    return integrating_factor_rk4_solve(sine_initial, full_params, sym, 1.0 / 16384, 1.0)
+
+
+@pytest.mark.parametrize("quality,steps", [("standard", 512), ("high", 1024)])
+def test_doubling_stops_where_its_estimate_holds(
+    full_params, grid256, sine_initial, table1_if_rk4_16384, quality, steps
+):
+    sym = linear_symbol(full_params, grid256)
+    state, n, estimate = _doubling_solve(sine_initial, full_params, sym, 1.0, _QUALITY_TOL[quality])
+    assert n == steps
+    assert estimate <= _QUALITY_TOL[quality] * norm(state)
+    true_error = error_norm(state, table1_if_rk4_16384)
+    assert true_error / 2 <= estimate <= 2 * true_error
+    made = make_reference(sine_initial, full_params, sym, 1.0, quality=quality)
+    np.testing.assert_array_equal(made.coeffs, state.coeffs)
+
+
+def _small_problem(params):
+    g = make_grid(16, 0.0, TWO_PI)
+    return build_initial(InitialConditionSpec(kind="paper"), g), linear_symbol(params, g)
+
+
+def test_doubling_raises_when_rounding_error_is_reached():
+    # weakly nonlinear: 256 steps are already at the rounding floor
+    params = ModelParams(nu=1.0, eps_conv=0.01, eps_react=0.01)
+    initial, sym = _small_problem(params)
+    with pytest.raises(ReferenceNotConverged, match="rounding error") as info:
+        _doubling_solve(initial, params, sym, 1.0, 1e-20)
+    assert isinstance(info.value, KbfError)
+
+
+def test_doubling_raises_at_the_step_cap(monkeypatch, full_params):
+    monkeypatch.setattr(reference_module, "_MAX_STEPS", 512)
+    initial, sym = _small_problem(full_params)
+    with pytest.raises(ReferenceNotConverged, match="within 512 steps"):
+        _doubling_solve(initial, full_params, sym, 1.0, 1e-20)
+
+
+def _recording_solve(monkeypatch, fail_at):
+    """Patch the IF-RK4 solve to record its step counts and fail at those in ``fail_at``."""
+    original = reference_module.integrating_factor_rk4_solve
+    calls = []
+
+    def solve(initial, params, symbol, dt, t_final):
+        n = round(t_final / dt)
+        calls.append(n)
+        if n in fail_at:
+            raise NonFiniteState(f"patched failure at {n} steps")
+        return original(initial, params, symbol, dt, t_final)
+
+    monkeypatch.setattr(reference_module, "integrating_factor_rk4_solve", solve)
+    return calls, original
+
+
+def test_doubling_retries_a_coarse_non_finite_solve(monkeypatch, full_params):
+    initial, sym = _small_problem(full_params)
+    calls, original = _recording_solve(monkeypatch, fail_at={256})
+    state, n, _ = _doubling_solve(initial, full_params, sym, 1.0, _QUALITY_TOL["high"])
+    assert calls == [256, 512, 1024]
+    assert n == 1024
+    direct = original(initial, full_params, sym, 1.0 / 1024, 1.0)
+    np.testing.assert_array_equal(state.coeffs, direct.coeffs)
+
+
+def test_doubling_non_finite_at_the_cap_propagates(monkeypatch, full_params):
+    monkeypatch.setattr(reference_module, "_MAX_STEPS", 1024)
+    initial, sym = _small_problem(full_params)
+    calls, _ = _recording_solve(monkeypatch, fail_at={256, 512, 1024})
+    with pytest.raises(NonFiniteState):
+        _doubling_solve(initial, full_params, sym, 1.0, _QUALITY_TOL["high"])
+    assert calls == [256, 512, 1024]
+
+
+# ----- reference caches -----
+
+def _fixed_step_content_key(initial, params, t_final, quality):
+    """The content key used when each quality was a fixed IF-RK4 step count."""
+    g = initial.grid
+    h = hashlib.sha256()
+    h.update(initial.coeffs.tobytes())
+    h.update(struct.pack("<qdd", g.n_modes, g.domain_start, g.domain_length))
+    h.update(
+        struct.pack("<5d", params.nu, params.mu, params.gamma, params.eps_conv, params.eps_react)
+    )
+    h.update(struct.pack("<d", t_final))
+    h.update(quality.encode())
+    return h.hexdigest()
+
+
+@pytest.fixture
+def empty_memory_cache(monkeypatch):
+    monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
+
+
+def test_fixed_step_cache_entry_is_not_read(tmp_path, full_params, empty_memory_cache):
+    g = make_grid(32, 0.0, TWO_PI)
+    sym = linear_symbol(full_params, g)
+    initial = build_initial(InitialConditionSpec(kind="paper"), g)
+    stale = tmp_path / f"{_fixed_step_content_key(initial, full_params, 0.5, 'standard')}.kbfr"
+    write_reference_file(stale, SpectralState(np.zeros(32), g))
+    ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
+    solved, _, _ = _doubling_solve(initial, full_params, sym, 0.5, _QUALITY_TOL["standard"])
+    np.testing.assert_array_equal(ref.coeffs, solved.coeffs)
+    assert len(list(tmp_path.glob("*.kbfr"))) == 2
+
+
+def test_interrupted_disk_write_leaves_no_entry(tmp_path, monkeypatch, full_params, empty_memory_cache):
+    g = make_grid(32, 0.0, TWO_PI)
+    sym = linear_symbol(full_params, g)
+    initial = build_initial(InitialConditionSpec(kind="paper"), g)
+
+    def crashing_writer(path, state):
+        with open(path, "wb") as fh:
+            fh.write(b"KBFR" + struct.pack("<II", 1, 32) + b"\x00" * 40)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(reference_module, "write_reference_file", crashing_writer)
+    with pytest.raises(OSError, match="disk full"):
+        make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.setattr(reference_module, "write_reference_file", write_reference_file)
+    monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
+    ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
+    files = list(tmp_path.iterdir())
+    assert len(files) == 1 and files[0].suffix == ".kbfr"
+    np.testing.assert_array_equal(read_reference_file(files[0], g).coeffs, ref.coeffs)
+
+
+def test_memory_cache_is_bounded(monkeypatch, empty_memory_cache):
+    params = ModelParams(nu=1.0)
+    initial, sym = _small_problem(params)
+    calls, _ = _recording_solve(monkeypatch, fail_at=set())
+    horizons = [0.125 * (i + 1) for i in range(reference_module._MEMORY_CACHE_SIZE + 1)]
+    for t in horizons:
+        make_reference(initial, params, sym, t)
+    assert len(reference_module._memory_cache) == reference_module._MEMORY_CACHE_SIZE
+    solves = len(calls)
+    make_reference(initial, params, sym, horizons[-1])
+    assert len(calls) == solves  # the newest entry is a hit
+    make_reference(initial, params, sym, horizons[0])
+    assert len(calls) > solves  # the oldest was evicted
+    assert len(reference_module._memory_cache) == reference_module._MEMORY_CACHE_SIZE
 
 
 # ----- coupling to the production scheme (sanity) -----
