@@ -27,14 +27,6 @@ from .errors import (
     SingularSolution,
     ValidationError,
 )
-from .flows import (
-    LinearPropagator,
-    NonlinearFlowConfig,
-    apply_linear,
-    build_propagator,
-    nonlinear_flow,
-    rk4_step,
-)
 from .harness import (
     ConvergenceReport,
     ExperimentSpec,
@@ -78,6 +70,18 @@ from .spectral import (
     to_physical,
     to_spectral,
 )
-from .splitting import SolveConfig, Trajectory, evolve, lie_trotter_step, strang_step
+from .splitting import (
+    LinearPropagator,
+    NonlinearFlowConfig,
+    SolveConfig,
+    Trajectory,
+    apply_linear,
+    build_propagator,
+    evolve,
+    lie_trotter_step,
+    nonlinear_flow,
+    rk4_step,
+    strang_step,
+)
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ from .errors import (
     SingularSolution,
     ValidationError,
 )
-from .flows import NonlinearFlowConfig
 from .harness import (
+    ConvergenceReport,
     ExperimentSpec,
     _fmt,
     report_to_csv,
@@ -47,7 +47,7 @@ from .spectral import (
     to_physical,
     to_spectral,
 )
-from .splitting import SolveConfig, evolve
+from .splitting import NonlinearFlowConfig, SolveConfig, evolve
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "run_cli", "main"]
 
@@ -234,10 +234,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _experiment(cfg: RunConfig, flag: str, raw_axis: str) -> ExperimentSpec:
-    """The study spec for ``--<flag> raw_axis``; an axis error is reported under ``flag``."""
+def _run_study(cfg: RunConfig, flag: str, raw_axis: str, study, **options) -> ConvergenceReport:
+    """``study`` on ``--<flag> raw_axis``; an axis error is reported under ``flag``."""
     try:
-        return ExperimentSpec(
+        spec = ExperimentSpec(
             params=cfg.params,
             grid=cfg.grid,
             initial_condition=cfg.ic,
@@ -247,6 +247,7 @@ def _experiment(cfg: RunConfig, flag: str, raw_axis: str) -> ExperimentSpec:
             axis=_parse_axis(flag, raw_axis),
             nonlinear_cfg=cfg.solve.nonlinear_cfg,
         )
+        return study(spec, **options)
     except ValidationError as exc:
         if exc.key != "axis":
             raise
@@ -262,8 +263,7 @@ def _parse_axis(key, raw) -> tuple:
 
 def _cmd_converge_time(cfg: RunConfig, steps: str, quality: str) -> int:
     out = _require_output(cfg)
-    spec = _experiment(cfg, "steps", steps)
-    report = temporal_convergence_study(spec, quality=quality)
+    report = _run_study(cfg, "steps", steps, temporal_convergence_study, quality=quality)
     (out / "convergence_time.csv").write_text(report_to_csv(report), encoding="utf-8")
     (out / "convergence_time.txt").write_text(report_to_text(report), encoding="utf-8")
     for a, e in zip(report.axis, report.errors):
@@ -275,8 +275,7 @@ def _cmd_converge_time(cfg: RunConfig, steps: str, quality: str) -> int:
 
 def _cmd_converge_space(cfg: RunConfig, modes: str, study_dt: float | None) -> int:
     out = _require_output(cfg)
-    spec = _experiment(cfg, "modes", modes)
-    report = spatial_convergence_study(spec, dt=study_dt)
+    report = _run_study(cfg, "modes", modes, spatial_convergence_study, dt=study_dt)
     (out / "convergence_space.csv").write_text(report_to_csv(report), encoding="utf-8")
     (out / "convergence_space.txt").write_text(report_to_text(report), encoding="utf-8")
     for a, e in zip(report.axis, report.errors):

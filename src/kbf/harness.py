@@ -13,8 +13,14 @@ import math
 from dataclasses import dataclass, field
 
 from .conditions import InitialConditionSpec, build_initial
-from .errors import BlowUp, ConfigError, FileFormatError, GridMismatch, NonPositiveError
-from .flows import NonlinearFlowConfig
+from .errors import (
+    BlowUp,
+    ConfigError,
+    FileFormatError,
+    GridMismatch,
+    InvalidGrid,
+    NonPositiveError,
+)
 from .model import ModelParams, linear_symbol
 from .reference import make_reference
 from .spectral import (
@@ -26,7 +32,7 @@ from .spectral import (
     norm,
     to_physical,
 )
-from .splitting import SolveConfig, _check_scheme, evolve
+from .splitting import NonlinearFlowConfig, SolveConfig, _check_scheme, evolve
 
 __all__ = [
     "ConvergenceReport",
@@ -89,6 +95,8 @@ class ExperimentSpec:
         axis = tuple(int(a) for a in self.axis)
         if min(axis) < 1:
             raise ConfigError("axis", f"step and mode counts must be >= 1, got {axis}")
+        if len(set(axis)) != len(axis):
+            raise ConfigError("axis", f"must not repeat a value, got {axis}")
         object.__setattr__(self, "axis", axis)
 
 
@@ -123,7 +131,24 @@ def observed_order(errors, refinement_factor: float = 2.0) -> list[float]:
     return [math.log(a / b) / logf for a, b in zip(errs[:-1], errs[1:])]
 
 
-def _echo_common(spec: ExperimentSpec) -> dict:
+def _at_axis_value(value: int, run):
+    """``run(value)``, with a BlowUp re-raised under that axis value."""
+    try:
+        return run(value)
+    except BlowUp as exc:
+        raise BlowUp(exc.step, exc.time, f"blow-up at axis value {value}: {exc}") from exc
+
+
+def _study(spec: ExperimentSpec, kind: str, error_at, own_echo: dict) -> ConvergenceReport:
+    """Errors and orders along ``spec.axis``; ``own_echo`` holds the study's own keys.
+
+    Each order is ``log(e_i/e_{i+1}) / log(a_{i+1}/a_i)``, so the ladder need
+    not double, and a single axis value has none.
+    """
+    axis = tuple(sorted(spec.axis))
+    errors = tuple(_at_axis_value(a, error_at) for a in axis)
+    pairs = zip(errors, errors[1:], axis, axis[1:]) if min(errors) > ORDER_FLOOR else ()
+    orders = tuple(observed_order((e, f), b / a)[0] for e, f, a, b in pairs)
     p, g, ic = spec.params, spec.grid, spec.initial_condition
     echo = {
         "scheme": spec.scheme,
@@ -149,7 +174,18 @@ def _echo_common(spec: ExperimentSpec) -> dict:
         echo["ic.mode_offset"] = _fmt(ic.mode_offset)
     elif ic.kind == "file":
         echo["ic.path"] = ic.path
-    return echo
+    echo["study"] = kind
+    echo.update(own_echo)
+    echo["error_kind"] = "absolute"
+    echo["axis"] = ",".join(str(a) for a in axis)
+    return ConvergenceReport(
+        study_kind=kind,
+        axis=axis,
+        errors=errors,
+        orders=orders,
+        norm=spec.norm,
+        config_echo=echo,
+    )
 
 
 def temporal_convergence_study(
@@ -168,37 +204,14 @@ def temporal_convergence_study(
         initial, spec.params, symbol, spec.t_final, quality=quality, cache_dir=cache_dir
     )
 
-    def run(n_steps: int) -> float:
+    def error_at(n_steps: int) -> float:
         cfg = SolveConfig(
-            dt=spec.t_final / n_steps,
-            t_final=spec.t_final,
-            scheme=spec.scheme,
+            dt=spec.t_final / n_steps, t_final=spec.t_final, scheme=spec.scheme,
             nonlinear_cfg=spec.nonlinear_cfg,
         )
-        try:
-            traj = evolve(initial, spec.params, cfg)
-        except BlowUp as exc:
-            raise BlowUp(
-                exc.step, exc.time, f"blow-up at axis value {n_steps}: {exc}"
-            ) from exc
-        return error_norm(traj.final, ref, spec.norm)
+        return error_norm(evolve(initial, spec.params, cfg).final, ref, spec.norm)
 
-    axis = tuple(sorted(spec.axis))
-    errors = tuple(run(n) for n in axis)
-    orders = tuple(observed_order(errors)) if min(errors) > ORDER_FLOOR else ()
-    echo = _echo_common(spec)
-    echo["study"] = "temporal"
-    echo["reference_quality"] = quality
-    echo["error_kind"] = "absolute"
-    echo["axis"] = ",".join(str(a) for a in axis)
-    return ConvergenceReport(
-        study_kind="temporal",
-        axis=axis,
-        errors=errors,
-        orders=orders,
-        norm=spec.norm,
-        config_echo=echo,
-    )
+    return _study(spec, "temporal", error_at, {"reference_quality": quality})
 
 
 def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> ConvergenceReport:
@@ -208,51 +221,33 @@ def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> 
     uses the same scheme and the same ``dt`` (default ``t_final/2048``), so
     the shared time-discretization error cancels and the differences isolate
     the spatial error.  Coarse solutions are interpolated onto the reference
-    grid for differencing.
+    grid for differencing.  Every coarse grid is built before any solve.
     """
     if dt is None:
         dt = spec.t_final / 2048.0
     ref_grid = spec.grid
+    grids = {}
     for n in spec.axis:
-        if n % 2 != 0 or n < 4:
-            raise ConfigError("axis", f"mode counts must be even and >= 4, got {n}")
+        try:
+            grids[n] = make_grid(n, ref_grid.domain_start, ref_grid.domain_length)
+        except InvalidGrid as exc:
+            raise ConfigError("axis", f"mode counts {exc.message}") from None
         if n >= ref_grid.n_modes:
             raise ConfigError(
                 "axis", f"mode count {n} must stay below the reference grid ({ref_grid.n_modes})"
             )
+    grids[ref_grid.n_modes] = ref_grid
+    cfg = SolveConfig(
+        dt=dt, t_final=spec.t_final, scheme=spec.scheme, nonlinear_cfg=spec.nonlinear_cfg
+    )
 
     def run_on(n_modes: int) -> SpectralState:
-        g = make_grid(n_modes, ref_grid.domain_start, ref_grid.domain_length)
-        cfg = SolveConfig(
-            dt=dt,
-            t_final=spec.t_final,
-            scheme=spec.scheme,
-            nonlinear_cfg=spec.nonlinear_cfg,
-        )
-        initial = build_initial(spec.initial_condition, g)
-        try:
-            return evolve(initial, spec.params, cfg).final
-        except BlowUp as exc:
-            raise BlowUp(exc.step, exc.time, f"blow-up at axis value {n_modes}: {exc}") from exc
+        initial = build_initial(spec.initial_condition, grids[n_modes])
+        return evolve(initial, spec.params, cfg).final
 
-    ref = run_on(ref_grid.n_modes)
-    axis = tuple(sorted(spec.axis))
-    errors = tuple(error_norm(run_on(n), ref, spec.norm) for n in axis)
-    orders = tuple(observed_order(errors)) if min(errors) > ORDER_FLOOR else ()
-    echo = _echo_common(spec)
-    echo["study"] = "spatial"
-    echo["dt"] = _fmt(dt)
-    echo["reference_n_modes"] = str(ref_grid.n_modes)
-    echo["error_kind"] = "absolute"
-    echo["axis"] = ",".join(str(a) for a in axis)
-    return ConvergenceReport(
-        study_kind="spatial",
-        axis=axis,
-        errors=errors,
-        orders=orders,
-        norm=spec.norm,
-        config_echo=echo,
-    )
+    ref = _at_axis_value(ref_grid.n_modes, run_on)
+    echo = {"dt": _fmt(dt), "reference_n_modes": str(ref_grid.n_modes)}
+    return _study(spec, "spatial", lambda n: error_norm(run_on(n), ref, spec.norm), echo)
 
 
 def _report_rows(report: ConvergenceReport):

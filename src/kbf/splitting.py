@@ -1,30 +1,31 @@
-"""Strang and Lie-Trotter compositions of the subflows, plus the time loop.
+"""The splitting solver: both subflows, their compositions and the time loop.
 
-One Strang step applies half a linear step, a full nonlinear step and
-another half linear step; the Lie-Trotter baseline applies a full linear
-step followed by a full nonlinear step.  Both compositions, and the
-nonlinear flow on its own, run in one stepping kernel built once per solve.
-The kernel works on the real half-spectrum ``k = 0..N/2`` (``rfft``
-layout): each nonlinear right-hand side costs one ``irfft`` and one
-batched ``rfft`` of ``[y^3, y^2]``.  The public functions convert between
-FFT-order ``SpectralState`` vectors and the half-spectrum at the boundary,
-so every state they return is exactly Hermitian, and they reject states
-that are not real-representable.  ``evolve`` runs a whole number of steps
-with optional snapshots, an observer hook and blow-up guarding.
+The linear subflow is exact in Fourier space (per-mode factors
+``exp(lambda_k*t)``); the nonlinear subflow is classical RK4 on the
+conservative spectral right-hand side.  A Strang step is half a linear
+step, a full nonlinear step and another half linear step; a Lie-Trotter
+step is a full linear step followed by a full nonlinear step.  Both, and the
+nonlinear flow alone, run in one stepping kernel built once per solve on the
+real half-spectrum ``k = 0..N/2`` (``rfft`` layout), where each right-hand
+side costs one ``irfft`` and one batched ``rfft`` of ``[y^3, y^2]``.  The
+public functions convert FFT-order ``SpectralState`` vectors at the boundary,
+so every state they return is exactly Hermitian, and they reject states that
+are not real-representable.  ``evolve`` runs a whole number of steps with
+optional snapshots, an observer hook and blow-up guarding.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUp, ConfigError, NonFiniteState
-from .flows import NonlinearFlowConfig, _rk4_coeffs, build_propagator
+from .errors import BlowUp, ConfigError, GridMismatch, NegativeDuration, NonFiniteState
 from .model import LinearSymbol, ModelParams, linear_symbol
 from .spectral import (
+    DEALIAS_RULES,
     GridSpec,
     SpectralState,
     _derivative_symbol,
@@ -34,6 +35,12 @@ from .spectral import (
 )
 
 __all__ = [
+    "LinearPropagator",
+    "NonlinearFlowConfig",
+    "build_propagator",
+    "apply_linear",
+    "rk4_step",
+    "nonlinear_flow",
     "SolveConfig",
     "Trajectory",
     "strang_step",
@@ -45,6 +52,75 @@ SCHEMES = ("strang", "lie_trotter")
 
 # evolve aborts when the L2 norm exceeds this multiple of the initial norm
 BLOWUP_NORM_FACTOR = 1e6
+
+
+@dataclass(frozen=True, eq=False)
+class LinearPropagator:
+    """Per-mode factors ``exp(lambda_k * t)`` for one fixed duration ``t >= 0``."""
+
+    factors: np.ndarray = field(repr=False)
+    duration: float
+    grid: GridSpec
+
+
+@dataclass(frozen=True)
+class NonlinearFlowConfig:
+    """Substep count and dealiasing rule for the nonlinear integrator."""
+
+    substeps: int = 1
+    dealias: str = "none"
+
+    def __post_init__(self):
+        if not isinstance(self.substeps, numbers.Integral) or self.substeps < 1:
+            raise ConfigError("substeps", f"must be an integer >= 1, got {self.substeps!r}")
+        if self.dealias not in DEALIAS_RULES:
+            raise ConfigError("dealias", f"must be one of {DEALIAS_RULES}, got {self.dealias!r}")
+
+
+def build_propagator(symbol: LinearSymbol, t: float) -> LinearPropagator:
+    """Exact linear propagator over duration ``t``.
+
+    Negative durations are rejected: the backward flow amplifies high modes
+    without bound when ``nu > 0``.
+    """
+    if not (t >= 0) or not math.isfinite(t):
+        raise NegativeDuration(f"propagator duration must be >= 0, got {t}")
+    factors = np.exp(symbol.values * t)
+    factors.setflags(write=False)
+    return LinearPropagator(factors=factors, duration=float(t), grid=symbol.grid)
+
+
+def apply_linear(prop: LinearPropagator, state: SpectralState) -> SpectralState:
+    """Advance a state through the exact linear flow."""
+    if prop.grid != state.grid:
+        raise GridMismatch("propagator and state were built on different grids")
+    return SpectralState(prop.factors * state.coeffs, state.grid)
+
+
+def _rk4_coeffs(coeffs: np.ndarray, dt: float, f) -> np.ndarray:
+    a = f(coeffs)
+    b = f(coeffs + (0.5 * dt) * a)
+    c = f(coeffs + (0.5 * dt) * b)
+    d = f(coeffs + dt * c)
+    out = coeffs + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteState("RK4 stage produced non-finite values")
+    return out
+
+
+def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
+    """One classical four-stage Runge-Kutta step of ``state' = rhs(state)``."""
+    if not math.isfinite(dt):
+        raise ConfigError("dt", f"must be finite, got {dt}")
+    grid = state.grid
+
+    def f(coeffs):
+        out = rhs(SpectralState(coeffs, grid)).coeffs
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteState("right-hand side produced non-finite values")
+        return out
+
+    return SpectralState(_rk4_coeffs(state.coeffs, dt, f), grid)
 
 
 def _step_count(dt: float, t_final: float) -> int:
@@ -89,7 +165,7 @@ class SolveConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_final / self.dt)
+        return _step_count(self.dt, self.t_final)
 
 
 @dataclass(frozen=True)
@@ -157,6 +233,19 @@ class _Stepper:
     def step(self, c: np.ndarray) -> np.ndarray:
         c = self.nonlinear(self.linear * c)
         return self.linear * c if self.strang else c
+
+
+def nonlinear_flow(
+    state: SpectralState,
+    dt: float,
+    params: ModelParams,
+    cfg: NonlinearFlowConfig = NonlinearFlowConfig(),
+) -> SpectralState:
+    """Advance the nonlinear subproblem by ``dt`` using RK4 substeps."""
+    if not math.isfinite(dt):
+        raise ConfigError("dt", f"must be finite, got {dt}")
+    half = _Stepper(state.grid, params, dt, cfg).nonlinear(_real_half(state))
+    return _from_half(half, state.grid)
 
 
 def _half_l2(half: np.ndarray, grid: GridSpec) -> float:

@@ -246,6 +246,10 @@ def test_every_bad_key_reported_under_its_own_name(tmp_path, capsys, key, value)
     ("converge-time", "steps", ","),
     ("converge-space", "modes", ","),
     ("converge-time", "steps", "12,0"),
+    ("converge-space", "modes", "7"),
+    ("converge-space", "modes", "8,64"),
+    ("converge-time", "steps", "20,20"),
+    ("converge-space", "modes", "8,8"),
 ])
 def test_bad_axis_reported_under_its_flag(tmp_path, capsys, command, flag, value):
     cfg_file = tmp_path / "run.cfg"

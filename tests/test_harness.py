@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import kbf.harness as harness_module
 from kbf import (
+    BlowUp,
     ConfigError,
     ExperimentSpec,
     FileFormatError,
@@ -171,6 +174,19 @@ def test_unknown_scheme_rejected_before_the_reference_is_made(monkeypatch, full_
     assert info.value.key == "scheme"
 
 
+@pytest.mark.parametrize("study", [temporal_convergence_study, spatial_convergence_study])
+def test_repeated_axis_value_rejected_before_any_solve(monkeypatch, full_params, study):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a solve ran before the axis was checked")
+
+    monkeypatch.setattr(harness_module, "make_reference", no_run)
+    monkeypatch.setattr(harness_module, "evolve", no_run)
+    grid = make_grid(64, 0.0, TWO_PI)
+    with pytest.raises(ConfigError) as info:
+        study(_study_spec(full_params, grid, (20, 20)))
+    assert info.value.key == "axis"
+
+
 def test_spatial_study_rejects_reference_collision(full_params, grid256):
     spec = _study_spec(full_params, grid256, (8, 256))
     with pytest.raises(ValueError):
@@ -183,6 +199,50 @@ def test_study_determinism(full_params, grid256):
     b = temporal_convergence_study(spec)
     assert a == b
     assert report_to_csv(a) == report_to_csv(b)
+
+
+def test_orders_use_the_axis_ratios(full_params):
+    # a tripling ladder: each order divides by log(a_{i+1}/a_i) = log 3, not log 2
+    grid = make_grid(64, 0.0, TWO_PI)
+    report = temporal_convergence_study(_study_spec(full_params, grid, (12, 36, 108)))
+    errs = report.errors
+    assert report.orders == (math.log(errs[0] / errs[1]) / math.log(3.0),
+                             math.log(errs[1] / errs[2]) / math.log(3.0))
+    assert report.orders == pytest.approx((1.5673, 2.5050), abs=1e-4)
+
+
+def test_single_axis_value_has_no_orders(full_params):
+    grid = make_grid(64, 0.0, TWO_PI)
+    report = temporal_convergence_study(_study_spec(full_params, grid, (40,)), quality="standard")
+    assert report.errors[0] > harness_module.ORDER_FLOOR
+    assert report.orders == ()
+
+
+def _logistic_blow_up_spec(axis):
+    # logistic data c0 = -1/2 diverge at t* = ln 3; with dt = 0.05 the L2 cap
+    # trips at step 23 (t = 1.15)
+    return ExperimentSpec(
+        params=ModelParams(eps_react=1.0),
+        grid=make_grid(16, 0.0, TWO_PI),
+        initial_condition=InitialConditionSpec(kind="constant", c=-0.5),
+        t_final=2.0,
+        axis=axis,
+    )
+
+
+def test_temporal_blow_up_names_its_axis_value(monkeypatch):
+    monkeypatch.setattr(harness_module, "make_reference", lambda initial, *args, **kw: initial)
+    with pytest.raises(BlowUp, match="^blow-up at axis value 40: L2 norm exploded$") as info:
+        temporal_convergence_study(_logistic_blow_up_spec((40,)))
+    assert info.value.step == 23
+    assert info.value.time == pytest.approx(1.15)
+
+
+def test_spatial_blow_up_on_the_finest_grid_names_it():
+    with pytest.raises(BlowUp, match="^blow-up at axis value 16: L2 norm exploded$") as info:
+        spatial_convergence_study(_logistic_blow_up_spec((8,)), dt=0.05)
+    assert info.value.step == 23
+    assert info.value.time == pytest.approx(1.15)
 
 
 # ----- report serialization -----
