@@ -31,6 +31,7 @@ from .harness import (
     ConvergenceReport,
     ExperimentSpec,
     _fmt,
+    _run_echo,
     report_to_csv,
     report_to_text,
     spatial_convergence_study,
@@ -171,30 +172,13 @@ def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
 
 def emit_config(cfg: RunConfig) -> str:
     """Key-value text that reparses to an identical RunConfig."""
-    items = {
-        "nu": _fmt(cfg.params.nu),
-        "mu": _fmt(cfg.params.mu),
-        "gamma": _fmt(cfg.params.gamma),
-        "eps_conv": _fmt(cfg.params.eps_conv),
-        "eps_react": _fmt(cfg.params.eps_react),
-        "n_modes": str(cfg.grid.n_modes),
-        "domain_start": _fmt(cfg.grid.domain_start),
-        "domain_length": _fmt(cfg.grid.domain_length),
-        "dt": _fmt(cfg.solve.dt),
-        "t_final": _fmt(cfg.solve.t_final),
-        "scheme": cfg.solve.scheme,
-        "substeps": str(cfg.solve.nonlinear_cfg.substeps),
-        "dealias": cfg.solve.nonlinear_cfg.dealias,
-        "ic.kind": cfg.ic.kind,
-        "ic.c": _fmt(cfg.ic.c),
-        "ic.mode_k": str(cfg.ic.mode_k),
-        "ic.mode_amp": _fmt(cfg.ic.mode_amp),
-        "ic.mode_offset": _fmt(cfg.ic.mode_offset),
-        "ic.path": cfg.ic.path,
-        "norm": str(cfg.norm),
-        "snapshot_stride": str(cfg.solve.snapshot_stride),
-        "output": cfg.output,
-    }
+    items = _run_echo(
+        cfg.params, cfg.grid, cfg.solve.t_final, cfg.solve.scheme, cfg.solve.nonlinear_cfg,
+        cfg.ic, cfg.norm,
+    )
+    items.update(
+        dt=_fmt(cfg.solve.dt), snapshot_stride=str(cfg.solve.snapshot_stride), output=cfg.output
+    )
     return "\n".join(f"{k} = {v}" for k, v in items.items()) + "\n"
 
 

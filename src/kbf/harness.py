@@ -10,6 +10,7 @@ structured text form, both of which reparse exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .conditions import InitialConditionSpec, build_initial
@@ -53,6 +54,31 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _run_echo(params, grid, t_final, scheme, nonlinear_cfg, ic, norm) -> dict:
+    """The ``key = value`` strings of one run, shared by report headers and ``cli.emit_config``."""
+    return {
+        "nu": _fmt(params.nu),
+        "mu": _fmt(params.mu),
+        "gamma": _fmt(params.gamma),
+        "eps_conv": _fmt(params.eps_conv),
+        "eps_react": _fmt(params.eps_react),
+        "n_modes": str(grid.n_modes),
+        "domain_start": _fmt(grid.domain_start),
+        "domain_length": _fmt(grid.domain_length),
+        "t_final": _fmt(t_final),
+        "scheme": scheme,
+        "substeps": str(nonlinear_cfg.substeps),
+        "dealias": nonlinear_cfg.dealias,
+        "ic.kind": ic.kind,
+        "ic.c": _fmt(ic.c),
+        "ic.mode_k": str(ic.mode_k),
+        "ic.mode_amp": _fmt(ic.mode_amp),
+        "ic.mode_offset": _fmt(ic.mode_offset),
+        "ic.path": ic.path,
+        "norm": str(norm),
+    }
+
+
 # below this error level, pairwise orders are round-off noise and are omitted
 ORDER_FLOOR = 1e-12
 
@@ -92,6 +118,8 @@ class ExperimentSpec:
         _check_scheme(self.scheme)
         if not self.axis:
             raise ConfigError("axis", "must be non-empty")
+        if not all(isinstance(a, numbers.Integral) for a in self.axis):
+            raise ConfigError("axis", f"step and mode counts must be integers, got {self.axis}")
         axis = tuple(int(a) for a in self.axis)
         if min(axis) < 1:
             raise ConfigError("axis", f"step and mode counts must be >= 1, got {axis}")
@@ -149,35 +177,11 @@ def _study(spec: ExperimentSpec, kind: str, error_at, own_echo: dict) -> Converg
     errors = tuple(_at_axis_value(a, error_at) for a in axis)
     pairs = zip(errors, errors[1:], axis, axis[1:]) if min(errors) > ORDER_FLOOR else ()
     orders = tuple(observed_order((e, f), b / a)[0] for e, f, a, b in pairs)
-    p, g, ic = spec.params, spec.grid, spec.initial_condition
-    echo = {
-        "scheme": spec.scheme,
-        "nu": _fmt(p.nu),
-        "mu": _fmt(p.mu),
-        "gamma": _fmt(p.gamma),
-        "eps_conv": _fmt(p.eps_conv),
-        "eps_react": _fmt(p.eps_react),
-        "n_modes": str(g.n_modes),
-        "domain_start": _fmt(g.domain_start),
-        "domain_length": _fmt(g.domain_length),
-        "t_final": _fmt(spec.t_final),
-        "substeps": str(spec.nonlinear_cfg.substeps),
-        "dealias": spec.nonlinear_cfg.dealias,
-        "norm": str(spec.norm),
-        "ic.kind": ic.kind,
-    }
-    if ic.kind == "constant":
-        echo["ic.c"] = _fmt(ic.c)
-    elif ic.kind == "mode":
-        echo["ic.mode_k"] = str(ic.mode_k)
-        echo["ic.mode_amp"] = _fmt(ic.mode_amp)
-        echo["ic.mode_offset"] = _fmt(ic.mode_offset)
-    elif ic.kind == "file":
-        echo["ic.path"] = ic.path
-    echo["study"] = kind
-    echo.update(own_echo)
-    echo["error_kind"] = "absolute"
-    echo["axis"] = ",".join(str(a) for a in axis)
+    echo = _run_echo(
+        spec.params, spec.grid, spec.t_final, spec.scheme, spec.nonlinear_cfg,
+        spec.initial_condition, spec.norm,
+    )
+    echo.update(study=kind, **own_echo, error_kind="absolute", axis=",".join(map(str, axis)))
     return ConvergenceReport(
         study_kind=kind,
         axis=axis,
@@ -325,25 +329,17 @@ def report_from_csv(text: str) -> ConvergenceReport:
 
 
 def report_from_text(text: str) -> ConvergenceReport:
+    """Parse the text form as CSV: metadata become ``# `` lines, table cells comma-joined.
+
+    The text form has no comments, so every metadata line must hold ``=``.
+    """
     lines = text.splitlines()
-    echo = {}
-    i = 0
-    while i < len(lines) and lines[i].strip():
-        k, _, v = lines[i].partition("=")
-        if not _:
-            raise FileFormatError(f"bad metadata line {lines[i]!r}")
-        echo[k.strip()] = v.strip()
-        i += 1
-    while i < len(lines) and not lines[i].strip():
-        i += 1
-    if i >= len(lines) or lines[i].split() != ["axis", "dt_or_n", "error", "order"]:
-        raise FileFormatError("missing table header")
-    rows = []
-    for line in lines[i + 1 :]:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
+    blank = next((i for i, line in enumerate(lines) if not line.strip()), len(lines))
+    for line in lines[:blank]:
+        if "=" not in line:
+            raise FileFormatError(f"bad metadata line {line!r}")
+    for line in lines[blank:]:
+        if "," in line or line.lstrip().startswith("#"):
             raise FileFormatError(f"bad table row {line!r}")
-        rows.append(parts)
-    return _report_from_parts(echo, rows)
+    csv = [f"# {line}" for line in lines[:blank]] + [",".join(line.split()) for line in lines[blank:]]
+    return report_from_csv("\n".join(csv))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import GridMismatch, NonFiniteInput, ValidationError
+from .errors import ConfigError, GridMismatch, NonFiniteInput, ValidationError
 from .spectral import GridSpec, SpectralState, _derivative_symbol, to_physical
 
 __all__ = [
@@ -62,6 +62,16 @@ class LinearSymbol:
     values: np.ndarray = field(repr=False)
     grid: GridSpec
     params: ModelParams
+
+
+def _check_symbol(symbol: LinearSymbol, params: ModelParams, grid: GridSpec) -> None:
+    """Reject a symbol built on another grid or from other linear coefficients."""
+    if symbol.grid != grid:
+        raise GridMismatch("symbol and state were built on different grids")
+    linear = (params.nu, params.mu, params.gamma)
+    built = (symbol.params.nu, symbol.params.mu, symbol.params.gamma)
+    if built != linear:
+        raise ConfigError("symbol", f"built from (nu, mu, gamma) = {built}, not {linear}")
 
 
 def linear_symbol(params: ModelParams, grid: GridSpec) -> LinearSymbol:
@@ -135,7 +145,6 @@ def full_rhs(
     dealias: np.ndarray | None = None,
 ) -> SpectralState:
     """Complete semi-discrete right-hand side: linear symbol plus nonlinearity."""
-    if symbol.grid != state.grid:
-        raise GridMismatch("symbol and state were built on different grids")
+    _check_symbol(symbol, params, state.grid)
     nl = nonlinear_rhs_spectral(state, params, dealias)
     return SpectralState(symbol.values * state.coeffs + nl.coeffs, state.grid)

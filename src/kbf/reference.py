@@ -26,7 +26,7 @@ from .errors import (
     ReferenceNotConverged,
     SingularSolution,
 )
-from .model import LinearSymbol, ModelParams, _nonlinear_rhs_coeffs
+from .model import LinearSymbol, ModelParams, _check_symbol, _nonlinear_rhs_coeffs
 from .spectral import GridSpec, SpectralState, _derivative_symbol, norm
 from .splitting import _step_count
 
@@ -65,6 +65,7 @@ def integrating_factor_rk4_solve(
     """
     n = _step_count(dt, t_final)
     grid = initial.grid
+    _check_symbol(symbol, params, grid)
     ik = _derivative_symbol(grid, 1)
     e_half = np.exp(symbol.values * (dt / 2.0))
     e_full = e_half * e_half
@@ -263,6 +264,7 @@ def make_reference(
     """
     if quality not in _QUALITY_TOL:
         raise ConfigError("quality", f"must be one of {sorted(_QUALITY_TOL)}, got {quality!r}")
+    _check_symbol(symbol, params, initial.grid)
     key = _content_key(initial, params, t_final, quality)
     hit = _cache_get(key)
     if hit is not None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUp, ConfigError, GridMismatch, NegativeDuration, NonFiniteState
-from .model import LinearSymbol, ModelParams, linear_symbol
+from .model import LinearSymbol, ModelParams, _check_symbol, linear_symbol
 from .spectral import (
     DEALIAS_RULES,
     GridSpec,
@@ -257,6 +257,7 @@ def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
 def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
     if not (dt > 0):
         raise ConfigError("dt", f"must be positive, got {dt}")
+    _check_symbol(symbol, params, state.grid)
     stepper = _Stepper(state.grid, params, dt, cfg, symbol, scheme)
     return _from_half(stepper.step(_real_half(state)), state.grid)
 

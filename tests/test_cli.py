@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kbf.reference as reference_module
-from kbf import ParseError, ValidationError, report_from_csv
+from kbf import ParseError, ValidationError, report_from_csv, report_from_text
 from kbf.cli import emit_config, parse_config, run_cli
 
 TWO_PI = 2.0 * np.pi
@@ -328,6 +328,48 @@ def test_converge_space_runs(tmp_path, capsys):
     report = report_from_csv((out / "convergence_space.csv").read_text())
     assert report.axis == (8, 16)
     assert report.errors[1] < report.errors[0]
+
+
+MODE_CONFIG = """\
+nu = 0.5
+mu = 0.25
+gamma = 0.125
+eps_conv = 0.75
+eps_react = 1.5
+n_modes = 16
+domain_start = -1
+domain_length = 3
+dt = 0.05
+t_final = 0.1
+substeps = 2
+dealias = two_thirds
+ic.kind = mode
+ic.mode_k = 2
+ic.mode_amp = 0.3
+ic.mode_offset = 0.4
+norm = h1
+"""
+
+
+@pytest.mark.parametrize(
+    "command,flags,stem",
+    [
+        ("converge-time", ["--steps", "2,4"], "convergence_time"),
+        ("converge-space", ["--modes", "8", "--study-dt", "0.05"], "convergence_space"),
+    ],
+    ids=["converge-time", "converge-space"],
+)
+def test_report_header_spells_the_run_as_emit_config(tmp_path, capsys, command, flags, stem):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(MODE_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg_file), "--output", str(out), *flags]) == 0
+    run = dict(line.split(" = ", 1) for line in emit_config(parse_config(MODE_CONFIG)).splitlines())
+    for key in ("dt", "snapshot_stride", "output"):
+        del run[key]
+    for parse, suffix in ((report_from_csv, ".csv"), (report_from_text, ".txt")):
+        echo = parse((out / f"{stem}{suffix}").read_text()).config_echo
+        assert {k: echo.get(k) for k in run} == run
 
 
 def test_oracle_check_passes(capsys):

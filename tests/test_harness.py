@@ -293,3 +293,16 @@ def test_malformed_report_raises_file_format_error(rows, norm):
         report_from_csv(csv)
     with pytest.raises(FileFormatError):
         report_from_text(text)
+
+
+def test_text_metadata_line_without_equals_raises():
+    _, text = _report_texts(GOOD_ROWS)
+    with pytest.raises(FileFormatError, match="bad metadata line"):
+        report_from_text(text.replace("t_final = 1", "t_final 1"))
+
+
+@pytest.mark.parametrize("row", ["24,0.5 0.001 -", "# 24 0.5 0.001 -"])
+def test_text_table_row_in_csv_form_raises(row):
+    _, text = _report_texts(GOOD_ROWS)
+    with pytest.raises(FileFormatError, match="bad table row"):
+        report_from_text(text.replace("24 0.5 0.001 -", row))

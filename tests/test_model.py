@@ -1,19 +1,29 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+import kbf.reference as reference_module
 from helpers import fd_derivative, random_band_limited
 from kbf import (
+    ConfigError,
     GridMismatch,
+    InitialConditionSpec,
     ModelParams,
     NonFiniteInput,
     SpectralState,
+    build_initial,
     full_rhs,
+    integrating_factor_rk4_solve,
+    lie_trotter_step,
     linear_symbol,
     make_grid,
+    make_reference,
     nonlinear_rhs_physical,
     nonlinear_rhs_spectral,
     norm,
     real_residue,
+    strang_step,
     to_physical,
     to_spectral,
 )
@@ -175,3 +185,66 @@ def test_full_rhs_grid_mismatch(full_params):
     sym = linear_symbol(full_params, g2)
     with pytest.raises(GridMismatch):
         full_rhs(SpectralState(np.zeros(16), g1), full_params, sym)
+
+
+# ----- a symbol belongs to one grid and one set of linear coefficients -----
+
+G16 = make_grid(16, 0.0, TWO_PI)
+UNIT = ModelParams(nu=1.0, mu=1.0, gamma=1.0, eps_conv=1.0, eps_react=1.0)
+PAPER16 = build_initial(InitialConditionSpec(kind="paper"), G16)
+
+FOREIGN_SYMBOLS = {
+    "other_domain": (lambda: linear_symbol(UNIT, make_grid(16, 0.0, np.pi)), GridMismatch),
+    "other_n": (lambda: linear_symbol(UNIT, make_grid(32, 0.0, TWO_PI)), GridMismatch),
+    "other_nu": (
+        lambda: linear_symbol(ModelParams(nu=0.5, mu=1.0, gamma=1.0, eps_conv=1.0, eps_react=1.0), G16),
+        ConfigError,
+    ),
+}
+
+SYMBOL_USERS = {
+    "strang_step": lambda sym: strang_step(PAPER16, 0.1, UNIT, sym),
+    "lie_trotter_step": lambda sym: lie_trotter_step(PAPER16, 0.1, UNIT, sym),
+    "integrating_factor_rk4_solve": lambda sym: integrating_factor_rk4_solve(PAPER16, UNIT, sym, 0.1, 0.5),
+    "make_reference": lambda sym: make_reference(PAPER16, UNIT, sym, 0.5),
+    "full_rhs": lambda sym: full_rhs(PAPER16, UNIT, sym),
+}
+
+
+@pytest.mark.parametrize("foreign", sorted(FOREIGN_SYMBOLS))
+@pytest.mark.parametrize("user", sorted(SYMBOL_USERS))
+def test_symbol_from_another_run_rejected(user, foreign):
+    build, error = FOREIGN_SYMBOLS[foreign]
+    with pytest.raises(error) as info:
+        SYMBOL_USERS[user](build())
+    if error is ConfigError:
+        assert info.value.key == "symbol"
+
+
+@pytest.mark.parametrize("user", sorted(SYMBOL_USERS))
+def test_symbol_ignores_the_nonlinear_coefficients(user, monkeypatch):
+    # the symbol depends on nu, mu, gamma and the grid only
+    results = []
+    for built_from in (UNIT, ModelParams(nu=1.0, mu=1.0, gamma=1.0)):
+        monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
+        results.append(SYMBOL_USERS[user](linear_symbol(built_from, G16)).coeffs)
+    np.testing.assert_array_equal(results[0], results[1])
+
+
+@pytest.mark.parametrize("foreign", sorted(FOREIGN_SYMBOLS))
+def test_rejected_reference_leaves_no_cache_entry(foreign, tmp_path, monkeypatch):
+    monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
+    build, error = FOREIGN_SYMBOLS[foreign]
+    with pytest.raises(error):
+        make_reference(PAPER16, UNIT, build(), 0.5, cache_dir=tmp_path)
+    assert len(reference_module._memory_cache) == 0
+    assert list(tmp_path.iterdir()) == []
+    symbol = linear_symbol(UNIT, G16)
+    served = make_reference(PAPER16, UNIT, symbol, 0.5, cache_dir=tmp_path)
+    solved, _, _ = reference_module._doubling_solve(
+        PAPER16, UNIT, symbol, 0.5, reference_module._QUALITY_TOL["standard"]
+    )
+    np.testing.assert_array_equal(served.coeffs, solved.coeffs)
+    # rejected before the cache lookup, so a warm entry does not hide the mistake
+    with pytest.raises(error):
+        make_reference(PAPER16, UNIT, build(), 0.5, cache_dir=tmp_path)

@@ -1,7 +1,8 @@
-"""Every public name of a library module is importable from the package."""
+"""The package exports exactly the public names of its library modules."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -30,3 +31,14 @@ def test_library_names_are_exported_by_the_package(module):
     names = _public_names(module)
     assert names
     assert [n for n in names if getattr(kbf, n, None) is not getattr(module, n)] == []
+
+
+def test_package_exports_nothing_else():
+    # the star imports must not leak a module's own imports (np, math, ...)
+    library = {n for module in LIBRARY_MODULES for n in _public_names(module)}
+    public = {n for n in vars(kbf) if not n.startswith("_")}
+    extra = [
+        n for n in public - library
+        if not (isinstance(getattr(kbf, n), types.ModuleType) and getattr(kbf, n).__name__ == f"kbf.{n}")
+    ]
+    assert extra == []

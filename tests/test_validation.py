@@ -76,6 +76,7 @@ CASES = {
     "norm_without_grid": (lambda: norm(np.zeros(16)), "grid"),
     "experiment_empty_axis": (lambda: _spec(()), "axis"),
     "experiment_zero_axis": (lambda: _spec((12, 0)), "axis"),
+    "experiment_fractional_axis": (lambda: _spec((1.5, 4)), "axis"),
     "spatial_odd_axis": (lambda: spatial_convergence_study(_spec((5,))), "axis"),
     "spatial_small_axis": (lambda: spatial_convergence_study(_spec((2,))), "axis"),
     "spatial_reference_collision": (lambda: spatial_convergence_study(_spec((8, 16))), "axis"),
