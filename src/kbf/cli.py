@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
-    ConvergenceReport,
     ExperimentSpec,
     _fmt,
     _run_echo,
@@ -38,7 +37,9 @@ from .harness import (
     temporal_convergence_study,
 )
 from .model import ModelParams, linear_symbol
-from .reference import integrating_factor_rk4_solve, linear_exact_solution, logistic_exact
+from .reference import (
+    _QUALITY_TOL, integrating_factor_rk4_solve, linear_exact_solution, logistic_exact,
+)
 from .spectral import (
     GridSpec,
     NormSpec,
@@ -54,31 +55,22 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "run_cli", "main"]
 
 TWO_PI = 2.0 * np.pi
 
-CONFIG_KEYS = (
-    "nu", "mu", "gamma", "eps_conv", "eps_react",
-    "n_modes", "domain_start", "domain_length",
-    "dt", "t_final", "scheme", "substeps", "dealias",
-    "ic.kind", "ic.c", "ic.mode_k", "ic.mode_amp", "ic.mode_offset", "ic.path",
-    "norm", "snapshot_stride", "output",
-)
-
-_DEFAULTS = {
-    "domain_start": "0",
-    "domain_length": _fmt(TWO_PI),
-    "scheme": "strang",
-    "substeps": "1",
-    "dealias": "none",
-    "norm": "l2",
-    "snapshot_stride": "0",
-    "ic.c": "0",
-    "ic.mode_k": "1",
-    "ic.mode_amp": "1",
-    "ic.mode_offset": "0",
-    "ic.path": "",
+# Each config key and the function that converts its text.
+_KEYS = {
+    "nu": float, "mu": float, "gamma": float, "eps_conv": float, "eps_react": float,
+    "n_modes": int, "domain_start": float, "domain_length": float,
+    "dt": float, "t_final": float, "scheme": str, "substeps": int, "dealias": str,
+    "ic.kind": str, "ic.c": float, "ic.mode_k": int, "ic.mode_amp": float,
+    "ic.mode_offset": float, "ic.path": str,
+    "norm": NormSpec.parse, "snapshot_stride": int, "output": str,
 }
-
-_COEFFICIENTS = ("nu", "mu", "gamma", "eps_conv", "eps_react")
-_REQUIRED = (*_COEFFICIENTS, "n_modes", "dt", "t_final", "ic.kind")
+CONFIG_KEYS = tuple(_KEYS)
+_REQUIRED = ("nu", "mu", "gamma", "eps_conv", "eps_react", "n_modes", "dt", "t_final", "ic.kind")
+_EXPECTED = {float: "a number", int: "an integer"}
+# make_grid has no defaults
+_DOMAIN = {"domain_start": 0.0, "domain_length": TWO_PI}
+# read by ``solve`` only: the studies take their steps from --steps and --study-dt
+_SOLVE_KEYS = ("dt", "snapshot_stride")
 
 
 @dataclass(frozen=True)
@@ -89,32 +81,31 @@ class RunConfig:
     grid: GridSpec
     solve: SolveConfig
     ic: InitialConditionSpec
-    norm: NormSpec
+    norm: NormSpec = NormSpec()
     output: str = ""
 
 
-def _to_float(key, raw):
+def _convert(key, text):
+    convert = _KEYS[key]
     try:
-        return float(raw)
+        return convert(text)
+    except ValidationError:
+        raise  # NormSpec.parse names its key itself
     except ValueError:
-        raise ValidationError(key, f"expected a number, got {raw!r}") from None
+        raise ValidationError(key, f"expected {_EXPECTED[convert]}, got {text!r}") from None
 
 
-def _to_int(key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(key, f"expected an integer, got {raw!r}") from None
+def _given(cls, values: dict, prefix: str = "") -> dict:
+    """The fields of ``cls`` that the run gives, as key ``prefix + field``."""
+    return {f.name: values[prefix + f.name] for f in fields(cls) if prefix + f.name in values}
 
 
-def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
-    """Parse flat ``key = value`` text; override values win; unknown keys are rejected.
+def _read(source: str, overrides: dict | None, unread=()) -> dict:
+    """Each key's text, from ``key = value`` lines and then the overrides, which win.
 
-    Only text-to-number conversion happens here.  Every rule on the values is
-    the constructors', and a ValidationError from one is reported under the
-    key it names.
+    Unknown keys are rejected, keys in ``unread`` dropped; every other required key must be given.
     """
-    raw = dict(_DEFAULTS)
+    raw = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -122,63 +113,55 @@ def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
         if "=" not in stripped:
             raise ParseError(lineno, f"expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        raw[key.strip()] = value.strip()
+    raw.update((key, str(value)) for key, value in (overrides or {}).items() if value is not None)
+    for key in raw:
+        if key not in _KEYS:
             raise ValidationError(key, "unknown key")
-        raw[key] = value
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in CONFIG_KEYS:
-            raise ValidationError(key, "unknown key")
-        raw[key] = str(value)
-
     for key in _REQUIRED:
-        if key not in raw:
+        if key not in raw and key not in unread:
             raise ValidationError(key, "required key is missing")
+    return {key: text for key, text in raw.items() if key not in unread}
 
+
+def _build(raw: dict) -> RunConfig:
+    """The RunConfig of the given keys' text; the constructors default the others.
+
+    Without ``dt`` (a study) the solve config is one step of ``t_final``,
+    which is never taken or echoed.
+    """
     try:
+        values = {key: _convert(key, text) for key, text in raw.items()}
         return RunConfig(
-            params=ModelParams(**{key: _to_float(key, raw[key]) for key in _COEFFICIENTS}),
-            grid=make_grid(
-                _to_int("n_modes", raw["n_modes"]),
-                _to_float("domain_start", raw["domain_start"]),
-                _to_float("domain_length", raw["domain_length"]),
-            ),
+            params=ModelParams(**_given(ModelParams, values)),
+            grid=make_grid(**{**_DOMAIN, **_given(GridSpec, values)}),
             solve=SolveConfig(
-                dt=_to_float("dt", raw["dt"]),
-                t_final=_to_float("t_final", raw["t_final"]),
-                scheme=raw["scheme"],
-                nonlinear_cfg=NonlinearFlowConfig(
-                    substeps=_to_int("substeps", raw["substeps"]), dealias=raw["dealias"]
-                ),
-                snapshot_stride=_to_int("snapshot_stride", raw["snapshot_stride"]),
+                **{"dt": values["t_final"], **_given(SolveConfig, values)},
+                nonlinear_cfg=NonlinearFlowConfig(**_given(NonlinearFlowConfig, values)),
             ),
-            ic=InitialConditionSpec(
-                kind=raw["ic.kind"],
-                c=_to_float("ic.c", raw["ic.c"]),
-                mode_k=_to_int("ic.mode_k", raw["ic.mode_k"]),
-                mode_amp=_to_float("ic.mode_amp", raw["ic.mode_amp"]),
-                mode_offset=_to_float("ic.mode_offset", raw["ic.mode_offset"]),
-                path=raw["ic.path"],
-            ),
-            norm=NormSpec.parse(raw["norm"]),
-            output=raw.get("output", ""),
+            ic=InitialConditionSpec(**_given(InitialConditionSpec, values, "ic.")),
+            **_given(RunConfig, values),
         )
     except ValidationError as exc:
         # a ConfigError or InvalidGrid is reported as the bad config value it is here
         raise ValidationError(exc.key, exc.message) from None
 
 
+def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
+    """Parse flat ``key = value`` text; override values win; unknown keys are rejected.
+
+    Only text-to-value conversion happens here.  Every rule on the values is
+    the constructors', and a ValidationError from one is reported under the
+    key it names.
+    """
+    return _build(_read(source, overrides))
+
+
 def emit_config(cfg: RunConfig) -> str:
     """Key-value text that reparses to an identical RunConfig."""
-    items = _run_echo(
-        cfg.params, cfg.grid, cfg.solve.t_final, cfg.solve.scheme, cfg.solve.nonlinear_cfg,
-        cfg.ic, cfg.norm,
-    )
-    items.update(
-        dt=_fmt(cfg.solve.dt), snapshot_stride=str(cfg.solve.snapshot_stride), output=cfg.output
-    )
+    s = cfg.solve
+    items = _run_echo(cfg.params, cfg.grid, s.t_final, s.scheme, s.nonlinear_cfg, cfg.ic, cfg.norm)
+    items.update(dt=_fmt(s.dt), snapshot_stride=str(s.snapshot_stride), output=cfg.output)
     return "\n".join(f"{k} = {v}" for k, v in items.items()) + "\n"
 
 
@@ -203,7 +186,6 @@ def _require_output(cfg: RunConfig) -> Path:
 def _cmd_solve(cfg: RunConfig) -> int:
     out = _require_output(cfg)
     initial = build_initial(cfg.ic, cfg.grid)
-
     written = []
 
     def observer(step, time, state):
@@ -218,24 +200,23 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_study(cfg: RunConfig, flag: str, raw_axis: str, study, **options) -> ConvergenceReport:
-    """``study`` on ``--<flag> raw_axis``; an axis error is reported under ``flag``."""
+def _run_study(cfg: RunConfig, flag: str, raw_axis: str, study, stem: str, **options):
+    """Write ``study`` on ``--<flag>`` to ``<stem>.csv`` and ``.txt``; axis errors go under flag."""
+    out = _require_output(cfg)
     try:
         spec = ExperimentSpec(
-            params=cfg.params,
-            grid=cfg.grid,
-            initial_condition=cfg.ic,
-            t_final=cfg.solve.t_final,
-            scheme=cfg.solve.scheme,
-            norm=cfg.norm,
-            axis=_parse_axis(flag, raw_axis),
-            nonlinear_cfg=cfg.solve.nonlinear_cfg,
+            params=cfg.params, grid=cfg.grid, initial_condition=cfg.ic, norm=cfg.norm,
+            t_final=cfg.solve.t_final, scheme=cfg.solve.scheme,
+            nonlinear_cfg=cfg.solve.nonlinear_cfg, axis=_parse_axis(flag, raw_axis),
         )
-        return study(spec, **options)
+        report = study(spec, **options)
     except ValidationError as exc:
         if exc.key != "axis":
             raise
         raise ValidationError(flag, exc.message) from None
+    (out / f"{stem}.csv").write_text(report_to_csv(report), encoding="utf-8")
+    (out / f"{stem}.txt").write_text(report_to_text(report), encoding="utf-8")
+    return report
 
 
 def _parse_axis(key, raw) -> tuple:
@@ -246,10 +227,9 @@ def _parse_axis(key, raw) -> tuple:
 
 
 def _cmd_converge_time(cfg: RunConfig, steps: str, quality: str) -> int:
-    out = _require_output(cfg)
-    report = _run_study(cfg, "steps", steps, temporal_convergence_study, quality=quality)
-    (out / "convergence_time.csv").write_text(report_to_csv(report), encoding="utf-8")
-    (out / "convergence_time.txt").write_text(report_to_text(report), encoding="utf-8")
+    report = _run_study(
+        cfg, "steps", steps, temporal_convergence_study, "convergence_time", quality=quality
+    )
     for a, e in zip(report.axis, report.errors):
         print(f"steps={a:6d}  error={e:.6e}")
     if report.orders:
@@ -258,10 +238,9 @@ def _cmd_converge_time(cfg: RunConfig, steps: str, quality: str) -> int:
 
 
 def _cmd_converge_space(cfg: RunConfig, modes: str, study_dt: float | None) -> int:
-    out = _require_output(cfg)
-    report = _run_study(cfg, "modes", modes, spatial_convergence_study, dt=study_dt)
-    (out / "convergence_space.csv").write_text(report_to_csv(report), encoding="utf-8")
-    (out / "convergence_space.txt").write_text(report_to_text(report), encoding="utf-8")
+    report = _run_study(
+        cfg, "modes", modes, spatial_convergence_study, "convergence_space", dt=study_dt
+    )
     for a, e in zip(report.axis, report.errors):
         print(f"n_modes={a:5d}  error={e:.6e}")
     return 0
@@ -361,13 +340,13 @@ def _build_parser() -> _Parser:
     add_config_flags(p_time)
     p_time.add_argument("--steps", default="12,24,48,96,192,384",
                         help="comma-separated step counts")
-    p_time.add_argument("--quality", default="high", choices=("standard", "high"),
-                        help="reference tolerance (relative: standard 1e-10, high 1e-12)")
+    tolerances = ", ".join(f"{q} {tol:g}" for q, tol in _QUALITY_TOL.items())
+    p_time.add_argument("--quality", default="high", choices=tuple(_QUALITY_TOL),
+                        help=f"reference tolerance (relative: {tolerances})")
 
     p_space = sub.add_parser("converge-space", help="spatial convergence study")
     add_config_flags(p_space)
-    p_space.add_argument("--modes", default="8,16,32,64",
-                         help="comma-separated mode counts")
+    p_space.add_argument("--modes", default="8,16,32,64", help="comma-separated mode counts")
     p_space.add_argument("--study-dt", type=float, default=None,
                          help="fixed time step for all runs (default t_final/2048)")
 
@@ -382,12 +361,8 @@ def _load_config(args) -> RunConfig:
         if not path.is_file():
             raise ValidationError("config", f"config file not found: {path}")
         source = path.read_text(encoding="utf-8")
-    overrides = {
-        key: getattr(args, f"cfg_{key}")
-        for key in CONFIG_KEYS
-        if getattr(args, f"cfg_{key}", None) is not None
-    }
-    return parse_config(source, overrides)
+    overrides = {key: getattr(args, f"cfg_{key}") for key in CONFIG_KEYS}
+    return _build(_read(source, overrides, () if args.command == "solve" else _SOLVE_KEYS))
 
 
 def run_cli(argv) -> int:

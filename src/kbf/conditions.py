@@ -7,6 +7,8 @@ snapshots written by the CLI.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,12 @@ class InitialConditionSpec:
             raise ValidationError("ic.kind", f"must be one of {IC_KINDS}, got {self.kind!r}")
         if self.kind == "file" and not self.path:
             raise ValidationError("ic.path", "required for ic.kind = file")
+        for name in ("c", "mode_amp", "mode_offset"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"ic.{name}", f"must be finite, got {value!r}")
+        if not isinstance(self.mode_k, numbers.Integral):
+            raise ValidationError("ic.mode_k", f"must be an integer, got {self.mode_k!r}")
 
 
 def _read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -199,13 +199,15 @@ def temporal_convergence_study(
 ) -> ConvergenceReport:
     """Errors versus step count at fixed N, against the integrating-factor reference.
 
-    The reference is computed once and shared by every step count; the
-    error is measured at the final time only.  The errors are absolute.
+    The reference is computed once, with the spec's dealias rule, and shared
+    by every step count; the error is measured at the final time only.  The
+    errors are absolute.
     """
     initial = build_initial(spec.initial_condition, spec.grid)
     symbol = linear_symbol(spec.params, spec.grid)
     ref = make_reference(
-        initial, spec.params, symbol, spec.t_final, quality=quality, cache_dir=cache_dir
+        initial, spec.params, symbol, spec.t_final, quality=quality, cache_dir=cache_dir,
+        dealias=spec.nonlinear_cfg.dealias,
     )
 
     def error_at(n_steps: int) -> float:

@@ -27,7 +27,7 @@ from .errors import (
     SingularSolution,
 )
 from .model import LinearSymbol, ModelParams, _check_symbol, _nonlinear_rhs_coeffs
-from .spectral import GridSpec, SpectralState, _derivative_symbol, norm
+from .spectral import GridSpec, SpectralState, _derivative_symbol, dealias_mask, norm
 from .splitting import _step_count
 
 __all__ = [
@@ -54,14 +54,16 @@ def integrating_factor_rk4_solve(
     symbol: LinearSymbol,
     dt: float,
     t_final: float,
+    dealias: str = "none",
 ) -> SpectralState:
     """Integrate the full equation with the integrating-factor RK4 method.
 
     The linear part is removed by the exact exponential substitution
     ``w = exp(-lambda*(t-t_n)) * yhat`` recentered at each step, so the
     explicit RK4 stages see only the nonlinearity; stage exponentials at
-    ``dt/2`` and ``dt`` are precomputed once.  Exact for any ``dt`` when the
-    nonlinear coefficients vanish.
+    ``dt/2`` and ``dt`` are precomputed once.  The products of the
+    nonlinearity are dealiased by the rule ``dealias``, as the splitting
+    solver's are.  Exact for any ``dt`` when the nonlinear coefficients vanish.
     """
     n = _step_count(dt, t_final)
     grid = initial.grid
@@ -69,9 +71,10 @@ def integrating_factor_rk4_solve(
     ik = _derivative_symbol(grid, 1)
     e_half = np.exp(symbol.values * (dt / 2.0))
     e_full = e_half * e_half
+    mask = None if dealias == "none" else dealias_mask(grid, dealias)
 
     def f(c):
-        return _nonlinear_rhs_coeffs(c, params, ik, None)
+        return _nonlinear_rhs_coeffs(c, params, ik, mask)
 
     c = initial.coeffs.copy()
     for step in range(n):
@@ -125,6 +128,7 @@ def _doubling_solve(
     symbol: LinearSymbol,
     t_final: float,
     tol: float,
+    dealias: str = "none",
 ) -> tuple[SpectralState, int, float]:
     """IF-RK4 solve at 256, 512, 1024, ... steps until it verifies itself.
 
@@ -141,7 +145,9 @@ def _doubling_solve(
     n = _START_STEPS
     while n <= _MAX_STEPS:
         try:
-            fine = integrating_factor_rk4_solve(initial, params, symbol, t_final / n, t_final)
+            fine = integrating_factor_rk4_solve(
+                initial, params, symbol, t_final / n, t_final, dealias
+            )
         except NonFiniteState:
             if n == _MAX_STEPS:
                 raise
@@ -170,6 +176,7 @@ def _content_key(
     params: ModelParams,
     t_final: float,
     quality: str,
+    dealias: str,
 ) -> str:
     g = initial.grid
     h = hashlib.sha256()
@@ -186,6 +193,7 @@ def _content_key(
     )
     h.update(struct.pack("<d", t_final))
     h.update(quality.encode())
+    h.update(dealias.encode())
     h.update(_METHOD)
     return h.hexdigest()
 
@@ -246,6 +254,7 @@ def make_reference(
     t_final: float,
     quality: str = "standard",
     cache_dir=None,
+    dealias: str = "none",
 ) -> SpectralState:
     """Cached, self-verifying integrating-factor reference solution at ``t_final``.
 
@@ -254,18 +263,19 @@ def make_reference(
     until the Richardson estimate ``||u_2n - u_n|| / 15`` of its error is at
     most the tolerance times ``||u_2n||``; ``u_2n`` is returned.  Raises
     ReferenceNotConverged when rounding error stops a doubling from halving
-    the difference, or when 65536 steps do not suffice.
+    the difference, or when 65536 steps do not suffice.  The nonlinear
+    products are dealiased by the rule ``dealias`` of the run it serves.
 
-    Results are keyed by a content hash of the inputs, the quality and the
-    method, in a small in-memory cache (least recently used entries evicted)
-    and, when ``cache_dir`` is given, on disk.  A disk entry is written to a
-    temporary file and renamed into place, so a crash never leaves a
-    truncated entry.
+    Results are keyed by a content hash of the inputs, the quality, the
+    dealias rule and the method, in a small in-memory cache (least recently
+    used entries evicted) and, when ``cache_dir`` is given, on disk.  A disk
+    entry is written to a temporary file and renamed into place, so a crash
+    never leaves a truncated entry.
     """
     if quality not in _QUALITY_TOL:
         raise ConfigError("quality", f"must be one of {sorted(_QUALITY_TOL)}, got {quality!r}")
     _check_symbol(symbol, params, initial.grid)
-    key = _content_key(initial, params, t_final, quality)
+    key = _content_key(initial, params, t_final, quality, dealias)
     hit = _cache_get(key)
     if hit is not None:
         return SpectralState(hit, initial.grid)
@@ -278,7 +288,7 @@ def make_reference(
             _cache_put(key, state.coeffs)
             return state
 
-    state, _, _ = _doubling_solve(initial, params, symbol, t_final, _QUALITY_TOL[quality])
+    state, _, _ = _doubling_solve(initial, params, symbol, t_final, _QUALITY_TOL[quality], dealias)
     _cache_put(key, state.coeffs)
     if disk_path is not None:
         disk_path.parent.mkdir(parents=True, exist_ok=True)

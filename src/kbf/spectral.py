@@ -178,16 +178,19 @@ def _from_half(half: np.ndarray, grid: GridSpec) -> SpectralState:
     return SpectralState(np.concatenate((half, np.conj(half[-2:0:-1]))), grid)
 
 
-def _real_half(state: SpectralState, tol: float = 1e-8) -> np.ndarray:
+def _real_half(state: SpectralState) -> np.ndarray:
     """Hermitian part of a state on ``k = 0..N/2``; the inverse of ``_from_half``.
 
-    Raises NotRealRepresentable, as ``to_physical`` does, when the imaginary
-    residue exceeds ``tol``.
+    Raises NotRealRepresentable, as ``to_physical`` does.
     """
-    to_physical(state, tol)
+    to_physical(state)
     c = state.coeffs
     m = state.grid.n_modes // 2 + 1
     return 0.5 * (c[:m] + np.conj(c[-np.arange(m)]))
+
+
+# largest imaginary residue, relative to the state's magnitude, of a real-representable state
+_REAL_TOL = 1e-8
 
 
 def _residue(z: np.ndarray) -> float:
@@ -200,17 +203,17 @@ def real_residue(coeffs: np.ndarray) -> float:
     return _residue(np.fft.ifft(coeffs))
 
 
-def to_physical(state: SpectralState, tol: float = 1e-8) -> np.ndarray:
+def to_physical(state: SpectralState) -> np.ndarray:
     """Inverse DFT to real grid values.
 
-    Raises NotRealRepresentable if the imaginary residue exceeds ``tol``
+    Raises NotRealRepresentable if the imaginary residue exceeds 1e-8
     relative to the state's magnitude.  This is the package's one
     real-representability check; it costs a single inverse DFT.
     """
     z = np.fft.ifft(state.coeffs)
     residue = _residue(z)
-    if residue > tol:
-        raise NotRealRepresentable(f"imaginary residue {residue:.3e} exceeds {tol:g}")
+    if residue > _REAL_TOL:
+        raise NotRealRepresentable(f"imaginary residue {residue:.3e} exceeds {_REAL_TOL:g}")
     return z.real
 
 
@@ -242,13 +245,13 @@ def derivative(state: SpectralState, order: int) -> SpectralState:
     return SpectralState(sym * state.coeffs, state.grid)
 
 
-def eval_interpolant(state: SpectralState, points: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def eval_interpolant(state: SpectralState, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant at arbitrary points.
 
     Direct summation over modes; the Nyquist coefficient contributes a pure
     cosine so real data yields a real interpolant.
     """
-    to_physical(state, tol)
+    to_physical(state)
     pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
     grid = state.grid
     n = grid.n_modes

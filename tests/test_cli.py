@@ -214,8 +214,10 @@ def test_non_finite_coefficient_reported_under_its_key(tmp_path, capsys, key):
 
 BAD_VALUES = [
     ("nu", "-1"),
+    ("nu", "abc"),
     *((coef, "inf") for coef in ("nu", "mu", "gamma", "eps_conv", "eps_react")),
     ("n_modes", "5"),
+    ("n_modes", "abc"),
     ("domain_start", "inf"),
     ("domain_length", "-1"),
     ("dt", "0"),
@@ -226,6 +228,8 @@ BAD_VALUES = [
     ("dealias", "foo"),
     ("snapshot_stride", "-1"),
     ("ic.kind", "wavelet"),
+    ("ic.c", "inf"),
+    ("ic.mode_amp", "nan"),
     ("norm", "hx"),
 ]
 
@@ -294,6 +298,17 @@ def test_missing_ic_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("kbf: error: ValidationError: ic.path:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_studies_do_not_read_the_solve_step(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG.replace("dt = 0.1", "dt = 0.3"))
+    common = ["--config", str(cfg_file), "--output", str(tmp_path / "o")]
+    assert run_cli(["converge-time", *common, "--steps", "4,8"]) == 0
+    assert run_cli(["converge-space", *common, "--modes", "8,16", "--study-dt", "0.25"]) == 0
+    capsys.readouterr()
+    assert run_cli(["solve", *common]) == 1
+    assert capsys.readouterr().err.startswith("kbf: error: ValidationError: dt:")
 
 
 def test_unknown_dealias_rule_rejected():

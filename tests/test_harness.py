@@ -12,6 +12,7 @@ from kbf import (
     GridMismatch,
     InitialConditionSpec,
     ModelParams,
+    NonlinearFlowConfig,
     NonPositiveError,
     error_norm,
     make_grid,
@@ -130,6 +131,25 @@ def test_temporal_study_canonical_orders(full_params, grid256):
     # errors decrease monotonically along the ladder
     for a, b in zip(report.errors[:-1], report.errors[1:]):
         assert b < a
+
+
+def test_dealiased_temporal_study_is_second_order():
+    # the reference must dealias as the Strang run does, or every error is the
+    # distance between two semi-discrete problems (6.3e-2 here, order 0)
+    spec = ExperimentSpec(
+        params=ModelParams(nu=0.1, eps_conv=1.0, eps_react=1.0),
+        grid=make_grid(16, 0.0, TWO_PI),
+        initial_condition=InitialConditionSpec(
+            kind="mode", mode_k=3, mode_amp=0.4, mode_offset=0.5
+        ),
+        t_final=0.5,
+        axis=(16, 32, 64, 128, 256),
+        nonlinear_cfg=NonlinearFlowConfig(dealias="two_thirds"),
+    )
+    report = temporal_convergence_study(spec, quality="standard")
+    assert len(report.orders) == 4
+    for order in report.orders:
+        assert 1.9 <= order <= 2.1
 
 
 def test_temporal_study_lie_trotter_first_order(full_params, grid256):

@@ -254,12 +254,12 @@ def _recording_solve(monkeypatch, fail_at):
     original = reference_module.integrating_factor_rk4_solve
     calls = []
 
-    def solve(initial, params, symbol, dt, t_final):
+    def solve(initial, params, symbol, dt, t_final, *rest):
         n = round(t_final / dt)
         calls.append(n)
         if n in fail_at:
             raise NonFiniteState(f"patched failure at {n} steps")
-        return original(initial, params, symbol, dt, t_final)
+        return original(initial, params, symbol, dt, t_final, *rest)
 
     monkeypatch.setattr(reference_module, "integrating_factor_rk4_solve", solve)
     return calls, original
@@ -354,6 +354,19 @@ def test_memory_cache_is_bounded(monkeypatch, empty_memory_cache):
     make_reference(initial, params, sym, horizons[0])
     assert len(calls) > solves  # the oldest was evicted
     assert len(reference_module._memory_cache) == reference_module._MEMORY_CACHE_SIZE
+
+
+def test_dealiased_reference_is_cached_apart(empty_memory_cache):
+    params = ModelParams(nu=0.1, eps_conv=1.0, eps_react=1.0)
+    g = make_grid(16, 0.0, TWO_PI)
+    ic = InitialConditionSpec(kind="mode", mode_k=3, mode_amp=0.4, mode_offset=0.5)
+    initial = build_initial(ic, g)
+    sym = linear_symbol(params, g)
+    dealiased = make_reference(initial, params, sym, 0.5, dealias="two_thirds")
+    plain = make_reference(initial, params, sym, 0.5)
+    solved, _, _ = _doubling_solve(initial, params, sym, 0.5, _QUALITY_TOL["standard"])
+    np.testing.assert_array_equal(plain.coeffs, solved.coeffs)
+    assert error_norm(dealiased, plain) > 1e-3
 
 
 # ----- coupling to the production scheme (sanity) -----

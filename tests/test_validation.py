@@ -27,6 +27,7 @@ from kbf import (
     norm,
     rk4_step,
     spatial_convergence_study,
+    strang_step,
     to_spectral,
 )
 
@@ -70,6 +71,12 @@ CASES = {
     "reference_t_final_inf": (
         lambda: integrating_factor_rk4_solve(STATE, PARAMS, SYMBOL, 0.5, math.inf), "t_final"
     ),
+    "ic_c_inf": (lambda: InitialConditionSpec(kind="constant", c=math.inf), "ic.c"),
+    "ic_mode_k_fraction": (lambda: InitialConditionSpec(kind="mode", mode_k=1.5), "ic.mode_k"),
+    "ic_mode_offset_inf": (
+        lambda: InitialConditionSpec(kind="mode", mode_offset=-math.inf), "ic.mode_offset"
+    ),
+    "strang_step_dt_inf": (lambda: strang_step(STATE, math.inf, PARAMS, SYMBOL), "dt"),
     "nonlinear_flow_dt": (lambda: nonlinear_flow(STATE, math.inf, PARAMS), "dt"),
     "rk4_step_dt": (lambda: rk4_step(STATE, math.nan, lambda s: s), "dt"),
     "derivative_order": (lambda: derivative(STATE, 0), "order"),
