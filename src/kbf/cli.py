@@ -29,6 +29,7 @@ from .errors import (
 )
 from .harness import (
     ExperimentSpec,
+    _DIGITS,
     _fmt,
     _run_echo,
     report_to_csv,
@@ -165,14 +166,17 @@ def emit_config(cfg: RunConfig) -> str:
     return "\n".join(f"{k} = {v}" for k, v in items.items()) + "\n"
 
 
-def _write_snapshot(path, cfg: RunConfig, step: int, time: float, values: np.ndarray):
-    lines = [f"# {line}" for line in emit_config(cfg).rstrip("\n").splitlines()]
-    lines.append(f"# step = {step}")
-    lines.append(f"# time = {_fmt(time)}")
-    lines.append("x,y")
-    for x, y in zip(cfg.grid.points, values):
-        lines.append(f"{_fmt(x)},{_fmt(y)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _snapshot_writer(cfg: RunConfig):
+    """``text(step, time, values)`` of one solve's snapshots; header and x column formatted once."""
+    header = "".join(f"# {line}\n" for line in emit_config(cfg).rstrip("\n").splitlines())
+    # only the rows go through %: the header holds user text (output, ic.path)
+    rows = "".join(f"{_fmt(x)},%{_DIGITS}\n" for x in cfg.grid.points)
+
+    def text(step: int, time: float, values: np.ndarray) -> str:
+        head = f"{header}# step = {step}\n# time = {_fmt(time)}\nx,y\n"
+        return head + rows % tuple(values.tolist())
+
+    return text
 
 
 def _require_output(cfg: RunConfig) -> Path:
@@ -185,18 +189,17 @@ def _require_output(cfg: RunConfig) -> Path:
 
 def _cmd_solve(cfg: RunConfig) -> int:
     out = _require_output(cfg)
-    initial = build_initial(cfg.ic, cfg.grid)
-    written = []
+    snapshot = _snapshot_writer(cfg)
+    final_path = out / "final.csv"
 
     def observer(step, time, state):
-        path = out / f"snapshot_{step:06d}.csv"
-        _write_snapshot(path, cfg, step, time, to_physical(state))
-        written.append(path)
+        text = snapshot(step, time, to_physical(state))
+        (out / f"snapshot_{step:06d}.csv").write_text(text, encoding="utf-8")
+        if step == cfg.solve.n_steps:  # evolve always records step n, at t_final
+            final_path.write_text(text, encoding="utf-8")
 
-    traj = evolve(initial, cfg.params, cfg.solve, observer=observer)
-    final_path = out / "final.csv"
-    _write_snapshot(final_path, cfg, traj.steps_taken, cfg.solve.t_final, to_physical(traj.final))
-    print(f"wrote {len(written)} snapshot(s) and {final_path}")
+    traj = evolve(build_initial(cfg.ic, cfg.grid), cfg.params, cfg.solve, observer=observer)
+    print(f"wrote {len(traj.times)} snapshot(s) and {final_path}")
     return 0
 
 

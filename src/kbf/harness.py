@@ -33,7 +33,7 @@ from .spectral import (
     norm,
     to_physical,
 )
-from .splitting import NonlinearFlowConfig, SolveConfig, _check_scheme, evolve
+from .splitting import NonlinearFlowConfig, SolveConfig, _check_scheme, _positive_finite, evolve
 
 __all__ = [
     "ConvergenceReport",
@@ -49,9 +49,12 @@ __all__ = [
 ]
 
 
+# 17 significant digits round-trip binary64 exactly
+_DIGITS = ".17g"
+
+
 def _fmt(x: float) -> str:
-    # 17 significant digits round-trip binary64 exactly
-    return format(float(x), ".17g")
+    return format(float(x), _DIGITS)
 
 
 def _run_echo(params, grid, t_final, scheme, nonlinear_cfg, ic, norm) -> dict:
@@ -115,6 +118,7 @@ class ExperimentSpec:
     nonlinear_cfg: NonlinearFlowConfig = NonlinearFlowConfig()
 
     def __post_init__(self):
+        _positive_finite("t_final", self.t_final)
         _check_scheme(self.scheme)
         if not self.axis:
             raise ConfigError("axis", "must be non-empty")

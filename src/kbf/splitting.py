@@ -123,16 +123,20 @@ def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
     return SpectralState(_rk4_coeffs(state.coeffs, dt, f), grid)
 
 
+def _positive_finite(key: str, value) -> None:
+    """Raise ConfigError(key) unless ``value`` is a real number, positive and finite."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ConfigError(key, f"must be positive and finite, got {value!r}")
+
+
 def _step_count(dt: float, t_final: float) -> int:
     """Number of steps of size ``dt`` that make up ``t_final``.
 
-    Raises ConfigError unless ``t_final`` is positive and finite, ``dt``
-    positive, and their ratio a whole number (to 1e-9 relative) of at least 1.
+    Raises ConfigError unless both are real numbers, positive and finite,
+    and their ratio a whole number (to 1e-9 relative) of at least 1.
     """
-    if not (0 < t_final < math.inf):
-        raise ConfigError("t_final", f"must be positive and finite, got {t_final}")
-    if not (dt > 0):
-        raise ConfigError("dt", f"must be positive, got {dt}")
+    _positive_finite("t_final", t_final)
+    _positive_finite("dt", dt)
     ratio = t_final / dt
     n = round(ratio) if math.isfinite(ratio) else 0
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
@@ -255,8 +259,7 @@ def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
 
 
 def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
-    if not (0 < dt < math.inf):
-        raise ConfigError("dt", f"must be positive and finite, got {dt}")
+    _positive_finite("dt", dt)
     _check_symbol(symbol, params, state.grid)
     stepper = _Stepper(state.grid, params, dt, cfg, symbol, scheme)
     return _from_half(stepper.step(_real_half(state)), state.grid)

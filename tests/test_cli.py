@@ -5,7 +5,8 @@ import pytest
 
 import kbf.reference as reference_module
 from kbf import ParseError, ValidationError, report_from_csv, report_from_text
-from kbf.cli import emit_config, parse_config, run_cli
+from kbf.cli import _snapshot_writer, emit_config, parse_config, run_cli
+from kbf.harness import _fmt
 
 TWO_PI = 2.0 * np.pi
 
@@ -178,6 +179,71 @@ def test_solve_is_bit_identical_across_runs(tmp_path, capsys):
     first = (out / "final.csv").read_bytes()
     assert run_cli(["solve", "--config", str(cfg_file), "--output", str(out)]) == 0
     assert (out / "final.csv").read_bytes() == first
+
+
+SMALL_CONFIG = FULL_CONFIG.replace("n_modes = 256", "n_modes = 16")
+
+
+def expected_snapshot(cfg, step, time, values):
+    """A snapshot's text spelled value by value with ``_fmt``."""
+    lines = [f"# {line}" for line in emit_config(cfg).rstrip("\n").splitlines()]
+    lines += [f"# step = {step}", f"# time = {_fmt(time)}", "x,y"]
+    lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(cfg.grid.points, values)]
+    return "\n".join(lines) + "\n"
+
+
+def test_each_snapshot_is_fmt_spelling_byte_for_byte(tmp_path, capsys):
+    from kbf import build_initial, evolve, to_physical
+
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(SMALL_CONFIG + "snapshot_stride = 1\n")
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg_file), "--output", str(out)]) == 0
+
+    cfg = parse_config(cfg_file.read_text(), {"output": str(out)})
+    traj = evolve(build_initial(cfg.ic, cfg.grid), cfg.params, cfg.solve)
+    assert len(traj.states) == cfg.solve.n_steps + 1
+    for step, (time, state) in enumerate(zip(traj.times, traj.states)):
+        written = (out / f"snapshot_{step:06d}.csv").read_bytes()
+        assert written == expected_snapshot(cfg, step, time, to_physical(state)).encode()
+
+
+def test_snapshot_writer_spells_awkward_values_as_fmt():
+    values = np.array([-0.0, 5e-324, 0.1, 1 / 3, -1e300, 1e22])
+    cfg = parse_config(SMALL_CONFIG, {"n_modes": str(values.size), "output": "o"})
+    text = _snapshot_writer(cfg)(3, 1 / 3, values)
+    assert text == expected_snapshot(cfg, 3, 1 / 3, values)
+    assert [row.split(",")[1] for row in text.splitlines()[-6:]] == [
+        "-0", "4.9406564584124654e-324", "0.10000000000000001", "0.33333333333333331",
+        "-1.0000000000000001e+300", "1e+22",
+    ]
+
+
+@pytest.mark.parametrize("key", ["output", "ic.path"])
+def test_user_text_in_the_header_cannot_break_the_rows(tmp_path, capsys, key):
+    odd = tmp_path / "o%d{x}%s"
+    out, ic_path = (odd, tmp_path / "ic.csv") if key == "output" else (tmp_path / "out", odd)
+    xs = np.arange(16) * (TWO_PI / 16)
+    ic_path.write_text("x,y\n" + "".join(f"{_fmt(x)},{_fmt(0.5 + 0.25 * np.sin(x))}\n" for x in xs))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(SMALL_CONFIG.replace("paper", f"file\nic.path = {ic_path}"))
+    assert run_cli(["solve", "--config", str(cfg_file), "--output", str(out)]) == 0
+
+    assert f"\n# {key} = {odd}\n" in (out / "final.csv").read_text()
+    rows_x, rows_y = read_rows(out / "final.csv")
+    np.testing.assert_array_equal(rows_x, xs)
+    assert np.all(np.isfinite(rows_y))
+
+
+@pytest.mark.parametrize("stride,recorded", [(1, 11), (0, 1)])
+def test_final_csv_is_the_last_snapshot_byte_for_byte(tmp_path, capsys, stride, recorded):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG + f"snapshot_stride = {stride}\n")
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg_file), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {recorded} snapshot(s) and {out / 'final.csv'}\n"
+    assert len(list(out.glob("snapshot_*.csv"))) == recorded
+    assert (out / "final.csv").read_bytes() == (out / "snapshot_000010.csv").read_bytes()
 
 
 def test_blow_up_exits_2(tmp_path, capsys):

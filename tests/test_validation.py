@@ -37,9 +37,10 @@ PARAMS = ModelParams(nu=1.0, eps_react=1.0)
 SYMBOL = linear_symbol(PARAMS, G16)
 
 
-def _spec(axis):
+def _spec(axis, t_final=1.0):
     return ExperimentSpec(
-        params=PARAMS, grid=G16, initial_condition=InitialConditionSpec(), t_final=1.0, axis=axis
+        params=PARAMS, grid=G16, initial_condition=InitialConditionSpec(), t_final=t_final,
+        axis=axis,
     )
 
 
@@ -55,6 +56,8 @@ CASES = {
     "solve_dt_underflow": (lambda: SolveConfig(dt=1e-320, t_final=1.0), "dt"),
     "solve_t_final_negative": (lambda: SolveConfig(dt=0.1, t_final=-1.0), "t_final"),
     "solve_t_final_inf": (lambda: SolveConfig(dt=0.1, t_final=math.inf), "t_final"),
+    "solve_config_t_final_str": (lambda: SolveConfig(dt=0.5, t_final="1"), "t_final"),
+    "solve_config_dt_str": (lambda: SolveConfig(dt="0.5", t_final=1.0), "dt"),
     "solve_scheme": (lambda: SolveConfig(dt=0.5, t_final=1.0, scheme="x"), "scheme"),
     "solve_stride": (lambda: SolveConfig(dt=0.5, t_final=1.0, snapshot_stride=-1), "snapshot_stride"),
     "solve_stride_fraction": (
@@ -84,6 +87,9 @@ CASES = {
     "experiment_empty_axis": (lambda: _spec(()), "axis"),
     "experiment_zero_axis": (lambda: _spec((12, 0)), "axis"),
     "experiment_fractional_axis": (lambda: _spec((1.5, 4)), "axis"),
+    "experiment_t_final_negative": (lambda: _spec((4, 8), t_final=-1.0), "t_final"),
+    "experiment_t_final_nan": (lambda: _spec((4, 8), t_final=math.nan), "t_final"),
+    "experiment_t_final_str": (lambda: _spec((4, 8), t_final="1"), "t_final"),
     "spatial_odd_axis": (lambda: spatial_convergence_study(_spec((5,))), "axis"),
     "spatial_small_axis": (lambda: spatial_convergence_study(_spec((2,))), "axis"),
     "spatial_reference_collision": (lambda: spatial_convergence_study(_spec((8, 16))), "axis"),
