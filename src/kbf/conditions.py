@@ -7,14 +7,13 @@ snapshots written by the CLI.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FileFormatError, GridMismatch, ValidationError
-from .spectral import GridSpec, SpectralState, to_spectral
+from .spectral import GridSpec, SpectralState, _finite_real, to_spectral
 
 __all__ = ["InitialConditionSpec", "build_initial"]
 
@@ -45,8 +44,8 @@ class InitialConditionSpec:
             raise ValidationError("ic.path", "required for ic.kind = file")
         for name in ("c", "mode_amp", "mode_offset"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"ic.{name}", f"must be finite, got {value!r}")
+            if not _finite_real(value):
+                raise ValidationError(f"ic.{name}", f"must be a finite real number, got {value!r}")
         if not isinstance(self.mode_k, numbers.Integral):
             raise ValidationError("ic.mode_k", f"must be an integer, got {self.mode_k!r}")
 

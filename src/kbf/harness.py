@@ -1,7 +1,7 @@
 """Convergence studies and error reporting.
 
 Temporal studies measure the error of the splitting schemes at a ladder of
-step counts against the integrating-factor reference; spatial studies fix a
+step counts against the ETDRK4 reference; spatial studies fix a
 fine time step and sweep mode counts against a run on the finest grid.
 Reports carry the full configuration echo and serialize to CSV and to a
 structured text form, both of which reparse exactly.
@@ -201,7 +201,7 @@ def temporal_convergence_study(
     quality: str = "high",
     cache_dir=None,
 ) -> ConvergenceReport:
-    """Errors versus step count at fixed N, against the integrating-factor reference.
+    """Errors versus step count at fixed N, against the ETDRK4 reference.
 
     The reference is computed once, with the spec's dealias rule, and shared
     by every step count; the error is measured at the final time only.  The

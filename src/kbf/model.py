@@ -18,13 +18,12 @@ powers taken in physical space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, GridMismatch, NonFiniteInput, ValidationError
-from .spectral import GridSpec, SpectralState, _derivative_symbol, to_physical
+from .spectral import GridSpec, SpectralState, _derivative_symbol, _finite_real, to_physical
 
 __all__ = [
     "ModelParams",
@@ -49,8 +48,8 @@ class ModelParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValidationError(f.name, f"must be finite, got {value!r}")
+            if not _finite_real(value):
+                raise ValidationError(f.name, f"must be a finite real number, got {value!r}")
         if self.nu < 0:
             raise ValidationError("nu", f"must be >= 0, got {self.nu}")
 

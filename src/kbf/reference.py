@@ -1,9 +1,12 @@
 """Independent solution sources.
 
-An integrating-factor RK4 solver for the full equation serves as the
-reference for convergence studies; closed-form oracles cover the
-degenerate parameter limits (pure linear flow, logistic reaction).  The
-oracles deliberately share no code with the production flows.
+The reference for convergence studies is an exponential time-differencing
+RK4 solve (Cox-Matthews) of the full equation on the real half-spectrum,
+with its own right-hand side, verified by step doubling.  An
+integrating-factor RK4 solver on the full complex spectrum stays as its
+independent cross-check; closed-form oracles cover the degenerate parameter
+limits (pure linear flow, logistic reaction).  The oracles deliberately
+share no code with the production flows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,15 @@ from .errors import (
     SingularSolution,
 )
 from .model import LinearSymbol, ModelParams, _check_symbol, _nonlinear_rhs_coeffs
-from .spectral import GridSpec, SpectralState, _derivative_symbol, dealias_mask, norm
+from .spectral import (
+    GridSpec,
+    SpectralState,
+    _derivative_symbol,
+    _from_half,
+    _real_half,
+    dealias_mask,
+    norm,
+)
 from .splitting import _step_count
 
 __all__ = [
@@ -45,7 +56,8 @@ _VERSION = 1
 # least recently used entries are evicted beyond this many
 _MEMORY_CACHE_SIZE = 8
 _cache_lock = threading.Lock()
-_memory_cache: OrderedDict[str, np.ndarray] = OrderedDict()
+# key -> (coefficients, steps, Richardson estimate)
+_memory_cache: OrderedDict[str, tuple[np.ndarray, int | None, float | None]] = OrderedDict()
 
 
 def integrating_factor_rk4_solve(
@@ -112,17 +124,112 @@ def linear_exact_solution(
     return SpectralState(np.exp(symbol.values * t) * initial.coeffs, initial.grid)
 
 
+# Contour points on the full circle of radius 1 around each h*lambda_k.
+_CONTOUR_POINTS = 32
+
+
+def _etd_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    """ETDRK4 weights ``E2, E, Q, f1, f2, f3`` for steps of ``h`` on eigenvalues ``lam``.
+
+    ``E2 = exp(h*lam/2)``, ``E = exp(h*lam)``; ``Q`` and the Cox-Matthews
+    coefficients ``f1, f2, f3`` are contour means (Kassam-Trefethen) over
+    points on the full unit circle around each ``h*lam``, which avoids the
+    cancellation of their closed forms near 0.  The symbol is complex, so
+    the mean is complex: half a circle and a real part would hold for a real
+    symbol only.  The points are summed in conjugate pairs, so a real
+    ``h*lam`` (``k = 0``, Nyquist) gets real weights.  The sums accumulate
+    one point at a time and stay the size of ``lam``.
+    """
+    z = h * lam
+    q, f1, f2, f3 = (np.zeros_like(z) for _ in range(4))
+    half = _CONTOUR_POINTS // 2
+    for r in np.exp(1j * np.pi * (np.arange(half) + 0.5) / half):
+        for w in (z + r, z + r.conjugate()):
+            e = np.exp(w)
+            w3 = w * w * w
+            q += (np.exp(w / 2.0) - 1.0) / w
+            f1 += (-4.0 - w + e * (4.0 - 3.0 * w + w * w)) / w3
+            f2 += (2.0 + w + e * (w - 2.0)) / w3
+            f3 += (-4.0 - 3.0 * w - w * w + e * (4.0 - w)) / w3
+    scale = h / _CONTOUR_POINTS
+    return np.exp(z / 2.0), np.exp(z), q * scale, f1 * scale, f2 * scale, f3 * scale
+
+
+def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, dealias: str):
+    """The reference's conservative nonlinear right-hand side on ``k = 0..N/2``.
+
+    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` from one ``irfft``
+    and one batched ``rfft`` of ``[y^3, y^2]``, the products dealiased by the
+    rule ``dealias``.  Written apart from the splitting kernel's, so that the
+    reference does not inherit a bug of the solver it measures.
+    """
+    n = grid.n_modes
+    m = n // 2 + 1
+    conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
+    keep = None if dealias == "none" else dealias_mask(grid, dealias)[:m]
+    react = params.eps_react
+    powers = np.empty((2, n))
+
+    def rhs(c: np.ndarray) -> np.ndarray:
+        y = np.fft.irfft(c, n)
+        np.multiply(y, y, out=powers[1])
+        np.multiply(y, powers[1], out=powers[0])
+        spectra = np.fft.rfft(powers)
+        if keep is not None:
+            spectra *= keep
+        cubed, squared = spectra
+        return conv * cubed + react * (c - squared)
+
+    return rhs
+
+
+def _etdrk4_solve(
+    initial: SpectralState,
+    params: ModelParams,
+    symbol: LinearSymbol,
+    dt: float,
+    t_final: float,
+    dealias: str = "none",
+) -> SpectralState:
+    """Integrate the full equation with the ETDRK4 scheme of Cox and Matthews.
+
+    The linear symbol is integrated exactly through the weights of
+    ``_etd_weights``; the nonlinearity (reaction included) is taken by the
+    four Cox-Matthews stages on the real half-spectrum.  Same arguments and
+    checks as :func:`integrating_factor_rk4_solve`.
+    """
+    n = _step_count(dt, t_final)
+    grid = initial.grid
+    _check_symbol(symbol, params, grid)
+    e_half, e_full, q, f1, f2, f3 = _etd_weights(symbol.values[: grid.n_modes // 2 + 1], dt)
+    f = _half_spectrum_rhs(grid, params, dealias)
+    v = _real_half(initial)
+    for step in range(n):
+        nv = f(v)
+        ev = e_half * v
+        a = ev + q * nv
+        na = f(a)
+        b = ev + q * na
+        nb = f(b)
+        c = e_half * a + q * (2.0 * nb - nv)
+        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * f(c)
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteState(f"reference solve turned non-finite at step {step + 1}")
+    return _from_half(v, grid)
+
+
 # Relative tolerance on the Richardson estimate behind each quality name.
 _QUALITY_TOL = {"standard": 1e-10, "high": 1e-12}
 # Step doubling starts here; the cap bounds the cost of a solve that never
 # verifies itself.
-_START_STEPS = 256
+_START_STEPS = 64
 _MAX_STEPS = 2**16
 # Part of the content key: a changed integrator never reads older entries.
-_METHOD = b"if-rk4 step-doubling v2"
+_METHOD = b"etdrk4 step-doubling v3"
 
 
 def _doubling_solve(
+    integrate,
     initial: SpectralState,
     params: ModelParams,
     symbol: LinearSymbol,
@@ -130,24 +237,25 @@ def _doubling_solve(
     tol: float,
     dealias: str = "none",
 ) -> tuple[SpectralState, int, float]:
-    """IF-RK4 solve at 256, 512, 1024, ... steps until it verifies itself.
+    """Fixed-step solve at 64, 128, 256, ... steps until it verifies itself.
 
-    After each doubling the error of the finer solution ``u_2n`` is
-    estimated as ``||u_2n - u_n|| / 15`` (Richardson, fourth order, discrete
-    L2); ``(u_2n, 2n, estimate)`` is returned once the estimate is at most
-    ``tol * ||u_2n||``.  A solve that turns non-finite below the cap counts
-    as not converged.  Raises ReferenceNotConverged when the difference
-    shrinks by less than 2x in one doubling (rounding error reached) or the
-    step cap is passed.
+    ``integrate(initial, params, symbol, dt, t_final, dealias)`` is a
+    fourth-order fixed-step integrator: ``_etdrk4_solve`` for the reference,
+    or :func:`integrating_factor_rk4_solve`.  After each doubling the error
+    of the finer solution ``u_2n`` is estimated as ``||u_2n - u_n|| / 15``
+    (Richardson, fourth order, discrete L2); ``(u_2n, 2n, estimate)`` is
+    returned once the estimate is at most ``tol * ||u_2n||``.  A solve that
+    turns non-finite below the cap counts as not converged.  Raises
+    ReferenceNotConverged when the difference shrinks by less than 2x in one
+    doubling (rounding error reached) or the step cap is passed.
     """
+    name = "IF-RK4" if integrate is integrating_factor_rk4_solve else "ETDRK4"
     coarse = None
     last_diff = math.inf
     n = _START_STEPS
     while n <= _MAX_STEPS:
         try:
-            fine = integrating_factor_rk4_solve(
-                initial, params, symbol, t_final / n, t_final, dealias
-            )
+            fine = integrate(initial, params, symbol, t_final / n, t_final, dealias)
         except NonFiniteState:
             if n == _MAX_STEPS:
                 raise
@@ -160,14 +268,14 @@ def _doubling_solve(
                 return fine, n, estimate
             if diff > last_diff / 2.0:
                 raise ReferenceNotConverged(
-                    f"IF-RK4 reached rounding error at {n} steps: a doubling shrank "
+                    f"{name} reached rounding error at {n} steps: a doubling shrank "
                     f"the difference from {last_diff:.3e} only to {diff:.3e}, "
                     f"short of the relative tolerance {tol:g}"
                 )
             last_diff = diff
         coarse, n = fine, 2 * n
     raise ReferenceNotConverged(
-        f"IF-RK4 did not meet the relative tolerance {tol:g} within {_MAX_STEPS} steps"
+        f"{name} did not meet the relative tolerance {tol:g} within {_MAX_STEPS} steps"
     )
 
 
@@ -239,9 +347,9 @@ def _cache_get(key: str):
         return hit
 
 
-def _cache_put(key: str, coeffs: np.ndarray) -> None:
+def _cache_put(key: str, entry: tuple[np.ndarray, int | None, float | None]) -> None:
     with _cache_lock:
-        _memory_cache[key] = coeffs
+        _memory_cache[key] = entry
         _memory_cache.move_to_end(key)
         while len(_memory_cache) > _MEMORY_CACHE_SIZE:
             _memory_cache.popitem(last=False)
@@ -256,10 +364,10 @@ def make_reference(
     cache_dir=None,
     dealias: str = "none",
 ) -> SpectralState:
-    """Cached, self-verifying integrating-factor reference solution at ``t_final``.
+    """Cached, self-verifying ETDRK4 reference solution at ``t_final``.
 
     Each quality names a relative tolerance: ``standard`` 1e-10, ``high``
-    1e-12.  The IF-RK4 solve starts at 256 steps and doubles the step count
+    1e-12.  The ETDRK4 solve starts at 64 steps and doubles the step count
     until the Richardson estimate ``||u_2n - u_n|| / 15`` of its error is at
     most the tolerance times ``||u_2n||``; ``u_2n`` is returned.  Raises
     ReferenceNotConverged when rounding error stops a doubling from halving
@@ -271,6 +379,11 @@ def make_reference(
     used entries evicted) and, when ``cache_dir`` is given, on disk.  A disk
     entry is written to a temporary file and renamed into place, so a crash
     never leaves a truncated entry.
+
+    Each call logs one DEBUG record to the ``kbf`` logger, whose ``reference``
+    attribute holds the method, the steps, the estimate (both None when
+    served from disk, which does not store them) and the source that served
+    the result: ``memory``, ``disk`` or ``solve``.
     """
     if quality not in _QUALITY_TOL:
         raise ConfigError("quality", f"must be one of {sorted(_QUALITY_TOL)}, got {quality!r}")
@@ -278,18 +391,23 @@ def make_reference(
     key = _content_key(initial, params, t_final, quality, dealias)
     hit = _cache_get(key)
     if hit is not None:
-        return SpectralState(hit, initial.grid)
+        coeffs, steps, estimate = hit
+        _log_served("memory", steps, estimate)
+        return SpectralState(coeffs, initial.grid)
 
     disk_path = None
     if cache_dir is not None:
         disk_path = Path(cache_dir) / f"{key}.kbfr"
         if disk_path.exists():
             state = read_reference_file(disk_path, initial.grid)
-            _cache_put(key, state.coeffs)
+            _cache_put(key, (state.coeffs, None, None))
+            _log_served("disk", None, None)
             return state
 
-    state, _, _ = _doubling_solve(initial, params, symbol, t_final, _QUALITY_TOL[quality], dealias)
-    _cache_put(key, state.coeffs)
+    state, steps, estimate = _doubling_solve(
+        _etdrk4_solve, initial, params, symbol, t_final, _QUALITY_TOL[quality], dealias
+    )
+    _cache_put(key, (state.coeffs, steps, estimate))
     if disk_path is not None:
         disk_path.parent.mkdir(parents=True, exist_ok=True)
         tmp_path = disk_path.with_name(f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -299,4 +417,17 @@ def make_reference(
         except BaseException:
             tmp_path.unlink(missing_ok=True)
             raise
+    _log_served("solve", steps, estimate)
     return state
+
+
+def _log_served(source: str, steps, estimate) -> None:
+    # imported on first use: at import, logging would add about a tenth to `import kbf`
+    import logging
+
+    record = {"method": _METHOD.decode(), "steps": steps, "estimate": estimate, "source": source}
+    logging.getLogger("kbf").debug(
+        "reference %(method)s from %(source)s: steps %(steps)s, estimate %(estimate)s",
+        record,
+        extra={"reference": record},
+    )

@@ -16,6 +16,7 @@ norm and s=0 Sobolev norms satisfy Parseval against it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,11 @@ def _int_wavenumbers(n: int) -> np.ndarray:
     return k.astype(np.int64)
 
 
+def _finite_real(value) -> bool:
+    """True for a real number that is neither infinite nor NaN (a string is not)."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def make_grid(n_modes: int, domain_start: float, domain_length: float) -> GridSpec:
     """Build a periodic grid with ``n_modes`` equispaced collocation points.
 
@@ -95,10 +101,10 @@ def make_grid(n_modes: int, domain_start: float, domain_length: float) -> GridSp
     """
     if n_modes < 4 or n_modes % 2 != 0:
         raise InvalidGrid("n_modes", f"must be even and >= 4, got {n_modes}")
-    if not math.isfinite(domain_start):
-        raise InvalidGrid("domain_start", f"must be finite, got {domain_start}")
-    if not (0 < domain_length < math.inf):
-        raise InvalidGrid("domain_length", f"must be positive and finite, got {domain_length}")
+    if not _finite_real(domain_start):
+        raise InvalidGrid("domain_start", f"must be a finite real number, got {domain_start!r}")
+    if not (_finite_real(domain_length) and domain_length > 0):
+        raise InvalidGrid("domain_length", f"must be positive and finite, got {domain_length!r}")
     points = domain_start + np.arange(n_modes) * (domain_length / n_modes)
     points.setflags(write=False)
     return GridSpec(

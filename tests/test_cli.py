@@ -333,7 +333,7 @@ def test_bad_axis_reported_under_its_flag(tmp_path, capsys, command, flag, value
 
 def test_unconverged_reference_exits_2(tmp_path, capsys, monkeypatch):
     # with the cap at the first step count no doubling can verify the solve
-    monkeypatch.setattr(reference_module, "_MAX_STEPS", 256)
+    monkeypatch.setattr(reference_module, "_MAX_STEPS", reference_module._START_STEPS)
     monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(HEAT_CONFIG)

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import struct
 from collections import OrderedDict
 
@@ -31,7 +32,7 @@ from kbf import (
     write_reference_file,
 )
 from kbf.errors import NegativeDuration
-from kbf.reference import _QUALITY_TOL, _doubling_solve
+from kbf.reference import _QUALITY_TOL, _doubling_solve, _etdrk4_solve
 
 TWO_PI = 2.0 * np.pi
 
@@ -205,6 +206,24 @@ def test_reference_file_mode_count_must_match(tmp_path, rng):
         read_reference_file(path, g32)
 
 
+# ----- ETDRK4 solver -----
+
+def test_etdrk4_self_convergence(full_params, grid256, sine_initial):
+    # fourth order: the solution change per dt-halving shrinks ~16x
+    sym = linear_symbol(full_params, grid256)
+    sols = {n: _etdrk4_solve(sine_initial, full_params, sym, 1.0 / n, 1.0) for n in (64, 128, 256)}
+    d_coarse = error_norm(sols[64], sols[128])
+    d_fine = error_norm(sols[128], sols[256])
+    assert 12.0 <= d_coarse / d_fine <= 20.0
+
+
+def test_etdrk4_output_is_hermitian(full_params, grid256, sine_initial):
+    sym = linear_symbol(full_params, grid256)
+    c = _etdrk4_solve(sine_initial, full_params, sym, 1.0 / 64, 1.0).coeffs
+    np.testing.assert_array_equal(c[1:], np.conj(c[:0:-1]))
+    assert c[0].imag == 0.0 and c[128].imag == 0.0
+
+
 # ----- step doubling -----
 
 @pytest.fixture(scope="module")
@@ -218,8 +237,26 @@ def table1_if_rk4_16384(full_params, grid256, sine_initial):
 def test_doubling_stops_where_its_estimate_holds(
     full_params, grid256, sine_initial, table1_if_rk4_16384, quality, steps
 ):
+    # the IF-RK4 pins: the cross-check integrator through the same loop
     sym = linear_symbol(full_params, grid256)
-    state, n, estimate = _doubling_solve(sine_initial, full_params, sym, 1.0, _QUALITY_TOL[quality])
+    state, n, estimate = _doubling_solve(
+        integrating_factor_rk4_solve, sine_initial, full_params, sym, 1.0, _QUALITY_TOL[quality]
+    )
+    assert n == steps
+    assert estimate <= _QUALITY_TOL[quality] * norm(state)
+    true_error = error_norm(state, table1_if_rk4_16384)
+    assert true_error / 2 <= estimate <= 2 * true_error
+
+
+@pytest.mark.parametrize("quality,steps", [("standard", 128), ("high", 512)])
+def test_etdrk4_doubling_stops_where_its_estimate_holds(
+    full_params, grid256, sine_initial, table1_if_rk4_16384, quality, steps
+):
+    # also the Table-1 cross-check: the reference against a fine IF-RK4 solve
+    sym = linear_symbol(full_params, grid256)
+    state, n, estimate = _doubling_solve(
+        _etdrk4_solve, sine_initial, full_params, sym, 1.0, _QUALITY_TOL[quality]
+    )
     assert n == steps
     assert estimate <= _QUALITY_TOL[quality] * norm(state)
     true_error = error_norm(state, table1_if_rk4_16384)
@@ -228,30 +265,73 @@ def test_doubling_stops_where_its_estimate_holds(
     np.testing.assert_array_equal(made.coeffs, state.coeffs)
 
 
+# Problems beside Table 1 on which the ETDRK4 reference must agree with IF-RK4:
+# name -> (N, coefficients, initial condition, steps of the fine IF-RK4 solve), T = 1
+CROSS_CHECKS = {
+    "dispersive": (
+        32,
+        ModelParams(mu=1.0, gamma=0.1, eps_conv=1.0),  # nu = eps_react = 0: imaginary symbol
+        InitialConditionSpec(kind="paper"),
+        4096,
+    ),
+    "reaction": (
+        64,
+        ModelParams(nu=0.1, mu=0.1, eps_conv=0.1, eps_react=5.0),
+        InitialConditionSpec(kind="mode", mode_k=2, mode_amp=0.2, mode_offset=0.3),
+        2048,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def cross_check_problems():
+    """name -> (initial, params, fine IF-RK4 solution at T = 1)."""
+    problems = {}
+    for name, (n_modes, params, ic, steps) in CROSS_CHECKS.items():
+        initial = build_initial(ic, make_grid(n_modes, 0.0, TWO_PI))
+        sym = linear_symbol(params, initial.grid)
+        fine = integrating_factor_rk4_solve(initial, params, sym, 1.0 / steps, 1.0)
+        problems[name] = (initial, params, fine)
+    return problems
+
+
+@pytest.mark.parametrize("quality", sorted(_QUALITY_TOL))
+@pytest.mark.parametrize("problem", sorted(CROSS_CHECKS))
+def test_etdrk4_reference_agrees_with_a_fine_if_rk4_solve(cross_check_problems, problem, quality):
+    # as the Table-1 stop test above: the stop rule puts the estimate within
+    # tol, and the estimate is good to 2x
+    initial, params, fine = cross_check_problems[problem]
+    sym = linear_symbol(params, initial.grid)
+    tol = _QUALITY_TOL[quality]
+    state, _, estimate = _doubling_solve(_etdrk4_solve, initial, params, sym, 1.0, tol)
+    distance = error_norm(state, fine)
+    assert distance <= 2 * tol * norm(state)
+    assert distance / 2 <= estimate <= 2 * distance
+
+
 def _small_problem(params):
     g = make_grid(16, 0.0, TWO_PI)
     return build_initial(InitialConditionSpec(kind="paper"), g), linear_symbol(params, g)
 
 
 def test_doubling_raises_when_rounding_error_is_reached():
-    # weakly nonlinear: 256 steps are already at the rounding floor
+    # weakly nonlinear: a few doublings reach the rounding floor
     params = ModelParams(nu=1.0, eps_conv=0.01, eps_react=0.01)
     initial, sym = _small_problem(params)
-    with pytest.raises(ReferenceNotConverged, match="rounding error") as info:
-        _doubling_solve(initial, params, sym, 1.0, 1e-20)
+    with pytest.raises(ReferenceNotConverged, match="ETDRK4 reached rounding error") as info:
+        _doubling_solve(_etdrk4_solve, initial, params, sym, 1.0, 1e-20)
     assert isinstance(info.value, KbfError)
 
 
 def test_doubling_raises_at_the_step_cap(monkeypatch, full_params):
     monkeypatch.setattr(reference_module, "_MAX_STEPS", 512)
     initial, sym = _small_problem(full_params)
-    with pytest.raises(ReferenceNotConverged, match="within 512 steps"):
-        _doubling_solve(initial, full_params, sym, 1.0, 1e-20)
+    with pytest.raises(ReferenceNotConverged, match="ETDRK4 did not .* within 512 steps"):
+        _doubling_solve(_etdrk4_solve, initial, full_params, sym, 1.0, 1e-20)
 
 
-def _recording_solve(monkeypatch, fail_at):
-    """Patch the IF-RK4 solve to record its step counts and fail at those in ``fail_at``."""
-    original = reference_module.integrating_factor_rk4_solve
+def _recording_solve(fail_at):
+    """The ETDRK4 solve, recording its step counts and failing at those in ``fail_at``."""
     calls = []
 
     def solve(initial, params, symbol, dt, t_final, *rest):
@@ -259,29 +339,28 @@ def _recording_solve(monkeypatch, fail_at):
         calls.append(n)
         if n in fail_at:
             raise NonFiniteState(f"patched failure at {n} steps")
-        return original(initial, params, symbol, dt, t_final, *rest)
+        return _etdrk4_solve(initial, params, symbol, dt, t_final, *rest)
 
-    monkeypatch.setattr(reference_module, "integrating_factor_rk4_solve", solve)
-    return calls, original
+    return solve, calls
 
 
-def test_doubling_retries_a_coarse_non_finite_solve(monkeypatch, full_params):
+def test_doubling_retries_a_coarse_non_finite_solve(full_params):
     initial, sym = _small_problem(full_params)
-    calls, original = _recording_solve(monkeypatch, fail_at={256})
-    state, n, _ = _doubling_solve(initial, full_params, sym, 1.0, _QUALITY_TOL["high"])
-    assert calls == [256, 512, 1024]
-    assert n == 1024
-    direct = original(initial, full_params, sym, 1.0 / 1024, 1.0)
+    solve, calls = _recording_solve(fail_at={64})
+    state, n, _ = _doubling_solve(solve, initial, full_params, sym, 1.0, _QUALITY_TOL["high"])
+    assert calls == [64, 128, 256, 512]
+    assert n == 512
+    direct = _etdrk4_solve(initial, full_params, sym, 1.0 / 512, 1.0)
     np.testing.assert_array_equal(state.coeffs, direct.coeffs)
 
 
 def test_doubling_non_finite_at_the_cap_propagates(monkeypatch, full_params):
-    monkeypatch.setattr(reference_module, "_MAX_STEPS", 1024)
+    monkeypatch.setattr(reference_module, "_MAX_STEPS", 256)
     initial, sym = _small_problem(full_params)
-    calls, _ = _recording_solve(monkeypatch, fail_at={256, 512, 1024})
+    solve, calls = _recording_solve(fail_at={64, 128, 256})
     with pytest.raises(NonFiniteState):
-        _doubling_solve(initial, full_params, sym, 1.0, _QUALITY_TOL["high"])
-    assert calls == [256, 512, 1024]
+        _doubling_solve(solve, initial, full_params, sym, 1.0, _QUALITY_TOL["high"])
+    assert calls == [64, 128, 256]
 
 
 # ----- reference caches -----
@@ -312,7 +391,25 @@ def test_fixed_step_cache_entry_is_not_read(tmp_path, full_params, empty_memory_
     stale = tmp_path / f"{_fixed_step_content_key(initial, full_params, 0.5, 'standard')}.kbfr"
     write_reference_file(stale, SpectralState(np.zeros(32), g))
     ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
-    solved, _, _ = _doubling_solve(initial, full_params, sym, 0.5, _QUALITY_TOL["standard"])
+    solved, _, _ = _doubling_solve(
+        _etdrk4_solve, initial, full_params, sym, 0.5, _QUALITY_TOL["standard"]
+    )
+    np.testing.assert_array_equal(ref.coeffs, solved.coeffs)
+    assert len(list(tmp_path.glob("*.kbfr"))) == 2
+
+
+def test_if_rk4_cache_entry_is_not_read(tmp_path, monkeypatch, full_params, empty_memory_cache):
+    g = make_grid(32, 0.0, TWO_PI)
+    sym = linear_symbol(full_params, g)
+    initial = build_initial(InitialConditionSpec(kind="paper"), g)
+    with monkeypatch.context() as patch:
+        patch.setattr(reference_module, "_METHOD", b"if-rk4 step-doubling v2")
+        old_key = reference_module._content_key(initial, full_params, 0.5, "standard", "none")
+    write_reference_file(tmp_path / f"{old_key}.kbfr", SpectralState(np.zeros(32), g))
+    ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
+    solved, _, _ = _doubling_solve(
+        _etdrk4_solve, initial, full_params, sym, 0.5, _QUALITY_TOL["standard"]
+    )
     np.testing.assert_array_equal(ref.coeffs, solved.coeffs)
     assert len(list(tmp_path.glob("*.kbfr"))) == 2
 
@@ -343,7 +440,8 @@ def test_interrupted_disk_write_leaves_no_entry(tmp_path, monkeypatch, full_para
 def test_memory_cache_is_bounded(monkeypatch, empty_memory_cache):
     params = ModelParams(nu=1.0)
     initial, sym = _small_problem(params)
-    calls, _ = _recording_solve(monkeypatch, fail_at=set())
+    solve, calls = _recording_solve(fail_at=set())
+    monkeypatch.setattr(reference_module, "_etdrk4_solve", solve)
     horizons = [0.125 * (i + 1) for i in range(reference_module._MEMORY_CACHE_SIZE + 1)]
     for t in horizons:
         make_reference(initial, params, sym, t)
@@ -364,9 +462,33 @@ def test_dealiased_reference_is_cached_apart(empty_memory_cache):
     sym = linear_symbol(params, g)
     dealiased = make_reference(initial, params, sym, 0.5, dealias="two_thirds")
     plain = make_reference(initial, params, sym, 0.5)
-    solved, _, _ = _doubling_solve(initial, params, sym, 0.5, _QUALITY_TOL["standard"])
+    solved, _, _ = _doubling_solve(_etdrk4_solve, initial, params, sym, 0.5, _QUALITY_TOL["standard"])
     np.testing.assert_array_equal(plain.coeffs, solved.coeffs)
     assert error_norm(dealiased, plain) > 1e-3
+
+
+def test_make_reference_logs_where_it_was_served_from(tmp_path, caplog, full_params, empty_memory_cache):
+    initial, sym = _small_problem(full_params)
+    caplog.set_level(logging.DEBUG, logger="kbf")
+    make_reference(initial, full_params, sym, 1.0, quality="high", cache_dir=tmp_path)
+    make_reference(initial, full_params, sym, 1.0, quality="high", cache_dir=tmp_path)
+    reference_module._memory_cache.clear()
+    make_reference(initial, full_params, sym, 1.0, quality="high", cache_dir=tmp_path)
+    records = [r for r in caplog.records if r.name == "kbf"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    _, steps, estimate = _doubling_solve(
+        _etdrk4_solve, initial, full_params, sym, 1.0, _QUALITY_TOL["high"]
+    )
+    method = "etdrk4 step-doubling v3"
+    assert [r.reference for r in records] == [
+        {"method": method, "steps": steps, "estimate": estimate, "source": "solve"},
+        {"method": method, "steps": steps, "estimate": estimate, "source": "memory"},
+        {"method": method, "steps": None, "estimate": None, "source": "disk"},
+    ]
+    assert records[0].getMessage() == (
+        f"reference {method} from solve: steps {steps}, estimate {estimate}"
+    )
+    assert logging.getLogger("kbf").handlers == []
 
 
 # ----- coupling to the production scheme (sanity) -----

@@ -48,9 +48,12 @@ CASES = {
     "params_nu_sign": (lambda: ModelParams(nu=-1.0), "nu"),
     "params_gamma_inf": (lambda: ModelParams(gamma=math.inf), "gamma"),
     "params_eps_react_nan": (lambda: ModelParams(eps_react=math.nan), "eps_react"),
+    "params_nu_str": (lambda: ModelParams(nu="1"), "nu"),
     "grid_odd": (lambda: make_grid(5, 0.0, 1.0), "n_modes"),
     "grid_start_inf": (lambda: make_grid(8, math.inf, 1.0), "domain_start"),
     "grid_length_negative": (lambda: make_grid(8, 0.0, -1.0), "domain_length"),
+    "grid_start_str": (lambda: make_grid(16, "0", 1.0), "domain_start"),
+    "grid_length_str": (lambda: make_grid(16, 0.0, "1"), "domain_length"),
     "solve_dt_zero": (lambda: SolveConfig(dt=0.0, t_final=1.0), "dt"),
     "solve_partial_steps": (lambda: SolveConfig(dt=0.3, t_final=1.0), "dt"),
     "solve_dt_underflow": (lambda: SolveConfig(dt=1e-320, t_final=1.0), "dt"),
@@ -75,6 +78,7 @@ CASES = {
         lambda: integrating_factor_rk4_solve(STATE, PARAMS, SYMBOL, 0.5, math.inf), "t_final"
     ),
     "ic_c_inf": (lambda: InitialConditionSpec(kind="constant", c=math.inf), "ic.c"),
+    "ic_c_str": (lambda: InitialConditionSpec(kind="constant", c="1"), "ic.c"),
     "ic_mode_k_fraction": (lambda: InitialConditionSpec(kind="mode", mode_k=1.5), "ic.mode_k"),
     "ic_mode_offset_inf": (
         lambda: InitialConditionSpec(kind="mode", mode_offset=-math.inf), "ic.mode_offset"
