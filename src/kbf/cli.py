@@ -39,7 +39,11 @@ from .harness import (
 )
 from .model import ModelParams, linear_symbol
 from .reference import (
-    _QUALITY_TOL, integrating_factor_rk4_solve, linear_exact_solution, logistic_exact,
+    _QUALITY_TOL,
+    _etdrk4_solve,
+    integrating_factor_rk4_solve,
+    linear_exact_solution,
+    logistic_exact,
 )
 from .spectral import (
     GridSpec,
@@ -285,22 +289,27 @@ def _oracle_suite():
         expected = initial.coeffs[1] * np.exp(1j * 0.7)
         return float(abs(moved.coeffs[1] - expected)), 1e-12
 
-    def integrating_factor_linear():
-        grid = make_grid(64, 0.0, TWO_PI)
-        params = ModelParams(nu=1.0, mu=1.0, gamma=1.0)
-        initial = build_initial(InitialConditionSpec(kind="paper"), grid)
-        sym = linear_symbol(params, grid)
-        solved = integrating_factor_rk4_solve(initial, params, sym, 0.25, 1.0)
-        exact = linear_exact_solution(initial, sym, 1.0)
-        diff = norm(SpectralState(solved.coeffs - exact.coeffs, grid))
-        return float(diff), 1e-12
+    def exact_linear(solve):
+        # with eps_conv = eps_react = 0 both reference integrators are exact
+        def check():
+            grid = make_grid(64, 0.0, TWO_PI)
+            params = ModelParams(nu=1.0, mu=1.0, gamma=1.0)
+            initial = build_initial(InitialConditionSpec(kind="paper"), grid)
+            sym = linear_symbol(params, grid)
+            solved = solve(initial, params, sym, 0.25, 1.0)
+            exact = linear_exact_solution(initial, sym, 1.0)
+            diff = norm(SpectralState(solved.coeffs - exact.coeffs, grid))
+            return float(diff), 1e-12
+
+        return check
 
     return [
         ("dft_round_trip", round_trip),
         ("heat_decay_closed_form", heat_decay),
         ("logistic_closed_form", logistic_reaction),
         ("dispersion_phase_advance", dispersion_phase),
-        ("integrating_factor_exact_linear", integrating_factor_linear),
+        ("integrating_factor_exact_linear", exact_linear(integrating_factor_rk4_solve)),
+        ("etdrk4_exact_linear", exact_linear(_etdrk4_solve)),
     ]
 
 

@@ -1,7 +1,8 @@
 """Periodic Fourier collocation core.
 
-Grid construction, the DFT/IDFT pair, spectral differentiation,
-trigonometric interpolation, discrete L2/H^s norms and dealiasing masks.
+Grid construction, the DFT/IDFT pair (and its dense real matrices for
+small grids), spectral differentiation, trigonometric interpolation,
+discrete L2/H^s norms and dealiasing masks.
 
 Conventions
 -----------
@@ -15,6 +16,7 @@ norm and s=0 Sobolev norms satisfy Parseval against it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -97,10 +99,11 @@ def _finite_real(value) -> bool:
 def make_grid(n_modes: int, domain_start: float, domain_length: float) -> GridSpec:
     """Build a periodic grid with ``n_modes`` equispaced collocation points.
 
-    ``n_modes`` must be even and at least 4; ``domain_length`` positive.
+    ``n_modes`` must be an even integer of at least 4; ``domain_length``
+    positive.
     """
-    if n_modes < 4 or n_modes % 2 != 0:
-        raise InvalidGrid("n_modes", f"must be even and >= 4, got {n_modes}")
+    if not isinstance(n_modes, numbers.Integral) or n_modes < 4 or n_modes % 2 != 0:
+        raise InvalidGrid("n_modes", f"must be an even integer >= 4, got {n_modes!r}")
     if not _finite_real(domain_start):
         raise InvalidGrid("domain_start", f"must be a finite real number, got {domain_start!r}")
     if not (_finite_real(domain_length) and domain_length > 0):
@@ -182,6 +185,24 @@ def to_spectral(values: np.ndarray, grid: GridSpec) -> SpectralState:
 def _from_half(half: np.ndarray, grid: GridSpec) -> SpectralState:
     """FFT-order state of real data from its half-spectrum ``k = 0..N/2``."""
     return SpectralState(np.concatenate((half, np.conj(half[-2:0:-1]))), grid)
+
+
+@functools.lru_cache(maxsize=8)
+def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only matrices of ``irfft`` and ``rfft`` on ``n`` points.
+
+    ``inv`` has shape ``(n, 2m)``, ``m = n/2+1``: ``inv @ c.view(float64)``
+    is ``irfft(c, n)``, built from the ``irfft`` of each unit real and unit
+    imaginary half-spectrum, so the imaginary parts at ``k = 0`` and Nyquist
+    are ignored as ``irfft`` ignores them.  ``fwd = rfft(eye(n))`` has shape
+    ``(n, m)``, so ``y @ fwd`` is ``rfft(y)``.
+    """
+    m = n // 2 + 1
+    inv = np.fft.irfft(np.eye(2 * m).view(np.complex128), n).T.copy()
+    fwd = np.fft.rfft(np.eye(n))
+    inv.setflags(write=False)
+    fwd.setflags(write=False)
+    return inv, fwd
 
 
 def _real_half(state: SpectralState) -> np.ndarray:

@@ -7,7 +7,9 @@ step, a full nonlinear step and another half linear step; a Lie-Trotter
 step is a full linear step followed by a full nonlinear step.  Both, and the
 nonlinear flow alone, run in one stepping kernel built once per solve on the
 real half-spectrum ``k = 0..N/2`` (``rfft`` layout), where each right-hand
-side costs one ``irfft`` and one batched ``rfft`` of ``[y^3, y^2]``.  The
+side costs one ``irfft`` and one batched ``rfft`` of ``[y^3, y^2]``, or on
+grids of at most ``_DENSE_MAX`` points the same two transforms as dense real
+matrices, which cost less than numpy's per-call FFT overhead there.  The
 public functions convert FFT-order ``SpectralState`` vectors at the boundary,
 so every state they return is exactly Hermitian, and they reject states that
 are not real-representable.  ``evolve`` runs a whole number of steps with
@@ -16,6 +18,7 @@ optional snapshots, an observer hook and blow-up guarding.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -29,6 +32,7 @@ from .spectral import (
     GridSpec,
     SpectralState,
     _derivative_symbol,
+    _dft_matrices,
     _from_half,
     _real_half,
     dealias_mask,
@@ -52,6 +56,11 @@ SCHEMES = ("strang", "lie_trotter")
 
 # evolve aborts when the L2 norm exceeds this multiple of the initial norm
 BLOWUP_NORM_FACTOR = 1e6
+
+# Largest grid whose right-hand side applies dense real-DFT matrices instead of
+# the irfft/rfft pair: per right-hand side the matrices win at N = 128 and lose
+# at N = 256, where the FFT's arithmetic outgrows its per-call overhead.
+_DENSE_MAX = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +112,7 @@ def _rk4_coeffs(coeffs: np.ndarray, dt: float, f) -> np.ndarray:
     c = f(coeffs + (0.5 * dt) * b)
     d = f(coeffs + dt * c)
     out = coeffs + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteState("RK4 stage produced non-finite values")
     return out
 
@@ -116,7 +125,7 @@ def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
 
     def f(coeffs):
         out = rhs(SpectralState(coeffs, grid)).coeffs
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFiniteState("right-hand side produced non-finite values")
         return out
 
@@ -182,12 +191,35 @@ class Trajectory:
     steps_taken: int
 
 
+@functools.lru_cache(maxsize=8)
+def _dense_forward(grid: GridSpec, eps_conv: float, eps_react: float, dealias: str) -> np.ndarray:
+    """Read-only real matrix of the dense right-hand side's forward half.
+
+    Its rows act on ``[y^3, y^2]`` flattened; read as complex, its columns are
+    the modes ``k = 0..N/2``.  The product is ``-(eps_conv/3)*ik*T(y^3) -
+    eps_react*T(y^2)`` with ``T`` the ``rfft`` matrix of ``_dft_matrices``
+    and the products dealiased by the rule ``dealias``.  Cached per grid,
+    coefficients and rule: at N = 128 a fresh matrix (266 kB) costs about as
+    much to allocate as a whole ``strang_step`` call.
+    """
+    m = grid.n_modes // 2 + 1
+    keep = dealias_mask(grid, dealias)[:m]
+    conv = (-eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
+    fwd = _dft_matrices(grid.n_modes)[1]
+    w = np.concatenate((fwd * (conv * keep), fwd * (-eps_react * keep))).view(np.float64)
+    w.setflags(write=False)
+    return w
+
+
 class _Stepper:
     """One splitting step on the real half-spectrum, built once per solve.
 
     Holds the linear factors of the scheme (``exp(lambda*dt/2)`` for Strang,
     ``exp(lambda*dt)`` for Lie-Trotter) and the nonlinear data on
     ``k = 0..N/2``.  Built without a symbol it only runs the nonlinear flow.
+    On grids of at most ``_DENSE_MAX`` points the right-hand side applies the
+    inverse matrix of ``_dft_matrices`` and the forward one of
+    ``_dense_forward`` instead of the FFT pair.
     """
 
     def __init__(
@@ -205,19 +237,30 @@ class _Stepper:
         if symbol is not None:
             duration = dt / 2.0 if self.strang else dt
             self.linear = build_propagator(symbol, duration).factors[:m]
-        self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
-        self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[:m]
         self.react = params.eps_react
         self.substeps = cfg.substeps
         self.sub_dt = dt / cfg.substeps
         self.powers = np.empty((2, grid.n_modes))
+        self.inv = None
+        if grid.n_modes <= _DENSE_MAX:
+            self.inv = _dft_matrices(grid.n_modes)[0]
+            self.fwd = _dense_forward(grid, params.eps_conv, params.eps_react, cfg.dealias)
+        else:
+            self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
+            self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[:m]
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         """Conservative right-hand side ``-(eps/3)*ik*T(y^3) + eps_react*(c - T(y^2))``."""
-        y = np.fft.irfft(c, self.n_modes)
+        dense = self.inv is not None
+        y = self.inv @ c.view(np.float64) if dense else np.fft.irfft(c, self.n_modes)
         powers = self.powers
         np.multiply(y, y, out=powers[1])
         np.multiply(powers[1], y, out=powers[0])
+        if dense:
+            out = (powers.reshape(-1) @ self.fwd).view(np.complex128)
+            if self.react != 0.0:
+                out += self.react * c
+            return out
         cubed, squared = spectra = np.fft.rfft(powers)
         if self.drop is not None:
             spectra[:, self.drop] = 0.0
@@ -335,7 +378,7 @@ def evolve(
             raise BlowUp(step, step * dt, str(exc)) from exc
         # NaN fails the comparison, so one reduction checks both guards
         if not _half_l2(c, grid) <= norm_cap:
-            finite = np.all(np.isfinite(c))
+            finite = np.isfinite(c).all()
             raise BlowUp(
                 step, step * dt, "L2 norm exploded" if finite else "state turned non-finite"
             )

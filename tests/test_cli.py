@@ -456,5 +456,22 @@ def test_report_header_spells_the_run_as_emit_config(tmp_path, capsys, command, 
 def test_oracle_check_passes(capsys):
     assert run_cli(["oracle-check"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_oracle_check_runs_etdrk4_on_the_linear_equation(capsys, monkeypatch):
+    assert run_cli(["oracle-check"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert sum(line.startswith("PASS etdrk4_exact_linear ") for line in lines) == 1
+    # a full step that advances the linear flow by only half a step must fail it
+    weights = reference_module._etd_weights
+
+    def half_steps(lam, h):
+        e_half, _, *rest = weights(lam, h)
+        return (e_half, e_half, *rest)
+
+    monkeypatch.setattr(reference_module, "_etd_weights", half_steps)
+    assert run_cli(["oracle-check"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == ["etdrk4_exact_linear"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import fd_derivative, random_band_limited, slow_dft
+from kbf.spectral import _dft_matrices
 from kbf import (
     ConfigError,
     DimensionMismatch,
@@ -149,6 +150,18 @@ def test_to_physical_rejects_contaminated_state():
     c[1] = 1.0  # no conjugate partner
     with pytest.raises(NotRealRepresentable):
         to_physical(SpectralState(c, g))
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_dft_matrices_are_irfft_and_rfft(rng, n):
+    inv, fwd = _dft_matrices(n)
+    # imaginary parts at k = 0 and Nyquist too: irfft ignores them, and so must inv
+    c = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    expected = np.fft.irfft(c, n)
+    assert np.max(np.abs(inv @ c.view(np.float64) - expected)) <= 1e-14 * np.max(np.abs(expected))
+    y = rng.standard_normal(n)
+    expected = np.fft.rfft(y)
+    assert np.max(np.abs(y @ fwd - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 # ----- spectral differentiation -----

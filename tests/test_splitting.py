@@ -26,6 +26,7 @@ from kbf import (
     to_physical,
     to_spectral,
 )
+from kbf import splitting
 from helpers import full_spectrum_solve
 
 TWO_PI = 2.0 * np.pi
@@ -216,7 +217,11 @@ def _rich_initial(n):
     return to_spectral(0.5 + 0.25 * np.sin(x) + 0.1 * np.cos(3 * x) - 0.05 * np.sin(5 * x), g)
 
 
-@pytest.mark.parametrize("n_modes", [16, 256])
+# the dense path's largest grid, and the FFT path's smallest even one
+_DENSE_EDGE = [splitting._DENSE_MAX, splitting._DENSE_MAX + 2]
+
+
+@pytest.mark.parametrize("n_modes", [16, 256, *_DENSE_EDGE])
 @pytest.mark.parametrize("substeps", [1, 3])
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])
 @pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
@@ -233,6 +238,24 @@ def test_kernel_matches_full_spectrum_composition(full_params, scheme, dealias, 
     ours = evolve(initial, full_params, cfg).final.coeffs
     ref = full_spectrum_solve(initial, full_params, sym, dt, n_steps, scheme, dealias, substeps)
     assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_modes", [8, 16, 64, splitting._DENSE_MAX])
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+def test_dense_kernel_matches_fft_kernel(monkeypatch, full_params, scheme, dealias, substeps, n_modes):
+    initial = _rich_initial(n_modes)
+    cfg = SolveConfig(
+        dt=1.0 / 256,
+        t_final=1.0,
+        scheme=scheme,
+        nonlinear_cfg=NonlinearFlowConfig(substeps=substeps, dealias=dealias),
+    )
+    dense = evolve(initial, full_params, cfg).final.coeffs
+    monkeypatch.setattr(splitting, "_DENSE_MAX", 0)
+    fft = evolve(initial, full_params, cfg).final.coeffs
+    assert np.max(np.abs(dense - fft)) <= 1e-13 * np.max(np.abs(fft))
 
 
 def _assert_exactly_hermitian(coeffs):
@@ -259,6 +282,21 @@ def test_outputs_are_exactly_hermitian(rng, full_params):
         _assert_exactly_hermitian(strang_step(s, 0.01, full_params, sym).coeffs)
         _assert_exactly_hermitian(lie_trotter_step(s, 0.01, full_params, sym).coeffs)
         _assert_exactly_hermitian(nonlinear_flow(s, 0.01, full_params).coeffs)
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+def test_dense_kernel_outputs_are_exactly_hermitian(rng, full_params, dealias):
+    for n in (8, 16, 64, splitting._DENSE_MAX):
+        g = make_grid(n, 0.0, TWO_PI)
+        state = to_spectral(0.5 + 0.1 * rng.standard_normal(n), g)
+        sym = linear_symbol(full_params, g)
+        flow = NonlinearFlowConfig(substeps=2, dealias=dealias)
+        cfg = SolveConfig(dt=1.0 / 256, t_final=0.125, snapshot_stride=8, nonlinear_cfg=flow)
+        for snap in evolve(state, full_params, cfg).states:
+            _assert_exactly_hermitian(snap.coeffs)
+        _assert_exactly_hermitian(strang_step(state, 0.01, full_params, sym, flow).coeffs)
+        _assert_exactly_hermitian(lie_trotter_step(state, 0.01, full_params, sym, flow).coeffs)
+        _assert_exactly_hermitian(nonlinear_flow(state, 0.01, full_params, flow).coeffs)
 
 
 def test_non_real_input_is_rejected(full_params):

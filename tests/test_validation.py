@@ -50,6 +50,8 @@ CASES = {
     "params_eps_react_nan": (lambda: ModelParams(eps_react=math.nan), "eps_react"),
     "params_nu_str": (lambda: ModelParams(nu="1"), "nu"),
     "grid_odd": (lambda: make_grid(5, 0.0, 1.0), "n_modes"),
+    "grid_n_modes_str": (lambda: make_grid("16", 0.0, 1.0), "n_modes"),
+    "grid_n_modes_float": (lambda: make_grid(16.0, 0.0, 1.0), "n_modes"),
     "grid_start_inf": (lambda: make_grid(8, math.inf, 1.0), "domain_start"),
     "grid_length_negative": (lambda: make_grid(8, 0.0, -1.0), "domain_length"),
     "grid_start_str": (lambda: make_grid(16, "0", 1.0), "domain_start"),
