@@ -168,15 +168,18 @@ def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, dealias: str):
     conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
     keep = None if dealias == "none" else dealias_mask(grid, dealias)[:m]
     react = params.eps_react
+    # the transforms write into these instead of allocating their outputs per call
+    y = np.empty(n)
     powers = np.empty((2, n))
+    spectra = np.empty((2, m), dtype=complex)
 
     def rhs(c: np.ndarray) -> np.ndarray:
-        y = np.fft.irfft(c, n)
+        np.fft.irfft(c, n, out=y)
         np.multiply(y, y, out=powers[1])
         np.multiply(y, powers[1], out=powers[0])
-        spectra = np.fft.rfft(powers)
+        np.fft.rfft(powers, out=spectra)
         if keep is not None:
-            spectra *= keep
+            np.multiply(spectra, keep, out=spectra)
         cubed, squared = spectra
         return conv * cubed + react * (c - squared)
 
@@ -204,6 +207,7 @@ def _etdrk4_solve(
     e_half, e_full, q, f1, f2, f3 = _etd_weights(symbol.values[: grid.n_modes // 2 + 1], dt)
     f = _half_spectrum_rhs(grid, params, dealias)
     v = _real_half(initial)
+    two_f2 = 2.0 * f2
     for step in range(n):
         nv = f(v)
         ev = e_half * v
@@ -212,7 +216,7 @@ def _etdrk4_solve(
         b = ev + q * na
         nb = f(b)
         c = e_half * a + q * (2.0 * nb - nv)
-        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * f(c)
+        v = e_full * v + f1 * nv + two_f2 * (na + nb) + f3 * f(c)
         if not np.all(np.isfinite(v)):
             raise NonFiniteState(f"reference solve turned non-finite at step {step + 1}")
     return _from_half(v, grid)

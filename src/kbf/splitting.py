@@ -220,27 +220,36 @@ class _Stepper:
     On grids of at most ``_DENSE_MAX`` points the right-hand side applies the
     inverse matrix of ``_dft_matrices`` and the forward one of
     ``_dense_forward`` instead of the FFT pair.
+
+    With a scalar ``dt`` a state is one half-spectrum.  With a 1-D array of
+    step sizes, one per lane, the states of as many independent solves on the
+    same grid are stacked as ``(lanes, N/2+1)``: every transform acts on the
+    whole stack at once, and each lane's rows equal its own solve's bit for
+    bit.  ``narrow`` drops lanes from the end.
     """
 
     def __init__(
         self,
         grid: GridSpec,
         params: ModelParams,
-        dt: float,
+        dt: float | np.ndarray,
         cfg: NonlinearFlowConfig,
         symbol: LinearSymbol | None = None,
         scheme: str = "strang",
     ):
         m = grid.n_modes // 2 + 1
+        lanes = np.shape(dt)
         self.n_modes = grid.n_modes
         self.strang = scheme == "strang"
         if symbol is not None:
-            duration = dt / 2.0 if self.strang else dt
-            self.linear = build_propagator(symbol, duration).factors[:m]
+            durations = np.ravel(dt) / (2.0 if self.strang else 1.0)
+            factors = [build_propagator(symbol, t).factors[:m] for t in durations]
+            self.linear = np.reshape(factors, lanes + (m,))
         self.react = params.eps_react
         self.substeps = cfg.substeps
-        self.sub_dt = dt / cfg.substeps
-        self.powers = np.empty((2, grid.n_modes))
+        # a column per lane broadcasts each lane's substep over its modes
+        self.sub_dt = np.divide(dt, cfg.substeps)[:, None] if lanes else dt / cfg.substeps
+        self.powers = np.empty(lanes + (2, grid.n_modes))
         self.inv = None
         if grid.n_modes <= _DENSE_MAX:
             self.inv = _dft_matrices(grid.n_modes)[0]
@@ -248,25 +257,56 @@ class _Stepper:
         else:
             self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
             self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[:m]
+            # the transforms write into these instead of allocating their outputs per call
+            self.y = np.empty(lanes + (grid.n_modes,))
+            self.spectra = np.empty(lanes + (2, m), dtype=complex)
+        self._views()
+
+    def _views(self) -> None:
+        # bound once per lane count, not per right-hand side
+        self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
+        if self.inv is None:
+            self.cubed, self.squared = self.spectra[..., 0, :], self.spectra[..., 1, :]
+
+    def narrow(self, lanes: int) -> None:
+        """Keep the first ``lanes`` lanes; a last lane drops the lane axis, as a lone solve."""
+        keep = slice(lanes) if lanes > 1 else 0
+        self.linear = self.linear[keep]
+        self.sub_dt = self.sub_dt[keep] if lanes > 1 else self.sub_dt.item(0)
+        self.powers = self.powers[keep]
+        if self.inv is None:
+            self.y = self.y[keep]
+            self.spectra = self.spectra[keep]
+        self._views()
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         """Conservative right-hand side ``-(eps/3)*ik*T(y^3) + eps_react*(c - T(y^2))``."""
         dense = self.inv is not None
-        y = self.inv @ c.view(np.float64) if dense else np.fft.irfft(c, self.n_modes)
-        powers = self.powers
-        np.multiply(y, y, out=powers[1])
-        np.multiply(powers[1], y, out=powers[0])
+        # lanes take one matrix product each: a product over the whole stack rounds differently
+        lone = c.ndim == 1
         if dense:
-            out = (powers.reshape(-1) @ self.fwd).view(np.complex128)
+            v = c.view(np.float64)
+            y = self.inv @ v if lone else (self.inv @ v[:, :, None])[:, :, 0]
+        else:
+            y = np.fft.irfft(c, self.n_modes, out=self.y)
+        powers = self.powers
+        np.multiply(y, y, out=self.squares)
+        np.multiply(self.squares, y, out=self.cubes)
+        if dense:
+            if lone:
+                out = (powers.reshape(-1) @ self.fwd).view(np.complex128)
+            else:
+                out = (powers.reshape(len(c), 1, -1) @ self.fwd)[:, 0].view(np.complex128)
             if self.react != 0.0:
                 out += self.react * c
             return out
-        cubed, squared = spectra = np.fft.rfft(powers)
+        np.fft.rfft(powers, out=self.spectra)
         if self.drop is not None:
-            spectra[:, self.drop] = 0.0
-        out = self.conv * cubed
+            self.spectra[..., self.drop] = 0.0
+        out = self.conv * self.cubed
         if self.react != 0.0:
-            # in place on the fresh transform; equals eps_react*(c - T(y^2)) bit for bit
+            # in place on the transform buffer; equals eps_react*(c - T(y^2)) bit for bit
+            squared = self.squared
             squared -= c
             squared *= -self.react
             out += squared
@@ -388,3 +428,41 @@ def evolve(
     return Trajectory(
         times=tuple(times), states=tuple(states), final=states[-1], steps_taken=n
     )
+
+
+def _evolve_ladder(initial: SpectralState, params: ModelParams, configs) -> dict | None:
+    """``{config: evolve(initial, params, config).final}`` for each of ``configs``.
+
+    The configs may differ in ``dt`` only.  Their solves run as lanes of one
+    stepper, longest first, so the lanes still running are always a prefix;
+    each lane is dropped once it has taken its steps, and its final state
+    equals ``evolve``'s bit for bit.  Returns None as soon as any lane trips
+    one of ``evolve``'s blow-up guards.
+    """
+    grid = initial.grid
+    configs = sorted(configs, key=lambda cfg: cfg.n_steps, reverse=True)
+    first = configs[0]
+    stepper = _Stepper(
+        grid, params, np.array([cfg.dt for cfg in configs]), first.nonlinear_cfg,
+        linear_symbol(params, grid), first.scheme,
+    )
+    c = _real_half(initial)
+    norm_cap = BLOWUP_NORM_FACTOR * max(_half_l2(c, grid), 1e-300)
+    c = np.tile(c, (len(configs), 1))
+    finals = {}
+    lanes = len(configs)
+    for step in range(1, first.n_steps + 1):
+        try:
+            c = stepper.step(c)
+        except NonFiniteState:
+            return None
+        rows = c.reshape(lanes, -1)
+        if not all(_half_l2(row, grid) <= norm_cap for row in rows):
+            return None
+        while lanes and configs[lanes - 1].n_steps == step:
+            lanes -= 1
+            finals[configs[lanes]] = _from_half(rows[lanes], grid)
+        if 0 < lanes < len(rows):
+            stepper.narrow(lanes)
+            c = c[:lanes] if lanes > 1 else c[0]
+    return finals

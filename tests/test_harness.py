@@ -14,7 +14,10 @@ from kbf import (
     ModelParams,
     NonlinearFlowConfig,
     NonPositiveError,
+    SolveConfig,
+    build_initial,
     error_norm,
+    evolve,
     make_grid,
     observed_order,
     report_from_csv,
@@ -252,10 +255,46 @@ def _logistic_blow_up_spec(axis):
 
 def test_temporal_blow_up_names_its_axis_value(monkeypatch):
     monkeypatch.setattr(harness_module, "make_reference", lambda initial, *args, **kw: initial)
-    with pytest.raises(BlowUp, match="^blow-up at axis value 40: L2 norm exploded$") as info:
-        temporal_convergence_study(_logistic_blow_up_spec((40,)))
-    assert info.value.step == 23
-    assert info.value.time == pytest.approx(1.15)
+    # with two lanes both blow up, and the error still names the smaller step count
+    for axis in ((40,), (80, 40)):
+        with pytest.raises(BlowUp, match="^blow-up at axis value 40: L2 norm exploded$") as info:
+            temporal_convergence_study(_logistic_blow_up_spec(axis))
+        assert info.value.step == 23
+        assert info.value.time == pytest.approx(1.15)
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+@pytest.mark.parametrize("n_modes", [64, 256])
+def test_temporal_ladder_matches_separate_solves(
+    monkeypatch, full_params, n_modes, scheme, substeps, dealias
+):
+    # N = 64 runs the dense kernel, N = 256 the FFT one
+    flow = NonlinearFlowConfig(substeps=substeps, dealias=dealias)
+    spec = ExperimentSpec(
+        params=full_params,
+        grid=make_grid(n_modes, 0.0, TWO_PI),
+        initial_condition=InitialConditionSpec(kind="paper"),
+        t_final=0.5,
+        scheme=scheme,
+        nonlinear_cfg=flow,
+        axis=(12, 3, 6),
+    )
+    initial = build_initial(spec.initial_condition, spec.grid)
+    expected = tuple(
+        error_norm(
+            evolve(initial, full_params, SolveConfig(0.5 / n, 0.5, scheme, flow)).final, initial
+        )
+        for n in (3, 6, 12)
+    )
+    monkeypatch.setattr(harness_module, "make_reference", lambda initial, *args, **kw: initial)
+
+    def separate_solve(*args, **kwargs):
+        raise AssertionError("a healthy study solves its step counts as one ladder")
+
+    monkeypatch.setattr(harness_module, "evolve", separate_solve)
+    assert temporal_convergence_study(spec).errors == expected
 
 
 def test_spatial_blow_up_on_the_finest_grid_names_it():

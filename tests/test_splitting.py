@@ -266,22 +266,27 @@ def _assert_exactly_hermitian(coeffs):
 
 
 def test_outputs_are_exactly_hermitian(rng, full_params):
+    ladder = [SolveConfig(dt=dt, t_final=0.25) for dt in (1.0 / 32, 1.0 / 16, 1.0 / 8)]
     for n in (16, 64, 256):
         g = make_grid(n, 0.0, TWO_PI)
         state = to_spectral(rng.standard_normal(n), g)
         _assert_exactly_hermitian(state.coeffs)
-    sym = linear_symbol(full_params, g)
-    # a state that is real only to within rounding is projected at the boundary
-    c = state.coeffs.copy()
-    c[3] += 1e-12j
-    nearly_real = SpectralState(c, g)
-    cfg = SolveConfig(dt=1.0 / 32, t_final=0.25, snapshot_stride=4)
-    for s in (state, nearly_real):
-        for snap in evolve(s, full_params, cfg).states:
-            _assert_exactly_hermitian(snap.coeffs)
-        _assert_exactly_hermitian(strang_step(s, 0.01, full_params, sym).coeffs)
-        _assert_exactly_hermitian(lie_trotter_step(s, 0.01, full_params, sym).coeffs)
-        _assert_exactly_hermitian(nonlinear_flow(s, 0.01, full_params).coeffs)
+        sym = linear_symbol(full_params, g)
+        # a state that is real only to within rounding is projected at the boundary
+        c = state.coeffs.copy()
+        c[3] += 1e-12j
+        nearly_real = SpectralState(c, g)
+        cfg = SolveConfig(dt=1.0 / 32, t_final=0.25, snapshot_stride=4)
+        for s in (state, nearly_real):
+            for snap in evolve(s, full_params, cfg).states:
+                _assert_exactly_hermitian(snap.coeffs)
+            _assert_exactly_hermitian(strang_step(s, 0.01, full_params, sym).coeffs)
+            _assert_exactly_hermitian(lie_trotter_step(s, 0.01, full_params, sym).coeffs)
+            _assert_exactly_hermitian(nonlinear_flow(s, 0.01, full_params).coeffs)
+            finals = splitting._evolve_ladder(s, full_params, ladder)
+            assert set(finals) == set(ladder)
+            for final in finals.values():
+                _assert_exactly_hermitian(final.coeffs)
 
 
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])
