@@ -34,7 +34,7 @@ from .spectral import (
     to_physical,
 )
 from .splitting import (
-    NonlinearFlowConfig, SolveConfig, _check_scheme, _evolve_ladder, _positive_finite, evolve,
+    NonlinearFlowConfig, SolveConfig, _check_scheme, _march, _positive_finite, evolve,
 )
 
 __all__ = [
@@ -156,6 +156,9 @@ def error_norm(
 
 def observed_order(errors, refinement_factor: float = 2.0) -> list[float]:
     """Pairwise orders ``log(e_i/e_{i+1}) / log(factor)`` along a refinement ladder."""
+    f = refinement_factor
+    if not (isinstance(f, numbers.Real) and 0 < f < math.inf and f != 1):
+        raise ConfigError("refinement_factor", f"must be finite, > 0 and != 1, got {f!r}")
     errs = [float(e) for e in errors]
     if len(errs) < 2:
         raise NonPositiveError("need at least two errors")
@@ -208,7 +211,8 @@ def temporal_convergence_study(
     The reference is computed once, with the spec's dealias rule, and shared
     by every step count; the error is measured at the final time only.  The
     errors are absolute.  The step counts are solved together, as lanes of
-    one stepping kernel.
+    one time loop; after a blow-up they are solved again one by one in
+    ascending order, so the error names the first step count to blow up.
     """
     initial = build_initial(spec.initial_condition, spec.grid)
     symbol = linear_symbol(spec.params, spec.grid)
@@ -217,20 +221,20 @@ def temporal_convergence_study(
         dealias=spec.nonlinear_cfg.dealias,
     )
 
-    configs = {
-        n: SolveConfig(
-            dt=spec.t_final / n, t_final=spec.t_final, scheme=spec.scheme,
-            nonlinear_cfg=spec.nonlinear_cfg,
-        )
-        for n in spec.axis
-    }
-    finals = _evolve_ladder(initial, spec.params, configs.values())
+    flow = spec.nonlinear_cfg
+    configs = {n: SolveConfig(spec.t_final / n, spec.t_final, spec.scheme, flow) for n in spec.axis}
+
+    def solve(n_steps: int) -> SpectralState:
+        return evolve(initial, spec.params, configs[n_steps]).final
+
+    try:
+        finals = _march(initial, spec.params, configs.values())
+    except BlowUp:
+        # separate solves in ascending order name the first step count to blow up
+        finals = {configs[n]: _at_axis_value(n, solve) for n in sorted(configs)}
 
     def error_at(n_steps: int) -> float:
-        cfg = configs[n_steps]
-        # after a blow-up, separate solves in ascending order name the first step count to blow up
-        final = evolve(initial, spec.params, cfg).final if finals is None else finals[cfg]
-        return error_norm(final, ref, spec.norm)
+        return error_norm(finals[configs[n_steps]], ref, spec.norm)
 
     return _study(spec, "temporal", error_at, {"reference_quality": quality})
 

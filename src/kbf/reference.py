@@ -34,6 +34,7 @@ from .spectral import (
     GridSpec,
     SpectralState,
     _derivative_symbol,
+    _finite_real,
     _from_half,
     _real_half,
     dealias_mask,
@@ -119,7 +120,7 @@ def linear_exact_solution(
     Same contract as the propagator route but kept as a separate code path
     for oracle duty.
     """
-    if not (t >= 0) or not math.isfinite(t):
+    if not (_finite_real(t) and t >= 0):
         raise NegativeDuration(f"duration must be >= 0, got {t}")
     return SpectralState(np.exp(symbol.values * t) * initial.coeffs, initial.grid)
 

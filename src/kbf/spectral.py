@@ -151,8 +151,8 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in ("l2", "hs"):
             raise ValidationError("norm", f"kind must be 'l2' or 'hs', got {self.kind!r}")
-        if self.s < 0:
-            raise ValidationError("norm", f"Sobolev index must be >= 0, got {self.s}")
+        if not isinstance(self.s, numbers.Integral) or self.s < 0:
+            raise ValidationError("norm", f"Sobolev index must be an integer >= 0, got {self.s!r}")
 
     def __str__(self):
         return "l2" if self.kind == "l2" else f"h{self.s}"
@@ -265,9 +265,9 @@ def _derivative_symbol(grid: GridSpec, order: int) -> np.ndarray:
 
 
 def derivative(state: SpectralState, order: int) -> SpectralState:
-    """Spectral derivative of the given order (>= 1)."""
-    if order < 1:
-        raise ConfigError("order", f"must be >= 1, got {order}")
+    """Spectral derivative of the given integer order (>= 1)."""
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise ConfigError("order", f"must be an integer >= 1, got {order!r}")
     sym = _derivative_symbol(state.grid, order)
     return SpectralState(sym * state.coeffs, state.grid)
 

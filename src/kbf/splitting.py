@@ -12,8 +12,12 @@ grids of at most ``_DENSE_MAX`` points the same two transforms as dense real
 matrices, which cost less than numpy's per-call FFT overhead there.  The
 public functions convert FFT-order ``SpectralState`` vectors at the boundary,
 so every state they return is exactly Hermitian, and they reject states that
-are not real-representable.  ``evolve`` runs a whole number of steps with
-optional snapshots, an observer hook and blow-up guarding.
+are not real-representable.  Every solve runs through one time loop,
+``_march``: ``evolve`` is a single solve of a whole number of steps with
+optional snapshots and an observer hook, and the temporal study solves its
+step counts together as lanes of one kernel, building a fresh kernel for the
+lanes still running each time some finish.  The loop guards against blow-up
+and raises BlowUp.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .spectral import (
     SpectralState,
     _derivative_symbol,
     _dft_matrices,
+    _finite_real,
     _from_half,
     _real_half,
     dealias_mask,
@@ -92,7 +97,7 @@ def build_propagator(symbol: LinearSymbol, t: float) -> LinearPropagator:
     Negative durations are rejected: the backward flow amplifies high modes
     without bound when ``nu > 0``.
     """
-    if not (t >= 0) or not math.isfinite(t):
+    if not (_finite_real(t) and t >= 0):
         raise NegativeDuration(f"propagator duration must be >= 0, got {t}")
     factors = np.exp(symbol.values * t)
     factors.setflags(write=False)
@@ -119,8 +124,7 @@ def _rk4_coeffs(coeffs: np.ndarray, dt: float, f) -> np.ndarray:
 
 def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
     """One classical four-stage Runge-Kutta step of ``state' = rhs(state)``."""
-    if not math.isfinite(dt):
-        raise ConfigError("dt", f"must be finite, got {dt}")
+    _finite_dt(dt)
     grid = state.grid
 
     def f(coeffs):
@@ -130,6 +134,12 @@ def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
         return out
 
     return SpectralState(_rk4_coeffs(state.coeffs, dt, f), grid)
+
+
+def _finite_dt(dt) -> None:
+    """Raise ConfigError("dt") unless ``dt`` is a finite real number; it may be negative."""
+    if not _finite_real(dt):
+        raise ConfigError("dt", f"must be a finite real number, got {dt!r}")
 
 
 def _positive_finite(key: str, value) -> None:
@@ -212,7 +222,7 @@ def _dense_forward(grid: GridSpec, eps_conv: float, eps_react: float, dealias: s
 
 
 class _Stepper:
-    """One splitting step on the real half-spectrum, built once per solve.
+    """One splitting step on the real half-spectrum, built once per set of lanes.
 
     Holds the linear factors of the scheme (``exp(lambda*dt/2)`` for Strang,
     ``exp(lambda*dt)`` for Lie-Trotter) and the nonlinear data on
@@ -221,35 +231,36 @@ class _Stepper:
     inverse matrix of ``_dft_matrices`` and the forward one of
     ``_dense_forward`` instead of the FFT pair.
 
-    With a scalar ``dt`` a state is one half-spectrum.  With a 1-D array of
-    step sizes, one per lane, the states of as many independent solves on the
+    ``dts`` holds one step size per lane.  With one lane a state is one
+    half-spectrum; with more, the states of as many independent solves on the
     same grid are stacked as ``(lanes, N/2+1)``: every transform acts on the
     whole stack at once, and each lane's rows equal its own solve's bit for
-    bit.  ``narrow`` drops lanes from the end.
+    bit.
     """
 
     def __init__(
         self,
         grid: GridSpec,
         params: ModelParams,
-        dt: float | np.ndarray,
+        dts,
         cfg: NonlinearFlowConfig,
         symbol: LinearSymbol | None = None,
         scheme: str = "strang",
     ):
         m = grid.n_modes // 2 + 1
-        lanes = np.shape(dt)
+        lanes = (len(dts),) if len(dts) > 1 else ()
         self.n_modes = grid.n_modes
         self.strang = scheme == "strang"
         if symbol is not None:
-            durations = np.ravel(dt) / (2.0 if self.strang else 1.0)
-            factors = [build_propagator(symbol, t).factors[:m] for t in durations]
+            split = 2.0 if self.strang else 1.0
+            factors = [build_propagator(symbol, dt / split).factors[:m] for dt in dts]
             self.linear = np.reshape(factors, lanes + (m,))
         self.react = params.eps_react
         self.substeps = cfg.substeps
         # a column per lane broadcasts each lane's substep over its modes
-        self.sub_dt = np.divide(dt, cfg.substeps)[:, None] if lanes else dt / cfg.substeps
+        self.sub_dt = np.divide(dts, cfg.substeps)[:, None] if lanes else dts[0] / cfg.substeps
         self.powers = np.empty(lanes + (2, grid.n_modes))
+        self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
         self.inv = None
         if grid.n_modes <= _DENSE_MAX:
             self.inv = _dft_matrices(grid.n_modes)[0]
@@ -260,24 +271,7 @@ class _Stepper:
             # the transforms write into these instead of allocating their outputs per call
             self.y = np.empty(lanes + (grid.n_modes,))
             self.spectra = np.empty(lanes + (2, m), dtype=complex)
-        self._views()
-
-    def _views(self) -> None:
-        # bound once per lane count, not per right-hand side
-        self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
-        if self.inv is None:
             self.cubed, self.squared = self.spectra[..., 0, :], self.spectra[..., 1, :]
-
-    def narrow(self, lanes: int) -> None:
-        """Keep the first ``lanes`` lanes; a last lane drops the lane axis, as a lone solve."""
-        keep = slice(lanes) if lanes > 1 else 0
-        self.linear = self.linear[keep]
-        self.sub_dt = self.sub_dt[keep] if lanes > 1 else self.sub_dt.item(0)
-        self.powers = self.powers[keep]
-        if self.inv is None:
-            self.y = self.y[keep]
-            self.spectra = self.spectra[keep]
-        self._views()
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         """Conservative right-hand side ``-(eps/3)*ik*T(y^3) + eps_react*(c - T(y^2))``."""
@@ -329,14 +323,19 @@ def nonlinear_flow(
     cfg: NonlinearFlowConfig = NonlinearFlowConfig(),
 ) -> SpectralState:
     """Advance the nonlinear subproblem by ``dt`` using RK4 substeps."""
-    if not math.isfinite(dt):
-        raise ConfigError("dt", f"must be finite, got {dt}")
-    half = _Stepper(state.grid, params, dt, cfg).nonlinear(_real_half(state))
+    _finite_dt(dt)
+    half = _Stepper(state.grid, params, (dt,), cfg).nonlinear(_real_half(state))
     return _from_half(half, state.grid)
 
 
 def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
-    """Discrete L2 norm of the real data whose half-spectrum is ``half``."""
+    """Discrete L2 norm of the real data whose half-spectrum is ``half``.
+
+    Of a stack of half-spectra it is the norm of all of them together, which
+    no lane's own norm exceeds.
+    """
+    if half.ndim > 1:
+        return math.hypot(*(_half_l2(lane, grid) for lane in half))
     sq = 2.0 * np.vdot(half, half).real - abs(half[0]) ** 2 - abs(half[-1]) ** 2
     return math.sqrt(sq * grid.spacing / grid.n_modes)
 
@@ -344,7 +343,7 @@ def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
 def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
     _positive_finite("dt", dt)
     _check_symbol(symbol, params, state.grid)
-    stepper = _Stepper(state.grid, params, dt, cfg, symbol, scheme)
+    stepper = _Stepper(state.grid, params, (dt,), cfg, symbol, scheme)
     return _from_half(stepper.step(_real_half(state)), state.grid)
 
 
@@ -386,83 +385,68 @@ def evolve(
     """
     grid = initial.grid
     n = config.n_steps
-    dt = config.dt
     stride = config.snapshot_stride
-    stepper = _Stepper(
-        grid, params, dt, config.nonlinear_cfg, linear_symbol(params, grid), config.scheme
-    )
-    c = _real_half(initial)
-    norm_cap = BLOWUP_NORM_FACTOR * max(_half_l2(c, grid), 1e-300)
+    times, states = [], []
 
-    snap_steps = {n}
-    if stride > 0:
-        snap_steps.update(range(0, n + 1, stride))
-
-    times = []
-    states = []
-
-    def record(step, half):
-        t = config.t_final if step == n else step * dt
-        s = _from_half(half, grid)
+    def record(step, s):
+        t = config.t_final if step == n else step * config.dt
         times.append(t)
         states.append(s)
         if observer is not None:
             observer(step, t, s)
 
-    if 0 in snap_steps:
-        record(0, c)
-    for step in range(1, n + 1):
-        try:
-            c = stepper.step(c)
-        except NonFiniteState as exc:
-            raise BlowUp(step, step * dt, str(exc)) from exc
-        # NaN fails the comparison, so one reduction checks both guards
-        if not _half_l2(c, grid) <= norm_cap:
-            finite = np.isfinite(c).all()
-            raise BlowUp(
-                step, step * dt, "L2 norm exploded" if finite else "state turned non-finite"
-            )
-        if step in snap_steps:
-            record(step, c)
+    def snapshot(step, half):
+        record(step, _from_half(half, grid))
 
-    return Trajectory(
-        times=tuple(times), states=tuple(states), final=states[-1], steps_taken=n
-    )
+    # the final state is recorded from the loop's result, not converted twice
+    snap_at = set(range(0, n, stride)) if stride > 0 else ()
+    record(n, _march(initial, params, (config,), snapshot, snap_at)[config])
+    return Trajectory(tuple(times), tuple(states), final=states[-1], steps_taken=n)
 
 
-def _evolve_ladder(initial: SpectralState, params: ModelParams, configs) -> dict | None:
-    """``{config: evolve(initial, params, config).final}`` for each of ``configs``.
+def _march(initial: SpectralState, params: ModelParams, configs, record=None, record_at=()):
+    """``{config: final state}`` of a solve from ``initial`` for each of ``configs``.
 
-    The configs may differ in ``dt`` only.  Their solves run as lanes of one
-    stepper, longest first, so the lanes still running are always a prefix;
-    each lane is dropped once it has taken its steps, and its final state
-    equals ``evolve``'s bit for bit.  Returns None as soon as any lane trips
-    one of ``evolve``'s blow-up guards.
+    The one time loop of every splitting solve.  The configs may differ in
+    ``dt`` only.  Their solves run as lanes of one stepper, longest first, so
+    the lanes still running are always a prefix; when lanes finish, a fresh
+    stepper is built for the rest.  ``record(step, half)`` is called at each
+    step in ``record_at``.  Raises BlowUp when a state turns non-finite or
+    the L2 norm of the lanes grows past ``BLOWUP_NORM_FACTOR`` times the
+    initial norm; the step and time it names are the longest solve's.
     """
     grid = initial.grid
     configs = sorted(configs, key=lambda cfg: cfg.n_steps, reverse=True)
+    # read once: the property re-validates on every call
+    counts = [cfg.n_steps for cfg in configs]
     first = configs[0]
-    stepper = _Stepper(
-        grid, params, np.array([cfg.dt for cfg in configs]), first.nonlinear_cfg,
-        linear_symbol(params, grid), first.scheme,
-    )
+    symbol = linear_symbol(params, grid)
     c = _real_half(initial)
     norm_cap = BLOWUP_NORM_FACTOR * max(_half_l2(c, grid), 1e-300)
-    c = np.tile(c, (len(configs), 1))
-    finals = {}
+    if 0 in record_at:
+        record(0, c)
     lanes = len(configs)
-    for step in range(1, first.n_steps + 1):
-        try:
-            c = stepper.step(c)
-        except NonFiniteState:
-            return None
-        rows = c.reshape(lanes, -1)
-        if not all(_half_l2(row, grid) <= norm_cap for row in rows):
-            return None
-        while lanes and configs[lanes - 1].n_steps == step:
+    c = np.tile(c, (lanes, 1)) if lanes > 1 else c
+    finals = {}
+    done = 0
+    while lanes:
+        dts = [cfg.dt for cfg in configs[:lanes]]
+        stepper = _Stepper(grid, params, dts, first.nonlinear_cfg, symbol, first.scheme)
+        for step in range(done + 1, counts[lanes - 1] + 1):
+            try:
+                c = stepper.step(c)
+            except NonFiniteState as exc:
+                raise BlowUp(step, step * first.dt, str(exc)) from exc
+            # NaN fails the comparison, so one reduction checks both guards
+            if not _half_l2(c, grid) <= norm_cap:
+                why = "L2 norm exploded" if np.isfinite(c).all() else "state turned non-finite"
+                raise BlowUp(step, step * first.dt, why)
+            if step in record_at:
+                record(step, c)
+        done = counts[lanes - 1]
+        rows = np.atleast_2d(c)
+        while lanes and counts[lanes - 1] == done:
             lanes -= 1
             finals[configs[lanes]] = _from_half(rows[lanes], grid)
-        if 0 < lanes < len(rows):
-            stepper.narrow(lanes)
-            c = c[:lanes] if lanes > 1 else c[0]
+        c = rows[:lanes] if lanes > 1 else rows[0]
     return finals

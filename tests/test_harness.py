@@ -59,6 +59,13 @@ def test_observed_order_rejects_bad_input():
         observed_order([1.0, 0.0])
 
 
+@pytest.mark.parametrize("factor", [1.0, 1, 0.0, -2.0, math.nan, math.inf, "2"])
+def test_observed_order_rejects_bad_refinement_factor(factor):
+    with pytest.raises(ConfigError) as info:
+        observed_order([4.0, 1.0], refinement_factor=factor)
+    assert info.value.key == "refinement_factor"
+
+
 # ----- error norm -----
 
 def test_error_norm_identical_states(rng):
@@ -261,6 +268,21 @@ def test_temporal_blow_up_names_its_axis_value(monkeypatch):
             temporal_convergence_study(_logistic_blow_up_spec(axis))
         assert info.value.step == 23
         assert info.value.time == pytest.approx(1.15)
+
+
+def test_temporal_blow_up_of_the_coarsest_lane_alone_names_it(monkeypatch):
+    monkeypatch.setattr(harness_module, "make_reference", lambda initial, *args, **kw: initial)
+    # only 4 steps of dt = 1 go unstable; the lanes of 8 and 16 steps stay bounded
+    spec = ExperimentSpec(
+        params=ModelParams(eps_conv=1.0, eps_react=1.0),
+        grid=make_grid(16, 0.0, TWO_PI),
+        initial_condition=InitialConditionSpec(kind="paper"),
+        t_final=4.0,
+        axis=(16, 4, 8),
+    )
+    with pytest.raises(BlowUp, match="^blow-up at axis value 4: L2 norm exploded$") as info:
+        temporal_convergence_study(spec)
+    assert (info.value.step, info.value.time) == (4, 4.0)
 
 
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])

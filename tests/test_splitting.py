@@ -193,6 +193,40 @@ def test_blow_up_trips_l2_guard_at_step_23(scheme):
     assert info.value.step == 23
 
 
+def test_blow_up_of_one_lane_trips_the_guard():
+    # with dt = 1 the explicit RK4 substep goes unstable by step 4 (t = 4);
+    # with dt = 1/2 the same solve stays bounded
+    params = ModelParams(eps_conv=1.0, eps_react=1.0)
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
+    healthy, unstable = SolveConfig(dt=0.5, t_final=4.0), SolveConfig(dt=1.0, t_final=4.0)
+    evolve(initial, params, healthy)
+    with pytest.raises(BlowUp, match="L2 norm exploded") as info:
+        evolve(initial, params, unstable)
+    assert info.value.step == 4
+    with pytest.raises(BlowUp, match="L2 norm exploded"):
+        splitting._march(initial, params, (healthy, unstable))
+
+
+def test_march_records_only_the_asked_steps_and_builds_once_per_finish(monkeypatch, full_params):
+    builds = []
+
+    class CountedStepper(splitting._Stepper):
+        def __init__(self, grid, params, dts, *args):
+            builds.append(len(dts))
+            super().__init__(grid, params, dts, *args)
+
+    monkeypatch.setattr(splitting, "_Stepper", CountedStepper)
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
+    ladder = [SolveConfig(dt=0.5 / n, t_final=0.5) for n in (6, 3, 12)]
+    assert set(splitting._march(initial, full_params, ladder)) == set(ladder)
+    assert builds == [3, 2, 1]
+    recorded = []
+    splitting._march(
+        initial, full_params, ladder[:1], lambda step, half: recorded.append(step), {0, 2, 5}
+    )
+    assert recorded == [0, 2, 5]
+
+
 def test_local_defect_third_order_in_asymptotic_window(full_params, grid256, sine_initial):
     # one-step defect |Psi(dt) - Psi(dt/2)^2| decays at the local order 3 once
     # |lambda|*dt < 1 for the populated modes (dt below ~2^-7 here)
@@ -283,7 +317,7 @@ def test_outputs_are_exactly_hermitian(rng, full_params):
             _assert_exactly_hermitian(strang_step(s, 0.01, full_params, sym).coeffs)
             _assert_exactly_hermitian(lie_trotter_step(s, 0.01, full_params, sym).coeffs)
             _assert_exactly_hermitian(nonlinear_flow(s, 0.01, full_params).coeffs)
-            finals = splitting._evolve_ladder(s, full_params, ladder)
+            finals = splitting._march(s, full_params, ladder)
             assert set(finals) == set(ladder)
             for final in finals.values():
                 _assert_exactly_hermitian(final.coeffs)

@@ -13,13 +13,16 @@ from kbf import (
     InvalidGrid,
     KbfError,
     ModelParams,
+    NegativeDuration,
     NonlinearFlowConfig,
     NormSpec,
     SolveConfig,
     ValidationError,
+    build_propagator,
     dealias_mask,
     derivative,
     integrating_factor_rk4_solve,
+    linear_exact_solution,
     linear_symbol,
     make_grid,
     make_reference,
@@ -73,6 +76,9 @@ CASES = {
     "dealias_mask_rule": (lambda: dealias_mask(G16, "foo"), "dealias"),
     "norm_kind": (lambda: NormSpec("h1"), "norm"),
     "norm_index": (lambda: NormSpec("hs", -1), "norm"),
+    # a fractional index would echo as h1.5, which no report parses back
+    "norm_index_fraction": (lambda: NormSpec("hs", 1.5), "norm"),
+    "norm_index_str": (lambda: NormSpec("hs", "2"), "norm"),
     "norm_text": (lambda: NormSpec.parse("hx"), "norm"),
     "reference_quality": (lambda: make_reference(STATE, PARAMS, SYMBOL, 1.0, quality="best"), "quality"),
     "reference_dt": (lambda: integrating_factor_rk4_solve(STATE, PARAMS, SYMBOL, 0.0, 1.0), "dt"),
@@ -87,8 +93,12 @@ CASES = {
     ),
     "strang_step_dt_inf": (lambda: strang_step(STATE, math.inf, PARAMS, SYMBOL), "dt"),
     "nonlinear_flow_dt": (lambda: nonlinear_flow(STATE, math.inf, PARAMS), "dt"),
+    "nonlinear_flow_dt_str": (lambda: nonlinear_flow(STATE, "0.1", PARAMS), "dt"),
     "rk4_step_dt": (lambda: rk4_step(STATE, math.nan, lambda s: s), "dt"),
+    "rk4_step_dt_str": (lambda: rk4_step(STATE, "0.1", lambda s: s), "dt"),
     "derivative_order": (lambda: derivative(STATE, 0), "order"),
+    "derivative_order_fraction": (lambda: derivative(STATE, 1.5), "order"),
+    "derivative_order_str": (lambda: derivative(STATE, "1"), "order"),
     "norm_without_grid": (lambda: norm(np.zeros(16)), "grid"),
     "experiment_empty_axis": (lambda: _spec(()), "axis"),
     "experiment_zero_axis": (lambda: _spec((12, 0)), "axis"),
@@ -118,6 +128,19 @@ def test_public_api_raises_keyed_kbf_errors(case):
     assert isinstance(exc, ValidationError) and isinstance(exc, ValueError)
     assert exc.key == key
     assert str(exc) == f"{key}: {exc.message}"
+
+
+# durations have their own unkeyed error type, so they sit outside CASES
+DURATION_CASES = {
+    "propagator_duration_str": lambda: build_propagator(SYMBOL, "1"),
+    "linear_exact_duration_str": lambda: linear_exact_solution(STATE, SYMBOL, "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DURATION_CASES))
+def test_bad_durations_raise_negative_duration(case):
+    with pytest.raises(NegativeDuration):
+        DURATION_CASES[case]()
 
 
 def test_construction_error_hierarchy():
