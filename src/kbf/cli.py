@@ -207,20 +207,20 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_study(cfg: RunConfig, flag: str, raw_axis: str, study, stem: str, **options):
-    """Write ``study`` on ``--<flag>`` to ``<stem>.csv`` and ``.txt``; axis errors go under flag."""
+def _run_study(cfg: RunConfig, flags: dict, raw_axis: str, study, stem: str, **options):
+    """Write ``study`` to ``<stem>.csv`` and ``.txt``; a key in ``flags`` reads as its flag."""
     out = _require_output(cfg)
     try:
         spec = ExperimentSpec(
             params=cfg.params, grid=cfg.grid, initial_condition=cfg.ic, norm=cfg.norm,
             t_final=cfg.solve.t_final, scheme=cfg.solve.scheme,
-            nonlinear_cfg=cfg.solve.nonlinear_cfg, axis=_parse_axis(flag, raw_axis),
+            nonlinear_cfg=cfg.solve.nonlinear_cfg, axis=_parse_axis(flags["axis"], raw_axis),
         )
         report = study(spec, **options)
     except ValidationError as exc:
-        if exc.key != "axis":
+        if exc.key not in flags:
             raise
-        raise ValidationError(flag, exc.message) from None
+        raise ValidationError(flags[exc.key], exc.message) from None
     (out / f"{stem}.csv").write_text(report_to_csv(report), encoding="utf-8")
     (out / f"{stem}.txt").write_text(report_to_text(report), encoding="utf-8")
     return report
@@ -235,7 +235,8 @@ def _parse_axis(key, raw) -> tuple:
 
 def _cmd_converge_time(cfg: RunConfig, steps: str, quality: str) -> int:
     report = _run_study(
-        cfg, "steps", steps, temporal_convergence_study, "convergence_time", quality=quality
+        cfg, {"axis": "steps"}, steps, temporal_convergence_study, "convergence_time",
+        quality=quality,
     )
     for a, e in zip(report.axis, report.errors):
         print(f"steps={a:6d}  error={e:.6e}")
@@ -245,8 +246,10 @@ def _cmd_converge_time(cfg: RunConfig, steps: str, quality: str) -> int:
 
 
 def _cmd_converge_space(cfg: RunConfig, modes: str, study_dt: float | None) -> int:
+    # the study's one step size is --study-dt: the config's dt is not read
     report = _run_study(
-        cfg, "modes", modes, spatial_convergence_study, "convergence_space", dt=study_dt
+        cfg, {"axis": "modes", "dt": "study-dt"}, modes, spatial_convergence_study,
+        "convergence_space", dt=study_dt,
     )
     for a, e in zip(report.axis, report.errors):
         print(f"n_modes={a:5d}  error={e:.6e}")

@@ -7,13 +7,13 @@ snapshots written by the CLI.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FileFormatError, GridMismatch, ValidationError
-from .spectral import GridSpec, SpectralState, _finite_real, to_spectral
+from .errors import _check_choice, _check_int, _check_real
+from .spectral import GridSpec, SpectralState, to_spectral
 
 __all__ = ["InitialConditionSpec", "build_initial"]
 
@@ -38,16 +38,12 @@ class InitialConditionSpec:
     path: str = ""
 
     def __post_init__(self):
-        if self.kind not in IC_KINDS:
-            raise ValidationError("ic.kind", f"must be one of {IC_KINDS}, got {self.kind!r}")
+        _check_choice(ValidationError, "ic.kind", self.kind, IC_KINDS)
         if self.kind == "file" and not self.path:
             raise ValidationError("ic.path", "required for ic.kind = file")
         for name in ("c", "mode_amp", "mode_offset"):
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise ValidationError(f"ic.{name}", f"must be a finite real number, got {value!r}")
-        if not isinstance(self.mode_k, numbers.Integral):
-            raise ValidationError("ic.mode_k", f"must be an integer, got {self.mode_k!r}")
+            _check_real(ValidationError, f"ic.{name}", getattr(self, name))
+        _check_int(ValidationError, "ic.mode_k", self.mode_k)
 
 
 def _read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:

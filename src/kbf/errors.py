@@ -1,4 +1,11 @@
-"""Exception types shared across the solver suite."""
+"""Exception types shared across the solver suite.
+
+The ``_check_*`` functions are every construction-time rule on a single
+value; each raises the caller's own keyed error class under the caller's key.
+"""
+
+import math as _math
+import numbers as _numbers
 
 
 class KbfError(Exception):
@@ -8,9 +15,11 @@ class KbfError(Exception):
 class ValidationError(KbfError, ValueError):
     """An input has an invalid or missing value; raised where it is constructed.
 
-    The one construction-time error: library constructors raise it (or a
-    subclass) naming their own field, and the CLI reports it under that
-    name.  It is also a ``ValueError``.
+    The one construction-time error: library constructors and functions
+    raise it, or one of its subclasses ``ConfigError``, ``InvalidGrid`` and
+    ``NegativeDuration``, naming their own field or argument, and the CLI
+    reports it under that name.  The rules on a single value are the
+    ``_check_*`` functions of this module.  It is also a ``ValueError``.
 
     Attributes
     ----------
@@ -48,10 +57,6 @@ class GridMismatch(KbfError):
     """Operands were built on different grids."""
 
 
-class NegativeDuration(KbfError):
-    """Backward propagation of the linear flow is rejected."""
-
-
 class NonFiniteState(KbfError):
     """A time-stepping stage produced NaN or infinity (blow-up signal)."""
 
@@ -73,6 +78,10 @@ class BlowUp(KbfError):
 
 class ConfigError(ValidationError):
     """Solve configuration is inconsistent (e.g. non-integral step count)."""
+
+
+class NegativeDuration(ConfigError):
+    """Backward propagation of the linear flow is rejected; keyed ``t``."""
 
 
 class NonPositiveError(KbfError):
@@ -102,3 +111,28 @@ class ReferenceNotConverged(KbfError):
 
 class SingularSolution(KbfError):
     """Closed-form solution hits a singularity (finite-time blow-up)."""
+
+
+def _check_int(error, key, value, minimum=None) -> None:
+    """Raise ``error(key, ...)`` unless ``value`` is an integer, at least ``minimum`` if given."""
+    # a bool is an Integral, but True is no count, and it would echo as "True"
+    integral = isinstance(value, _numbers.Integral) and not isinstance(value, bool)
+    if not integral or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(key, f"must be an integer{bound}, got {value!r}")
+
+
+def _check_real(error, key, value, lower=None, strict=False) -> None:
+    """Raise ``error(key, ...)`` unless ``value`` is a finite real ``>= lower`` (> if strict)."""
+    ok = isinstance(value, _numbers.Real) and not isinstance(value, bool) and _math.isfinite(value)
+    if ok and lower is not None:
+        ok = value > lower if strict else value >= lower
+    if not ok:
+        bound = "" if lower is None else f" {'>' if strict else '>='} {lower}"
+        raise error(key, f"must be a finite real number{bound}, got {value!r}")
+
+
+def _check_choice(error, key, value, choices) -> None:
+    """Raise ``error(key, ...)`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise error(key, f"must be one of {choices}, got {value!r}")

@@ -10,7 +10,6 @@ structured text form, both of which reparse exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from .conditions import InitialConditionSpec, build_initial
@@ -21,6 +20,9 @@ from .errors import (
     GridMismatch,
     InvalidGrid,
     NonPositiveError,
+    _check_choice,
+    _check_int,
+    _check_real,
 )
 from .model import ModelParams, linear_symbol
 from .reference import make_reference
@@ -33,9 +35,7 @@ from .spectral import (
     norm,
     to_physical,
 )
-from .splitting import (
-    NonlinearFlowConfig, SolveConfig, _check_scheme, _march, _positive_finite, evolve,
-)
+from .splitting import SCHEMES, NonlinearFlowConfig, SolveConfig, _march, evolve
 
 __all__ = [
     "ConvergenceReport",
@@ -102,8 +102,8 @@ class ConvergenceReport:
     def __post_init__(self):
         if list(self.axis) != sorted(self.axis) or len(set(self.axis)) != len(self.axis):
             raise ConfigError("axis", f"must be strictly increasing, got {self.axis}")
-        if any(not math.isfinite(e) for e in self.errors):
-            raise ConfigError("errors", f"must be finite, got {self.errors}")
+        for e in self.errors:
+            _check_real(ConfigError, "errors", e)
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,13 @@ class ExperimentSpec:
     nonlinear_cfg: NonlinearFlowConfig = NonlinearFlowConfig()
 
     def __post_init__(self):
-        _positive_finite("t_final", self.t_final)
-        _check_scheme(self.scheme)
+        _check_real(ConfigError, "t_final", self.t_final, 0, strict=True)
+        _check_choice(ConfigError, "scheme", self.scheme, SCHEMES)
         if not self.axis:
             raise ConfigError("axis", "must be non-empty")
-        if not all(isinstance(a, numbers.Integral) for a in self.axis):
-            raise ConfigError("axis", f"step and mode counts must be integers, got {self.axis}")
+        for a in self.axis:
+            _check_int(ConfigError, "axis", a, 1)
         axis = tuple(int(a) for a in self.axis)
-        if min(axis) < 1:
-            raise ConfigError("axis", f"step and mode counts must be >= 1, got {axis}")
         if len(set(axis)) != len(axis):
             raise ConfigError("axis", f"must not repeat a value, got {axis}")
         object.__setattr__(self, "axis", axis)
@@ -156,9 +154,9 @@ def error_norm(
 
 def observed_order(errors, refinement_factor: float = 2.0) -> list[float]:
     """Pairwise orders ``log(e_i/e_{i+1}) / log(factor)`` along a refinement ladder."""
-    f = refinement_factor
-    if not (isinstance(f, numbers.Real) and 0 < f < math.inf and f != 1):
-        raise ConfigError("refinement_factor", f"must be finite, > 0 and != 1, got {f!r}")
+    _check_real(ConfigError, "refinement_factor", refinement_factor, 0, strict=True)
+    if refinement_factor == 1:
+        raise ConfigError("refinement_factor", "must not be 1")
     errs = [float(e) for e in errors]
     if len(errs) < 2:
         raise NonPositiveError("need at least two errors")

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch, NonFiniteInput, ValidationError
-from .spectral import GridSpec, SpectralState, _derivative_symbol, _finite_real, to_physical
+from .errors import ConfigError, GridMismatch, NonFiniteInput, ValidationError, _check_real
+from .spectral import GridSpec, SpectralState, _derivative_symbol, to_physical
 
 __all__ = [
     "ModelParams",
@@ -47,11 +47,8 @@ class ModelParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not _finite_real(value):
-                raise ValidationError(f.name, f"must be a finite real number, got {value!r}")
-        if self.nu < 0:
-            raise ValidationError("nu", f"must be >= 0, got {self.nu}")
+            lower = 0 if f.name == "nu" else None
+            _check_real(ValidationError, f.name, getattr(self, f.name), lower)
 
 
 @dataclass(frozen=True, eq=False)

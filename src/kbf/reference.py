@@ -28,13 +28,15 @@ from .errors import (
     NonFiniteState,
     ReferenceNotConverged,
     SingularSolution,
+    _check_choice,
+    _check_real,
 )
 from .model import LinearSymbol, ModelParams, _check_symbol, _nonlinear_rhs_coeffs
 from .spectral import (
+    DEALIAS_RULES,
     GridSpec,
     SpectralState,
     _derivative_symbol,
-    _finite_real,
     _from_half,
     _real_half,
     dealias_mask,
@@ -90,14 +92,15 @@ def integrating_factor_rk4_solve(
         return _nonlinear_rhs_coeffs(c, params, ik, mask)
 
     c = initial.coeffs.copy()
-    for step in range(n):
-        a = f(c)
-        b = f(e_half * (c + (0.5 * dt) * a))
-        s3 = f(e_half * c + (0.5 * dt) * b)
-        s4 = f(e_full * c + dt * (e_half * s3))
-        c = e_full * c + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + s3) + s4)
-        if not np.all(np.isfinite(c)):
-            raise NonFiniteState(f"reference solve turned non-finite at step {step + 1}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n):
+            a = f(c)
+            b = f(e_half * (c + (0.5 * dt) * a))
+            s3 = f(e_half * c + (0.5 * dt) * b)
+            s4 = f(e_full * c + dt * (e_half * s3))
+            c = e_full * c + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + s3) + s4)
+            if not np.all(np.isfinite(c)):
+                raise NonFiniteState(f"reference solve turned non-finite at step {step + 1}")
     return SpectralState(c, grid)
 
 
@@ -120,8 +123,7 @@ def linear_exact_solution(
     Same contract as the propagator route but kept as a separate code path
     for oracle duty.
     """
-    if not (_finite_real(t) and t >= 0):
-        raise NegativeDuration(f"duration must be >= 0, got {t}")
+    _check_real(NegativeDuration, "t", t, 0)
     return SpectralState(np.exp(symbol.values * t) * initial.coeffs, initial.grid)
 
 
@@ -209,17 +211,19 @@ def _etdrk4_solve(
     f = _half_spectrum_rhs(grid, params, dealias)
     v = _real_half(initial)
     two_f2 = 2.0 * f2
-    for step in range(n):
-        nv = f(v)
-        ev = e_half * v
-        a = ev + q * nv
-        na = f(a)
-        b = ev + q * na
-        nb = f(b)
-        c = e_half * a + q * (2.0 * nb - nv)
-        v = e_full * v + f1 * nv + two_f2 * (na + nb) + f3 * f(c)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteState(f"reference solve turned non-finite at step {step + 1}")
+    # an overflow is reported once, as the NonFiniteState below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n):
+            nv = f(v)
+            ev = e_half * v
+            a = ev + q * nv
+            na = f(a)
+            b = ev + q * na
+            nb = f(b)
+            c = e_half * a + q * (2.0 * nb - nv)
+            v = e_full * v + f1 * nv + two_f2 * (na + nb) + f3 * f(c)
+            if not np.all(np.isfinite(v)):
+                raise NonFiniteState(f"reference solve turned non-finite at step {step + 1}")
     return _from_half(v, grid)
 
 
@@ -390,8 +394,9 @@ def make_reference(
     served from disk, which does not store them) and the source that served
     the result: ``memory``, ``disk`` or ``solve``.
     """
-    if quality not in _QUALITY_TOL:
-        raise ConfigError("quality", f"must be one of {sorted(_QUALITY_TOL)}, got {quality!r}")
+    _check_choice(ConfigError, "quality", quality, tuple(_QUALITY_TOL))
+    _check_real(ConfigError, "t_final", t_final, 0, strict=True)
+    _check_choice(ConfigError, "dealias", dealias, DEALIAS_RULES)
     _check_symbol(symbol, params, initial.grid)
     key = _content_key(initial, params, t_final, quality, dealias)
     hit = _cache_get(key)

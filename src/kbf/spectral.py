@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,9 @@ from .errors import (
     NonFiniteInput,
     NotRealRepresentable,
     ValidationError,
+    _check_choice,
+    _check_int,
+    _check_real,
 )
 
 __all__ = [
@@ -50,27 +52,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSpec:
     """Equispaced periodic grid on [a, a+L), right endpoint excluded."""
 
     n_modes: int
     domain_start: float
     domain_length: float
-    points: np.ndarray = field(repr=False)
-    wavenumber_scale: float
-
-    def __eq__(self, other):
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return (
-            self.n_modes == other.n_modes
-            and self.domain_start == other.domain_start
-            and self.domain_length == other.domain_length
-        )
-
-    def __hash__(self):
-        return hash((self.n_modes, self.domain_start, self.domain_length))
+    # derived from the three fields above, so equality and hash leave them out
+    points: np.ndarray = field(repr=False, compare=False)
+    wavenumber_scale: float = field(compare=False)
 
     @property
     def spacing(self) -> float:
@@ -91,23 +82,17 @@ def _int_wavenumbers(n: int) -> np.ndarray:
     return k.astype(np.int64)
 
 
-def _finite_real(value) -> bool:
-    """True for a real number that is neither infinite nor NaN (a string is not)."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
 def make_grid(n_modes: int, domain_start: float, domain_length: float) -> GridSpec:
     """Build a periodic grid with ``n_modes`` equispaced collocation points.
 
     ``n_modes`` must be an even integer of at least 4; ``domain_length``
     positive.
     """
-    if not isinstance(n_modes, numbers.Integral) or n_modes < 4 or n_modes % 2 != 0:
-        raise InvalidGrid("n_modes", f"must be an even integer >= 4, got {n_modes!r}")
-    if not _finite_real(domain_start):
-        raise InvalidGrid("domain_start", f"must be a finite real number, got {domain_start!r}")
-    if not (_finite_real(domain_length) and domain_length > 0):
-        raise InvalidGrid("domain_length", f"must be positive and finite, got {domain_length!r}")
+    _check_int(InvalidGrid, "n_modes", n_modes, 4)
+    if n_modes % 2 != 0:
+        raise InvalidGrid("n_modes", f"must be even, got {n_modes!r}")
+    _check_real(InvalidGrid, "domain_start", domain_start)
+    _check_real(InvalidGrid, "domain_length", domain_length, 0, strict=True)
     points = domain_start + np.arange(n_modes) * (domain_length / n_modes)
     points.setflags(write=False)
     return GridSpec(
@@ -149,10 +134,8 @@ class NormSpec:
     s: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("l2", "hs"):
-            raise ValidationError("norm", f"kind must be 'l2' or 'hs', got {self.kind!r}")
-        if not isinstance(self.s, numbers.Integral) or self.s < 0:
-            raise ValidationError("norm", f"Sobolev index must be an integer >= 0, got {self.s!r}")
+        _check_choice(ValidationError, "norm", self.kind, ("l2", "hs"))
+        _check_int(ValidationError, "norm", self.s, 0)
 
     def __str__(self):
         return "l2" if self.kind == "l2" else f"h{self.s}"
@@ -266,8 +249,7 @@ def _derivative_symbol(grid: GridSpec, order: int) -> np.ndarray:
 
 def derivative(state: SpectralState, order: int) -> SpectralState:
     """Spectral derivative of the given integer order (>= 1)."""
-    if not isinstance(order, numbers.Integral) or order < 1:
-        raise ConfigError("order", f"must be an integer >= 1, got {order!r}")
+    _check_int(ConfigError, "order", order, 1)
     sym = _derivative_symbol(state.grid, order)
     return SpectralState(sym * state.coeffs, state.grid)
 
@@ -330,8 +312,7 @@ DEALIAS_RULES = ("none", "two_thirds")
 
 def dealias_mask(grid: GridSpec, rule: str = "none") -> np.ndarray:
     """Boolean keep-mask over modes; ``two_thirds`` keeps ``|k| <= floor(N/3)``."""
-    if rule not in DEALIAS_RULES:
-        raise ConfigError("dealias", f"must be one of {DEALIAS_RULES}, got {rule!r}")
+    _check_choice(ConfigError, "dealias", rule, DEALIAS_RULES)
     if rule == "none":
         return np.ones(grid.n_modes, dtype=bool)
     return np.abs(grid.wavenumbers) <= grid.n_modes // 3

@@ -260,6 +260,19 @@ def test_blow_up_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_overflowing_blow_up_prints_one_line(tmp_path, capsys):
+    # the L2 norm overflows float64 at step 20, with no numpy warning on stderr
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "nu = 0\nmu = 0\ngamma = 0\neps_conv = 5\neps_react = 1\n"
+        "n_modes = 16\ndt = 0.125\nt_final = 4\nic.kind = paper\n"
+    )
+    code = run_cli(["solve", "--config", str(cfg_file), "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "kbf: error: BlowUp: L2 norm exploded\n"
+
+
 def test_validation_failure_exits_1(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(HEAT_CONFIG)
@@ -328,6 +341,19 @@ def test_bad_axis_reported_under_its_flag(tmp_path, capsys, command, flag, value
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"kbf: error: ValidationError: {flag}:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["0.3", "0", "-0.1", "nan"])
+def test_bad_study_dt_reported_under_its_flag(tmp_path, capsys, value):
+    # the config's dt = 0.1 is not read by a study; only --study-dt is
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(HEAT_CONFIG)
+    code = run_cli(["converge-space", "--config", str(cfg_file), "--modes", "8,16",
+                    "--study-dt", value, "--output", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kbf: error: ValidationError: study-dt:")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -363,6 +363,17 @@ def test_doubling_non_finite_at_the_cap_propagates(monkeypatch, full_params):
     assert calls == [64, 128, 256]
 
 
+def test_overflowing_coarse_solve_recovers_without_a_warning(caplog, empty_memory_cache):
+    # the 64-step solve overflows; no RuntimeWarning may escape the doubling's
+    # recovery from it, which the suite's filter would raise
+    params = ModelParams(nu=4.0, eps_conv=200.0)
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, 2.0 * np.pi))
+    caplog.set_level(logging.DEBUG, logger="kbf")
+    ref = make_reference(initial, params, linear_symbol(params, initial.grid), 0.5)
+    assert np.isfinite(ref.coeffs).all()
+    assert [r.reference["steps"] for r in caplog.records if r.name == "kbf"] == [2048]
+
+
 # ----- reference caches -----
 
 def _fixed_step_content_key(initial, params, t_final, quality):

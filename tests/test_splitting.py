@@ -207,6 +207,30 @@ def test_blow_up_of_one_lane_trips_the_guard():
         splitting._march(initial, params, (healthy, unstable))
 
 
+def test_overflowing_blow_up_is_reported_only_as_blow_up():
+    # the norm overflows float64 at step 20; no RuntimeWarning may escape on
+    # the way, which the suite's filter would raise in place of the BlowUp
+    params = ModelParams(eps_conv=5.0, eps_react=1.0)
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
+    with pytest.raises(BlowUp, match="^L2 norm exploded$") as info:
+        evolve(initial, params, SolveConfig(dt=0.125, t_final=4.0))
+    assert (info.value.step, info.value.time) == (20, 2.5)
+
+
+def test_observer_runs_under_the_callers_error_state(full_params):
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
+    calls = []
+
+    def observer(step, time, state):
+        calls.append(step)
+        np.float64(1e300) * np.float64(1e300)
+
+    with pytest.warns(RuntimeWarning, match="overflow") as warned:
+        evolve(initial, full_params, SolveConfig(0.25, 1.0, snapshot_stride=1), observer)
+    assert calls == [0, 1, 2, 3, 4]
+    assert len(warned) == len(calls)
+
+
 def test_march_records_only_the_asked_steps_and_builds_once_per_finish(monkeypatch, full_params):
     builds = []
 

@@ -72,6 +72,12 @@ CASES = {
         lambda: SolveConfig(dt=0.5, t_final=1.0, snapshot_stride=1.5), "snapshot_stride"
     ),
     "flow_substeps": (lambda: NonlinearFlowConfig(substeps=0), "substeps"),
+    # a bool would echo as "True", which no config parses back
+    "flow_substeps_bool": (lambda: NonlinearFlowConfig(substeps=True), "substeps"),
+    "solve_stride_bool": (
+        lambda: SolveConfig(dt=0.5, t_final=1.0, snapshot_stride=True), "snapshot_stride"
+    ),
+    "ic_mode_k_bool": (lambda: InitialConditionSpec(kind="mode", mode_k=True), "ic.mode_k"),
     "flow_dealias": (lambda: NonlinearFlowConfig(dealias="foo"), "dealias"),
     "dealias_mask_rule": (lambda: dealias_mask(G16, "foo"), "dealias"),
     "norm_kind": (lambda: NormSpec("h1"), "norm"),
@@ -81,6 +87,9 @@ CASES = {
     "norm_index_str": (lambda: NormSpec("hs", "2"), "norm"),
     "norm_text": (lambda: NormSpec.parse("hx"), "norm"),
     "reference_quality": (lambda: make_reference(STATE, PARAMS, SYMBOL, 1.0, quality="best"), "quality"),
+    "reference_t_final_str": (lambda: make_reference(STATE, PARAMS, SYMBOL, "1"), "t_final"),
+    "reference_t_final_bool": (lambda: make_reference(STATE, PARAMS, SYMBOL, True), "t_final"),
+    "reference_dealias": (lambda: make_reference(STATE, PARAMS, SYMBOL, 1.0, dealias=3), "dealias"),
     "reference_dt": (lambda: integrating_factor_rk4_solve(STATE, PARAMS, SYMBOL, 0.0, 1.0), "dt"),
     "reference_t_final_inf": (
         lambda: integrating_factor_rk4_solve(STATE, PARAMS, SYMBOL, 0.5, math.inf), "t_final"
@@ -130,7 +139,7 @@ def test_public_api_raises_keyed_kbf_errors(case):
     assert str(exc) == f"{key}: {exc.message}"
 
 
-# durations have their own unkeyed error type, so they sit outside CASES
+# durations have their own error type, a ConfigError keyed t
 DURATION_CASES = {
     "propagator_duration_str": lambda: build_propagator(SYMBOL, "1"),
     "linear_exact_duration_str": lambda: linear_exact_solution(STATE, SYMBOL, "1"),
@@ -139,11 +148,12 @@ DURATION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(DURATION_CASES))
 def test_bad_durations_raise_negative_duration(case):
-    with pytest.raises(NegativeDuration):
+    with pytest.raises(NegativeDuration) as info:
         DURATION_CASES[case]()
+    assert info.value.key == "t"
 
 
 def test_construction_error_hierarchy():
-    for cls in (ConfigError, InvalidGrid):
+    for cls in (ConfigError, InvalidGrid, NegativeDuration):
         assert issubclass(cls, ValidationError)
     assert issubclass(ValidationError, KbfError) and issubclass(ValidationError, ValueError)
