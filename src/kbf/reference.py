@@ -7,6 +7,11 @@ integrating-factor RK4 solver on the full complex spectrum stays as its
 independent cross-check; closed-form oracles cover the degenerate parameter
 limits (pure linear flow, logistic reaction).  The oracles deliberately
 share no code with the production flows.
+
+Both integrators are kernels that step stacked lanes, one step count per
+lane (``_Lanes``): the step doubling runs its solves as lanes of one loop,
+and a single fixed-step solve is a one-lane run.  The loop is this
+module's own, apart from the splitting solver's, which it measures.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import os
 import struct
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,29 +86,10 @@ def integrating_factor_rk4_solve(
     ``dt/2`` and ``dt`` are precomputed once.  The products of the
     nonlinearity are dealiased by the rule ``dealias``, as the splitting
     solver's are.  Exact for any ``dt`` when the nonlinear coefficients vanish.
+    A one-lane run of the kernel of ``_if_rk4_kernel``.
     """
     n = _step_count(dt, t_final)
-    grid = initial.grid
-    _check_symbol(symbol, params, grid)
-    ik = _derivative_symbol(grid, 1)
-    e_half = np.exp(symbol.values * (dt / 2.0))
-    e_full = e_half * e_half
-    mask = None if dealias == "none" else dealias_mask(grid, dealias)
-
-    def f(c):
-        return _nonlinear_rhs_coeffs(c, params, ik, mask)
-
-    c = initial.coeffs.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n):
-            a = f(c)
-            b = f(e_half * (c + (0.5 * dt) * a))
-            s3 = f(e_half * c + (0.5 * dt) * b)
-            s4 = f(e_full * c + dt * (e_half * s3))
-            c = e_full * c + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + s3) + s4)
-            if not np.all(np.isfinite(c)):
-                raise NonFiniteState(f"reference solve turned non-finite at step {step + 1}")
-    return SpectralState(c, grid)
+    return _one_lane(_if_rk4_kernel(initial, params, symbol, dealias), n, dt)
 
 
 def logistic_exact(c0: float, eps_react: float, t: float) -> float:
@@ -158,13 +146,14 @@ def _etd_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     return np.exp(z / 2.0), np.exp(z), q * scale, f1 * scale, f2 * scale, f3 * scale
 
 
-def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, dealias: str):
+def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, dealias: str, lanes: int):
     """The reference's conservative nonlinear right-hand side on ``k = 0..N/2``.
 
-    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` from one ``irfft``
-    and one batched ``rfft`` of ``[y^3, y^2]``, the products dealiased by the
-    rule ``dealias``.  Written apart from the splitting kernel's, so that the
-    reference does not inherit a bug of the solver it measures.
+    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` for ``lanes``
+    stacked half-spectra, from one ``irfft`` and one batched ``rfft`` of
+    ``[y^3, y^2]``, the products dealiased by the rule ``dealias``.  Written
+    apart from the splitting kernel's, so that the reference does not inherit
+    a bug of the solver it measures.
     """
     n = grid.n_modes
     m = n // 2 + 1
@@ -172,9 +161,9 @@ def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, dealias: str):
     keep = None if dealias == "none" else dealias_mask(grid, dealias)[:m]
     react = params.eps_react
     # the transforms write into these instead of allocating their outputs per call
-    y = np.empty(n)
-    powers = np.empty((2, n))
-    spectra = np.empty((2, m), dtype=complex)
+    y = np.empty((lanes, n))
+    powers = np.empty((2, lanes, n))
+    spectra = np.empty((2, lanes, m), dtype=complex)
 
     def rhs(c: np.ndarray) -> np.ndarray:
         np.fft.irfft(c, n, out=y)
@@ -189,6 +178,172 @@ def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, dealias: str):
     return rhs
 
 
+class _Kernel(NamedTuple):
+    """A fixed-step integrator of one problem, written for stacked lanes.
+
+    Every lane starts from ``start``.  ``weights(dt)`` is the tuple of rows
+    that one lane steps with; ``stepper(rows)``, given those rows stacked
+    over the lanes, returns ``step(v)``, which advances the ``(lanes, ·)``
+    states ``v`` by one step of each lane's own size.  ``finish`` turns one
+    lane's final row into a state.
+    """
+
+    name: str
+    start: np.ndarray
+    weights: Callable
+    stepper: Callable
+    finish: Callable
+
+
+def _etdrk4_kernel(
+    initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str = "none"
+) -> _Kernel:
+    """The ETDRK4 scheme of Cox and Matthews on the real half-spectrum.
+
+    The linear symbol is integrated exactly through the weights of
+    ``_etd_weights``; the nonlinearity (reaction included) is taken by the
+    four Cox-Matthews stages.
+    """
+    grid = initial.grid
+    _check_symbol(symbol, params, grid)
+    lam = symbol.values[: grid.n_modes // 2 + 1]
+
+    def weights(dt):
+        e_half, e_full, q, f1, f2, f3 = _etd_weights(lam, dt)
+        return e_half, e_full, q, f1, 2.0 * f2, f3
+
+    def stepper(rows):
+        e_half, e_full, q, f1, two_f2, f3 = rows
+        f = _half_spectrum_rhs(grid, params, dealias, len(e_half))
+
+        def step(v):
+            nv = f(v)
+            ev = e_half * v
+            a = ev + q * nv
+            na = f(a)
+            b = ev + q * na
+            nb = f(b)
+            c = e_half * a + q * (2.0 * nb - nv)
+            return e_full * v + f1 * nv + two_f2 * (na + nb) + f3 * f(c)
+
+        return step
+
+    return _Kernel("ETDRK4", _real_half(initial), weights, stepper, lambda v: _from_half(v, grid))
+
+
+def _if_rk4_kernel(
+    initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str = "none"
+) -> _Kernel:
+    """The integrating-factor RK4 method on the full complex spectrum.
+
+    The nonlinearity is the model's shared right-hand side, which acts on
+    stacked coefficient vectors as it does on one.
+    """
+    grid = initial.grid
+    _check_symbol(symbol, params, grid)
+    ik = _derivative_symbol(grid, 1)
+    mask = None if dealias == "none" else dealias_mask(grid, dealias)
+
+    def f(c):
+        return _nonlinear_rhs_coeffs(c, params, ik, mask)
+
+    def weights(dt):
+        e_half = np.exp(symbol.values * (dt / 2.0))
+        # the step sizes are complex, as a Python float is when it scales a complex array
+        sizes = np.array([0.5 * dt, dt, dt / 6.0], dtype=complex)
+        return (e_half, e_half * e_half, *sizes[:, None])
+
+    def stepper(rows):
+        e_half, e_full, half_dt, dt, dt_6 = rows
+
+        def step(c):
+            a = f(c)
+            b = f(e_half * (c + half_dt * a))
+            s3 = f(e_half * c + half_dt * b)
+            s4 = f(e_full * c + dt * (e_half * s3))
+            return e_full * c + dt_6 * (e_full * a + 2.0 * e_half * (b + s3) + s4)
+
+        return step
+
+    return _Kernel("IF-RK4", initial.coeffs, weights, stepper, lambda c: SpectralState(c, grid))
+
+
+class _Lanes:
+    """Fixed-step solves of one problem, run as lanes of one kernel.
+
+    A lane is a step count ``n`` and its step ``dt``.  Lanes start between
+    kernel steps and leave the stack when they finish or turn non-finite;
+    the lanes still running are stacked as ``(lanes, ·)``, so each transform
+    call serves all of them, and each lane gets the bits that it would get
+    alone.  ``started`` lists the step counts in the order they started.
+    """
+
+    def __init__(self, kernel: _Kernel):
+        self.kernel = kernel
+        self.started: list[int] = []
+        # finished lanes: step count -> final state, or the NonFiniteState it raised
+        self._results: dict[int, SpectralState | NonFiniteState] = {}
+        # running lanes: step count -> [steps left, weight rows]
+        self._running: dict[int, list] = {}
+        self._states = np.empty((0, len(kernel.start)), dtype=complex)
+
+    def start(self, n: int, dt: float) -> None:
+        """Start a lane of ``n`` steps of ``dt``, unless it has started already."""
+        if n in self.started:
+            return
+        self.started.append(n)
+        self._running[n] = [n, self.kernel.weights(dt)]
+        self._states = np.concatenate((self._states, self.kernel.start[None]))
+
+    def result(self, n: int) -> SpectralState:
+        """Lane ``n``'s final state, stepping the stack until that lane has left it.
+
+        Raises the lane's NonFiniteState if it turned non-finite.
+        """
+        # an overflow is reported once, as the lane's NonFiniteState
+        with np.errstate(over="ignore", invalid="ignore"):
+            while n not in self._results:
+                self._advance()
+        out = self._results[n]
+        if isinstance(out, NonFiniteState):
+            raise out
+        return out
+
+    def _advance(self) -> None:
+        # steps every lane until the first finishes or a step turns some lane non-finite
+        lanes = list(self._running.items())
+        rows = (np.stack(column) for column in zip(*(w for _, (_, w) in lanes)))
+        step = self.kernel.stepper(tuple(rows))
+        v = self._states
+        todo = min(left for _, (left, _) in lanes)
+        taken = 0
+        while taken < todo:
+            v = step(v)
+            taken += 1
+            if not np.isfinite(v).all():
+                break
+        finite = np.isfinite(v).all(axis=1)
+        stay = []
+        for i, (n, lane) in enumerate(lanes):
+            lane[0] -= taken
+            if not finite[i]:
+                self._results[n] = NonFiniteState(
+                    f"reference solve turned non-finite at step {n - lane[0]}"
+                )
+            elif lane[0] == 0:
+                self._results[n] = self.kernel.finish(v[i])
+            else:
+                stay.append(i)
+        self._running = dict(lanes[i] for i in stay)
+        self._states = v[stay]
+
+
+def _one_lane(kernel: _Kernel, n: int, dt: float) -> SpectralState:
+    lanes = _Lanes(kernel)
+    lanes.start(n, dt)
+    return lanes.result(n)
+
+
 def _etdrk4_solve(
     initial: SpectralState,
     params: ModelParams,
@@ -199,32 +354,11 @@ def _etdrk4_solve(
 ) -> SpectralState:
     """Integrate the full equation with the ETDRK4 scheme of Cox and Matthews.
 
-    The linear symbol is integrated exactly through the weights of
-    ``_etd_weights``; the nonlinearity (reaction included) is taken by the
-    four Cox-Matthews stages on the real half-spectrum.  Same arguments and
+    A one-lane run of the kernel of ``_etdrk4_kernel``.  Same arguments and
     checks as :func:`integrating_factor_rk4_solve`.
     """
     n = _step_count(dt, t_final)
-    grid = initial.grid
-    _check_symbol(symbol, params, grid)
-    e_half, e_full, q, f1, f2, f3 = _etd_weights(symbol.values[: grid.n_modes // 2 + 1], dt)
-    f = _half_spectrum_rhs(grid, params, dealias)
-    v = _real_half(initial)
-    two_f2 = 2.0 * f2
-    # an overflow is reported once, as the NonFiniteState below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n):
-            nv = f(v)
-            ev = e_half * v
-            a = ev + q * nv
-            na = f(a)
-            b = ev + q * na
-            nb = f(b)
-            c = e_half * a + q * (2.0 * nb - nv)
-            v = e_full * v + f1 * nv + two_f2 * (na + nb) + f3 * f(c)
-            if not np.all(np.isfinite(v)):
-                raise NonFiniteState(f"reference solve turned non-finite at step {step + 1}")
-    return _from_half(v, grid)
+    return _one_lane(_etdrk4_kernel(initial, params, symbol, dealias), n, dt)
 
 
 # Relative tolerance on the Richardson estimate behind each quality name.
@@ -237,43 +371,51 @@ _MAX_STEPS = 2**16
 _METHOD = b"etdrk4 step-doubling v3"
 
 
-def _doubling_solve(
-    integrate,
-    initial: SpectralState,
-    params: ModelParams,
-    symbol: LinearSymbol,
-    t_final: float,
-    tol: float,
-    dealias: str = "none",
-) -> tuple[SpectralState, int, float]:
+def _doubling_solve(lanes: _Lanes, t_final: float, tol: float) -> tuple[SpectralState, int, float]:
     """Fixed-step solve at 64, 128, 256, ... steps until it verifies itself.
 
-    ``integrate(initial, params, symbol, dt, t_final, dealias)`` is a
-    fourth-order fixed-step integrator: ``_etdrk4_solve`` for the reference,
-    or :func:`integrating_factor_rk4_solve`.  After each doubling the error
-    of the finer solution ``u_2n`` is estimated as ``||u_2n - u_n|| / 15``
-    (Richardson, fourth order, discrete L2); ``(u_2n, 2n, estimate)`` is
-    returned once the estimate is at most ``tol * ||u_2n||``.  A solve that
-    turns non-finite below the cap counts as not converged.  Raises
-    ReferenceNotConverged when the difference shrinks by less than 2x in one
-    doubling (rounding error reached) or the step cap is passed.
+    ``lanes`` runs a fourth-order fixed-step kernel: ``_etdrk4_kernel`` for
+    the reference, or ``_if_rk4_kernel``.  The verdicts are taken in
+    ascending step count: after each doubling the error of the finer
+    solution ``u_2n`` is estimated as ``||u_2n - u_n|| / 15`` (Richardson,
+    fourth order, discrete L2); ``(u_2n, 2n, estimate)`` is returned once the
+    estimate is at most ``tol * ||u_2n||``.  A solve that turns non-finite
+    below the cap counts as not converged.  Raises ReferenceNotConverged
+    when the difference shrinks by less than 2x in one doubling (rounding
+    error reached) or the step cap is passed.
+
+    The solves run as lanes.  The lanes that the next verdict needs always
+    run: ``n``, and ``2n`` beside it when there is no ``u_n/2`` to compare
+    with.  One lane more, ``2n``, starts beside ``n`` when the last
+    estimate, shrunk by the assumed 16x per doubling, predicts that ``n``
+    will not verify; without an estimate none does.  So a speculative lane
+    wastes at most one solve, and no lane passes the cap.  Each lane gets
+    the bits it would get alone, so the stop, the state and the estimate
+    are those of solving the counts one after another; ``lanes.started``
+    records the counts run.
     """
-    name = "IF-RK4" if integrate is integrating_factor_rk4_solve else "ETDRK4"
+    name = lanes.kernel.name
     coarse = None
     last_diff = math.inf
+    ahead = False
     n = _START_STEPS
     while n <= _MAX_STEPS:
+        # n; 2n too when n has no partner yet, or when n is predicted not to verify
+        for lane in (n, 2 * n) if coarse is None or ahead else (n,):
+            if lane <= _MAX_STEPS:
+                lanes.start(lane, t_final / lane)
         try:
-            fine = integrate(initial, params, symbol, t_final / n, t_final, dealias)
+            fine = lanes.result(n)
         except NonFiniteState:
             if n == _MAX_STEPS:
                 raise
-            coarse, last_diff, n = None, math.inf, 2 * n
+            coarse, last_diff, ahead, n = None, math.inf, False, 2 * n
             continue
         if coarse is not None:
             diff = norm(SpectralState(fine.coeffs - coarse.coeffs, fine.grid))
             estimate = diff / 15.0
-            if estimate <= tol * norm(fine):
+            bound = tol * norm(fine)
+            if estimate <= bound:
                 return fine, n, estimate
             if diff > last_diff / 2.0:
                 raise ReferenceNotConverged(
@@ -282,6 +424,7 @@ def _doubling_solve(
                     f"short of the relative tolerance {tol:g}"
                 )
             last_diff = diff
+            ahead = estimate / 16.0 > bound
         coarse, n = fine, 2 * n
     raise ReferenceNotConverged(
         f"{name} did not meet the relative tolerance {tol:g} within {_MAX_STEPS} steps"
@@ -380,8 +523,9 @@ def make_reference(
     until the Richardson estimate ``||u_2n - u_n|| / 15`` of its error is at
     most the tolerance times ``||u_2n||``; ``u_2n`` is returned.  Raises
     ReferenceNotConverged when rounding error stops a doubling from halving
-    the difference, or when 65536 steps do not suffice.  The nonlinear
-    products are dealiased by the rule ``dealias`` of the run it serves.
+    the difference, or when 65536 steps do not suffice.  The step counts run
+    as lanes of one loop (see ``_doubling_solve``).  The nonlinear products
+    are dealiased by the rule ``dealias`` of the run it serves.
 
     Results are keyed by a content hash of the inputs, the quality, the
     dealias rule and the method, in a small in-memory cache (least recently
@@ -391,8 +535,10 @@ def make_reference(
 
     Each call logs one DEBUG record to the ``kbf`` logger, whose ``reference``
     attribute holds the method, the steps, the estimate (both None when
-    served from disk, which does not store them) and the source that served
-    the result: ``memory``, ``disk`` or ``solve``.
+    served from disk, which does not store them), the source that served
+    the result (``memory``, ``disk`` or ``solve``) and ``solved``: the step
+    counts a solve ran, in the order they started, or None when memory or
+    disk served it.
     """
     _check_choice(ConfigError, "quality", quality, tuple(_QUALITY_TOL))
     _check_real(ConfigError, "t_final", t_final, 0, strict=True)
@@ -414,9 +560,8 @@ def make_reference(
             _log_served("disk", None, None)
             return state
 
-    state, steps, estimate = _doubling_solve(
-        _etdrk4_solve, initial, params, symbol, t_final, _QUALITY_TOL[quality], dealias
-    )
+    lanes = _Lanes(_etdrk4_kernel(initial, params, symbol, dealias))
+    state, steps, estimate = _doubling_solve(lanes, t_final, _QUALITY_TOL[quality])
     _cache_put(key, (state.coeffs, steps, estimate))
     if disk_path is not None:
         disk_path.parent.mkdir(parents=True, exist_ok=True)
@@ -427,15 +572,21 @@ def make_reference(
         except BaseException:
             tmp_path.unlink(missing_ok=True)
             raise
-    _log_served("solve", steps, estimate)
+    _log_served("solve", steps, estimate, lanes.started)
     return state
 
 
-def _log_served(source: str, steps, estimate) -> None:
+def _log_served(source: str, steps, estimate, solved=None) -> None:
     # imported on first use: at import, logging would add about a tenth to `import kbf`
     import logging
 
-    record = {"method": _METHOD.decode(), "steps": steps, "estimate": estimate, "source": source}
+    record = {
+        "method": _METHOD.decode(),
+        "steps": steps,
+        "estimate": estimate,
+        "source": source,
+        "solved": solved,
+    }
     logging.getLogger("kbf").debug(
         "reference %(method)s from %(source)s: steps %(steps)s, estimate %(estimate)s",
         record,

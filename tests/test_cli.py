@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kbf
 import kbf.reference as reference_module
 from kbf import ParseError, ValidationError, report_from_csv, report_from_text
 from kbf.cli import _snapshot_writer, emit_config, parse_config, run_cli
@@ -501,3 +506,17 @@ def test_oracle_check_runs_etdrk4_on_the_linear_equation(capsys, monkeypatch):
     assert run_cli(["oracle-check"]) == 2
     lines = capsys.readouterr().out.strip().splitlines()
     assert [line.split()[1] for line in lines if line.startswith("FAIL")] == ["etdrk4_exact_linear"]
+
+
+@pytest.mark.parametrize("module", ["kbf", "kbf.cli"])
+def test_cli_runs_as_a_module(module):
+    # `python -m` runs the command line as the installed `kbf` script does
+    src = str(Path(kbf.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", module, "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: kbf ")
+    assert "converge-time" in done.stdout

@@ -242,8 +242,8 @@ def test_rejected_reference_leaves_no_cache_entry(foreign, tmp_path, monkeypatch
     symbol = linear_symbol(UNIT, G16)
     served = make_reference(PAPER16, UNIT, symbol, 0.5, cache_dir=tmp_path)
     solved, _, _ = reference_module._doubling_solve(
-        reference_module._etdrk4_solve,
-        PAPER16, UNIT, symbol, 0.5, reference_module._QUALITY_TOL["standard"],
+        reference_module._Lanes(reference_module._etdrk4_kernel(PAPER16, UNIT, symbol)),
+        0.5, reference_module._QUALITY_TOL["standard"],
     )
     np.testing.assert_array_equal(served.coeffs, solved.coeffs)
     # rejected before the cache lookup, so a warm entry does not hide the mistake

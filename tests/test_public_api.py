@@ -11,7 +11,7 @@ import kbf
 LIBRARY_MODULES = [
     importlib.import_module(f"kbf.{info.name}")
     for info in pkgutil.iter_modules(kbf.__path__)
-    if info.name != "cli"
+    if info.name not in ("cli", "__main__")  # the command line, not the library
 ]
 
 

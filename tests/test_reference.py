@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import logging
 import struct
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,18 @@ from kbf import (
     write_reference_file,
 )
 from kbf.errors import NegativeDuration
-from kbf.reference import _QUALITY_TOL, _doubling_solve, _etdrk4_solve
+from kbf.model import _nonlinear_rhs_coeffs
+from kbf.reference import (
+    _QUALITY_TOL,
+    _doubling_solve,
+    _etd_weights,
+    _etdrk4_kernel,
+    _etdrk4_solve,
+    _if_rk4_kernel,
+    _Lanes,
+    _one_lane,
+)
+from kbf.spectral import _derivative_symbol, dealias_mask
 
 TWO_PI = 2.0 * np.pi
 
@@ -224,7 +237,131 @@ def test_etdrk4_output_is_hermitian(full_params, grid256, sine_initial):
     assert c[0].imag == 0.0 and c[128].imag == 0.0
 
 
+# ----- lanes -----
+
+KERNELS = {"etdrk4": _etdrk4_kernel, "if_rk4": _if_rk4_kernel}
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("n_modes", [16, 64, 256, 1024])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_lanes_equal_separate_solves_bit_for_bit(full_params, kernel, n_modes, dealias):
+    g = make_grid(n_modes, 0.0, TWO_PI)
+    initial = build_initial(InitialConditionSpec(kind="paper"), g)
+    build = KERNELS[kernel]
+    args = (initial, full_params, linear_symbol(full_params, g), dealias)
+    t_final = 0.25
+    lanes = _Lanes(build(*args))
+    for n in (8, 16):
+        lanes.start(n, t_final / n)
+    lanes.result(8)
+    # 32 starts eight kernel steps after the others
+    lanes.start(32, t_final / 32)
+    for n in (32, 16, 8):
+        alone = _one_lane(build(*args), n, t_final / n)
+        np.testing.assert_array_equal(lanes.result(n).coeffs, alone.coeffs)
+    assert lanes.started == [8, 16, 32]
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_non_finite_lane_leaves_its_neighbour_unchanged(kernel):
+    params = ModelParams(nu=4.0, eps_conv=200.0)
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
+    build = KERNELS[kernel]
+    args = (initial, params, linear_symbol(params, initial.grid))
+    lanes = _Lanes(build(*args))
+    for n in (64, 2048):
+        lanes.start(n, 0.5 / n)
+    with pytest.raises(NonFiniteState, match="non-finite at step"):
+        lanes.result(64)
+    with pytest.raises(NonFiniteState):
+        _one_lane(build(*args), 64, 0.5 / 64)
+    alone = _one_lane(build(*args), 2048, 0.5 / 2048)
+    np.testing.assert_array_equal(lanes.result(2048).coeffs, alone.coeffs)
+    # the doubling recovers at 2048 steps, with that lane's bits
+    state, n, _ = _doubling_solve(_Lanes(build(*args)), 0.5, _QUALITY_TOL["standard"])
+    assert n == 2048
+    np.testing.assert_array_equal(state.coeffs, alone.coeffs)
+
+
+def _plain_loop(kernel, initial, params, symbol, dt, n, dealias):
+    """``n`` steps of ``dt`` on one 1-D state, each integrator written out as a plain loop."""
+    grid = initial.grid
+    mask = None if dealias == "none" else dealias_mask(grid, dealias)
+    ik = _derivative_symbol(grid, 1)
+    if kernel == "if_rk4":
+        e_half = np.exp(symbol.values * (dt / 2.0))
+        e_full = e_half * e_half
+
+        def f(c):
+            return _nonlinear_rhs_coeffs(c, params, ik, mask)
+
+        c = initial.coeffs.copy()
+        for _ in range(n):
+            a = f(c)
+            b = f(e_half * (c + (0.5 * dt) * a))
+            s3 = f(e_half * c + (0.5 * dt) * b)
+            s4 = f(e_full * c + dt * (e_half * s3))
+            c = e_full * c + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + s3) + s4)
+        return c
+    m = grid.n_modes // 2 + 1
+    e_half, e_full, q, f1, f2, f3 = _etd_weights(symbol.values[:m], dt)
+    conv = (-params.eps_conv / 3.0) * ik[:m]
+    keep = None if mask is None else mask[:m]
+
+    def f(c):
+        y = np.fft.irfft(c, grid.n_modes)
+        squared = y * y
+        spectra = np.fft.rfft(np.stack((y * squared, squared)))
+        if keep is not None:
+            spectra = spectra * keep
+        return conv * spectra[0] + params.eps_react * (c - spectra[1])
+
+    v = 0.5 * (initial.coeffs[:m] + np.conj(initial.coeffs[-np.arange(m)]))
+    for _ in range(n):
+        nv = f(v)
+        ev = e_half * v
+        a = ev + q * nv
+        na = f(a)
+        b = ev + q * na
+        nb = f(b)
+        c = e_half * a + q * (2.0 * nb - nv)
+        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * f(c)
+    return np.concatenate((v, np.conj(v[-2:0:-1])))
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("n_modes", [16, 256])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_one_lane_equals_a_plain_loop_bit_for_bit(full_params, kernel, n_modes, dealias):
+    g = make_grid(n_modes, 0.0, TWO_PI)
+    initial = build_initial(InitialConditionSpec(kind="paper"), g)
+    sym = linear_symbol(full_params, g)
+    lane = _one_lane(KERNELS[kernel](initial, full_params, sym, dealias), 16, 1.0 / 64)
+    plain = _plain_loop(kernel, initial, full_params, sym, 1.0 / 64, 16, dealias)
+    np.testing.assert_array_equal(lane.coeffs, plain)
+
+
+def test_the_reference_shares_no_kernel_with_the_splitting_solver():
+    # the reference measures the splitting solver, so it may borrow only the step-count rule
+    tree = ast.parse(Path(reference_module.__file__).read_text(encoding="utf-8"))
+    borrowed = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("splitting", "kbf.splitting"):
+            borrowed += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert all(alias.name != "kbf.splitting" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "kbf"):
+            assert all(alias.name != "splitting" for alias in node.names)
+    assert borrowed == ["_step_count"]
+
+
 # ----- step doubling -----
+
+def doubling(kernel, initial, params, symbol, t_final, tol, dealias="none"):
+    """The step doubling of one problem on ``kernel``: ``(state, steps, estimate)``."""
+    return _doubling_solve(_Lanes(kernel(initial, params, symbol, dealias)), t_final, tol)
+
 
 @pytest.fixture(scope="module")
 def table1_if_rk4_16384(full_params, grid256, sine_initial):
@@ -239,8 +376,8 @@ def test_doubling_stops_where_its_estimate_holds(
 ):
     # the IF-RK4 pins: the cross-check integrator through the same loop
     sym = linear_symbol(full_params, grid256)
-    state, n, estimate = _doubling_solve(
-        integrating_factor_rk4_solve, sine_initial, full_params, sym, 1.0, _QUALITY_TOL[quality]
+    state, n, estimate = doubling(
+        _if_rk4_kernel, sine_initial, full_params, sym, 1.0, _QUALITY_TOL[quality]
     )
     assert n == steps
     assert estimate <= _QUALITY_TOL[quality] * norm(state)
@@ -254,10 +391,12 @@ def test_etdrk4_doubling_stops_where_its_estimate_holds(
 ):
     # also the Table-1 cross-check: the reference against a fine IF-RK4 solve
     sym = linear_symbol(full_params, grid256)
-    state, n, estimate = _doubling_solve(
-        _etdrk4_solve, sine_initial, full_params, sym, 1.0, _QUALITY_TOL[quality]
-    )
+    lanes = _Lanes(_etdrk4_kernel(sine_initial, full_params, sym))
+    state, n, estimate = _doubling_solve(lanes, 1.0, _QUALITY_TOL[quality])
     assert n == steps
+    # no lane past the stop: standard starts nothing past 128, high never starts 1024
+    assert lanes.started == [64 * 2**i for i in range(len(lanes.started))]
+    assert max(lanes.started) == steps
     assert estimate <= _QUALITY_TOL[quality] * norm(state)
     true_error = error_norm(state, table1_if_rk4_16384)
     assert true_error / 2 <= estimate <= 2 * true_error
@@ -303,7 +442,7 @@ def test_etdrk4_reference_agrees_with_a_fine_if_rk4_solve(cross_check_problems, 
     initial, params, fine = cross_check_problems[problem]
     sym = linear_symbol(params, initial.grid)
     tol = _QUALITY_TOL[quality]
-    state, _, estimate = _doubling_solve(_etdrk4_solve, initial, params, sym, 1.0, tol)
+    state, _, estimate = doubling(_etdrk4_kernel, initial, params, sym, 1.0, tol)
     distance = error_norm(state, fine)
     assert distance <= 2 * tol * norm(state)
     assert distance / 2 <= estimate <= 2 * distance
@@ -314,41 +453,55 @@ def _small_problem(params):
     return build_initial(InitialConditionSpec(kind="paper"), g), linear_symbol(params, g)
 
 
+def _assert_within_one_doubling(started, stop):
+    """Lanes start in doubling order, none past the cap or one doubling past ``stop``.
+
+    ``stop`` is the step count of the last verdict, which every lane started
+    before it was pending at.
+    """
+    assert started == [64 * 2**i for i in range(len(started))]
+    assert max(started) <= min(2 * stop, reference_module._MAX_STEPS)
+
+
 def test_doubling_raises_when_rounding_error_is_reached():
     # weakly nonlinear: a few doublings reach the rounding floor
     params = ModelParams(nu=1.0, eps_conv=0.01, eps_react=0.01)
     initial, sym = _small_problem(params)
+    lanes = _Lanes(_etdrk4_kernel(initial, params, sym))
     with pytest.raises(ReferenceNotConverged, match="ETDRK4 reached rounding error") as info:
-        _doubling_solve(_etdrk4_solve, initial, params, sym, 1.0, 1e-20)
+        _doubling_solve(lanes, 1.0, 1e-20)
     assert isinstance(info.value, KbfError)
+    stop = int(str(info.value).split(" at ")[1].split()[0])
+    _assert_within_one_doubling(lanes.started, stop)
 
 
 def test_doubling_raises_at_the_step_cap(monkeypatch, full_params):
     monkeypatch.setattr(reference_module, "_MAX_STEPS", 512)
     initial, sym = _small_problem(full_params)
+    lanes = _Lanes(_etdrk4_kernel(initial, full_params, sym))
     with pytest.raises(ReferenceNotConverged, match="ETDRK4 did not .* within 512 steps"):
-        _doubling_solve(_etdrk4_solve, initial, full_params, sym, 1.0, 1e-20)
+        _doubling_solve(lanes, 1.0, 1e-20)
+    _assert_within_one_doubling(lanes.started, 512)
+    assert lanes.started[-1] == 512
 
 
-def _recording_solve(fail_at):
-    """The ETDRK4 solve, recording its step counts and failing at those in ``fail_at``."""
-    calls = []
+def _failing(kernel, fail_at, t_final=1.0):
+    """``kernel`` with the lanes of the step counts in ``fail_at`` non-finite from step 1."""
 
-    def solve(initial, params, symbol, dt, t_final, *rest):
-        n = round(t_final / dt)
-        calls.append(n)
-        if n in fail_at:
-            raise NonFiniteState(f"patched failure at {n} steps")
-        return _etdrk4_solve(initial, params, symbol, dt, t_final, *rest)
+    def weights(dt):
+        rows = kernel.weights(dt)
+        if round(t_final / dt) in fail_at:
+            return tuple(np.full_like(row, np.nan) for row in rows)
+        return rows
 
-    return solve, calls
+    return kernel._replace(weights=weights)
 
 
 def test_doubling_retries_a_coarse_non_finite_solve(full_params):
     initial, sym = _small_problem(full_params)
-    solve, calls = _recording_solve(fail_at={64})
-    state, n, _ = _doubling_solve(solve, initial, full_params, sym, 1.0, _QUALITY_TOL["high"])
-    assert calls == [64, 128, 256, 512]
+    lanes = _Lanes(_failing(_etdrk4_kernel(initial, full_params, sym), fail_at={64}))
+    state, n, _ = _doubling_solve(lanes, 1.0, _QUALITY_TOL["high"])
+    assert lanes.started == [64, 128, 256, 512]
     assert n == 512
     direct = _etdrk4_solve(initial, full_params, sym, 1.0 / 512, 1.0)
     np.testing.assert_array_equal(state.coeffs, direct.coeffs)
@@ -357,10 +510,10 @@ def test_doubling_retries_a_coarse_non_finite_solve(full_params):
 def test_doubling_non_finite_at_the_cap_propagates(monkeypatch, full_params):
     monkeypatch.setattr(reference_module, "_MAX_STEPS", 256)
     initial, sym = _small_problem(full_params)
-    solve, calls = _recording_solve(fail_at={64, 128, 256})
+    lanes = _Lanes(_failing(_etdrk4_kernel(initial, full_params, sym), fail_at={64, 128, 256}))
     with pytest.raises(NonFiniteState):
-        _doubling_solve(solve, initial, full_params, sym, 1.0, _QUALITY_TOL["high"])
-    assert calls == [64, 128, 256]
+        _doubling_solve(lanes, 1.0, _QUALITY_TOL["high"])
+    assert lanes.started == [64, 128, 256]
 
 
 def test_overflowing_coarse_solve_recovers_without_a_warning(caplog, empty_memory_cache):
@@ -402,8 +555,8 @@ def test_fixed_step_cache_entry_is_not_read(tmp_path, full_params, empty_memory_
     stale = tmp_path / f"{_fixed_step_content_key(initial, full_params, 0.5, 'standard')}.kbfr"
     write_reference_file(stale, SpectralState(np.zeros(32), g))
     ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
-    solved, _, _ = _doubling_solve(
-        _etdrk4_solve, initial, full_params, sym, 0.5, _QUALITY_TOL["standard"]
+    solved, _, _ = doubling(
+        _etdrk4_kernel, initial, full_params, sym, 0.5, _QUALITY_TOL["standard"]
     )
     np.testing.assert_array_equal(ref.coeffs, solved.coeffs)
     assert len(list(tmp_path.glob("*.kbfr"))) == 2
@@ -418,8 +571,8 @@ def test_if_rk4_cache_entry_is_not_read(tmp_path, monkeypatch, full_params, empt
         old_key = reference_module._content_key(initial, full_params, 0.5, "standard", "none")
     write_reference_file(tmp_path / f"{old_key}.kbfr", SpectralState(np.zeros(32), g))
     ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
-    solved, _, _ = _doubling_solve(
-        _etdrk4_solve, initial, full_params, sym, 0.5, _QUALITY_TOL["standard"]
+    solved, _, _ = doubling(
+        _etdrk4_kernel, initial, full_params, sym, 0.5, _QUALITY_TOL["standard"]
     )
     np.testing.assert_array_equal(ref.coeffs, solved.coeffs)
     assert len(list(tmp_path.glob("*.kbfr"))) == 2
@@ -451,8 +604,13 @@ def test_interrupted_disk_write_leaves_no_entry(tmp_path, monkeypatch, full_para
 def test_memory_cache_is_bounded(monkeypatch, empty_memory_cache):
     params = ModelParams(nu=1.0)
     initial, sym = _small_problem(params)
-    solve, calls = _recording_solve(fail_at=set())
-    monkeypatch.setattr(reference_module, "_etdrk4_solve", solve)
+    calls = []
+
+    def recording_kernel(*args):
+        calls.append(args)  # one kernel per solve
+        return _etdrk4_kernel(*args)
+
+    monkeypatch.setattr(reference_module, "_etdrk4_kernel", recording_kernel)
     horizons = [0.125 * (i + 1) for i in range(reference_module._MEMORY_CACHE_SIZE + 1)]
     for t in horizons:
         make_reference(initial, params, sym, t)
@@ -473,7 +631,7 @@ def test_dealiased_reference_is_cached_apart(empty_memory_cache):
     sym = linear_symbol(params, g)
     dealiased = make_reference(initial, params, sym, 0.5, dealias="two_thirds")
     plain = make_reference(initial, params, sym, 0.5)
-    solved, _, _ = _doubling_solve(_etdrk4_solve, initial, params, sym, 0.5, _QUALITY_TOL["standard"])
+    solved, _, _ = doubling(_etdrk4_kernel, initial, params, sym, 0.5, _QUALITY_TOL["standard"])
     np.testing.assert_array_equal(plain.coeffs, solved.coeffs)
     assert error_norm(dealiased, plain) > 1e-3
 
@@ -487,14 +645,20 @@ def test_make_reference_logs_where_it_was_served_from(tmp_path, caplog, full_par
     make_reference(initial, full_params, sym, 1.0, quality="high", cache_dir=tmp_path)
     records = [r for r in caplog.records if r.name == "kbf"]
     assert [r.levelno for r in records] == [logging.DEBUG] * 3
-    _, steps, estimate = _doubling_solve(
-        _etdrk4_solve, initial, full_params, sym, 1.0, _QUALITY_TOL["high"]
-    )
+    lanes = _Lanes(_etdrk4_kernel(initial, full_params, sym))
+    _, steps, estimate = _doubling_solve(lanes, 1.0, _QUALITY_TOL["high"])
+    assert lanes.started == [64, 128, 256, 512]
     method = "etdrk4 step-doubling v3"
     assert [r.reference for r in records] == [
-        {"method": method, "steps": steps, "estimate": estimate, "source": "solve"},
-        {"method": method, "steps": steps, "estimate": estimate, "source": "memory"},
-        {"method": method, "steps": None, "estimate": None, "source": "disk"},
+        {
+            "method": method,
+            "steps": steps,
+            "estimate": estimate,
+            "source": "solve",
+            "solved": lanes.started,
+        },
+        {"method": method, "steps": steps, "estimate": estimate, "source": "memory", "solved": None},
+        {"method": method, "steps": None, "estimate": None, "source": "disk", "solved": None},
     ]
     assert records[0].getMessage() == (
         f"reference {method} from solve: steps {steps}, estimate {estimate}"
