@@ -54,7 +54,7 @@ from .spectral import (
     to_physical,
     to_spectral,
 )
-from .splitting import NonlinearFlowConfig, SolveConfig, evolve
+from .splitting import NonlinearFlowConfig, SolveConfig, _record_solve, evolve
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "run_cli", "main"]
 
@@ -195,15 +195,20 @@ def _cmd_solve(cfg: RunConfig) -> int:
     out = _require_output(cfg)
     snapshot = _snapshot_writer(cfg)
     final_path = out / "final.csv"
+    written = 0
 
-    def observer(step, time, state):
+    # each state is written as it is recorded and then dropped, so memory
+    # does not grow with the snapshot count
+    def write(step, time, state):
+        nonlocal written
         text = snapshot(step, time, to_physical(state))
         (out / f"snapshot_{step:06d}.csv").write_text(text, encoding="utf-8")
-        if step == cfg.solve.n_steps:  # evolve always records step n, at t_final
+        if step == cfg.solve.n_steps:  # step n is always recorded, at t_final
             final_path.write_text(text, encoding="utf-8")
+        written += 1
 
-    traj = evolve(build_initial(cfg.ic, cfg.grid), cfg.params, cfg.solve, observer=observer)
-    print(f"wrote {len(traj.times)} snapshot(s) and {final_path}")
+    _record_solve(build_initial(cfg.ic, cfg.grid), cfg.params, cfg.solve, write)
+    print(f"wrote {written} snapshot(s) and {final_path}")
     return 0
 
 

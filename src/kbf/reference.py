@@ -16,10 +16,10 @@ module's own, apart from the splitting solver's, which it measures.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
+import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
@@ -66,8 +66,8 @@ _VERSION = 1
 # least recently used entries are evicted beyond this many
 _MEMORY_CACHE_SIZE = 8
 _cache_lock = threading.Lock()
-# key -> (coefficients, steps, Richardson estimate)
-_memory_cache: OrderedDict[str, tuple[np.ndarray, int | None, float | None]] = OrderedDict()
+# content bytes (see _content) -> (coefficients, steps, Richardson estimate)
+_memory_cache: OrderedDict[bytes, tuple[np.ndarray, int | None, float | None]] = OrderedDict()
 
 
 def integrating_factor_rk4_solve(
@@ -431,31 +431,40 @@ def _doubling_solve(lanes: _Lanes, t_final: float, tol: float) -> tuple[Spectral
     )
 
 
-def _content_key(
+def _content(
     initial: SpectralState,
     params: ModelParams,
     t_final: float,
     quality: str,
     dealias: str,
-) -> str:
+) -> bytes:
+    """The exact bytes that identify a reference: equal inputs, equal bytes.
+
+    Fixed-width fields follow the coefficients, and the four pairs of
+    quality and dealias names differ in length by less than one 16-byte
+    coefficient, so the length fixes N and the names: distinct inputs never
+    share bytes.
+    """
     g = initial.grid
-    h = hashlib.sha256()
-    h.update(initial.coeffs.tobytes())
-    h.update(
-        struct.pack(
-            "<qdd", g.n_modes, g.domain_start, g.domain_length
-        )
-    )
-    h.update(
+    return b"".join((
+        initial.coeffs.tobytes(),
+        struct.pack("<qdd", g.n_modes, g.domain_start, g.domain_length),
         struct.pack(
             "<5d", params.nu, params.mu, params.gamma, params.eps_conv, params.eps_react
-        )
-    )
-    h.update(struct.pack("<d", t_final))
-    h.update(quality.encode())
-    h.update(dealias.encode())
-    h.update(_METHOD)
-    return h.hexdigest()
+        ),
+        struct.pack("<d", t_final),
+        quality.encode(),
+        dealias.encode(),
+        _METHOD,
+    ))
+
+
+def _content_key(content: bytes) -> str:
+    """SHA-256 hex of ``content``: the stem of a disk cache file's name."""
+    # imported on first use: hashlib loads OpenSSL, which only the disk cache needs
+    import hashlib
+
+    return hashlib.sha256(content).hexdigest()
 
 
 def write_reference_file(path, state: SpectralState) -> None:
@@ -491,7 +500,7 @@ def read_reference_file(path, grid: GridSpec) -> SpectralState:
     return SpectralState(payload[0::2] + 1j * payload[1::2], grid)
 
 
-def _cache_get(key: str):
+def _cache_get(key: bytes):
     with _cache_lock:
         hit = _memory_cache.get(key)
         if hit is not None:
@@ -499,7 +508,7 @@ def _cache_get(key: str):
         return hit
 
 
-def _cache_put(key: str, entry: tuple[np.ndarray, int | None, float | None]) -> None:
+def _cache_put(key: bytes, entry: tuple[np.ndarray, int | None, float | None]) -> None:
     with _cache_lock:
         _memory_cache[key] = entry
         _memory_cache.move_to_end(key)
@@ -527,25 +536,27 @@ def make_reference(
     as lanes of one loop (see ``_doubling_solve``).  The nonlinear products
     are dealiased by the rule ``dealias`` of the run it serves.
 
-    Results are keyed by a content hash of the inputs, the quality, the
-    dealias rule and the method, in a small in-memory cache (least recently
-    used entries evicted) and, when ``cache_dir`` is given, on disk.  A disk
-    entry is written to a temporary file and renamed into place, so a crash
-    never leaves a truncated entry.
+    Results are keyed by the exact bytes of the inputs, the quality, the
+    dealias rule and the method in a small in-memory cache (least recently
+    used entries evicted), and, when ``cache_dir`` is given, on disk under
+    the SHA-256 hex of those bytes, which only the disk cache computes.  A
+    disk entry is written to a temporary file and renamed into place, so a
+    crash never leaves a truncated entry.
 
-    Each call logs one DEBUG record to the ``kbf`` logger, whose ``reference``
-    attribute holds the method, the steps, the estimate (both None when
-    served from disk, which does not store them), the source that served
-    the result (``memory``, ``disk`` or ``solve``) and ``solved``: the step
-    counts a solve ran, in the order they started, or None when memory or
-    disk served it.
+    Once ``logging`` is imported, each call logs one DEBUG record to the
+    ``kbf`` logger; before that no handler can exist, so none is built.  Its
+    ``reference`` attribute holds the method, the steps, the estimate (both
+    None when served from disk, which does not store them), the source that
+    served the result (``memory``, ``disk`` or ``solve``) and ``solved``:
+    the step counts a solve ran, in the order they started, or None when
+    memory or disk served it.
     """
     _check_choice(ConfigError, "quality", quality, tuple(_QUALITY_TOL))
     _check_real(ConfigError, "t_final", t_final, 0, strict=True)
     _check_choice(ConfigError, "dealias", dealias, DEALIAS_RULES)
     _check_symbol(symbol, params, initial.grid)
-    key = _content_key(initial, params, t_final, quality, dealias)
-    hit = _cache_get(key)
+    content = _content(initial, params, t_final, quality, dealias)
+    hit = _cache_get(content)
     if hit is not None:
         coeffs, steps, estimate = hit
         _log_served("memory", steps, estimate)
@@ -553,19 +564,19 @@ def make_reference(
 
     disk_path = None
     if cache_dir is not None:
-        disk_path = Path(cache_dir) / f"{key}.kbfr"
+        disk_path = Path(cache_dir) / f"{_content_key(content)}.kbfr"
         if disk_path.exists():
             state = read_reference_file(disk_path, initial.grid)
-            _cache_put(key, (state.coeffs, None, None))
+            _cache_put(content, (state.coeffs, None, None))
             _log_served("disk", None, None)
             return state
 
     lanes = _Lanes(_etdrk4_kernel(initial, params, symbol, dealias))
     state, steps, estimate = _doubling_solve(lanes, t_final, _QUALITY_TOL[quality])
-    _cache_put(key, (state.coeffs, steps, estimate))
+    _cache_put(content, (state.coeffs, steps, estimate))
     if disk_path is not None:
         disk_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp_path = disk_path.with_name(f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
+        tmp_path = disk_path.with_name(f".{disk_path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             write_reference_file(tmp_path, state)
             os.replace(tmp_path, disk_path)
@@ -577,7 +588,11 @@ def make_reference(
 
 
 def _log_served(source: str, steps, estimate, solved=None) -> None:
-    # imported on first use: at import, logging would add about a tenth to `import kbf`
+    # Until something imports logging no handler or level exists, so the record
+    # could only be dropped; importing logging for it would add about a tenth
+    # to `import kbf` and ~6 ms to a temporal study.
+    if "logging" not in sys.modules:
+        return
     import logging
 
     record = {

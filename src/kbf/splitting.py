@@ -13,11 +13,12 @@ matrices, which cost less than numpy's per-call FFT overhead there.  The
 public functions convert FFT-order ``SpectralState`` vectors at the boundary,
 so every state they return is exactly Hermitian, and they reject states that
 are not real-representable.  Every solve runs through one time loop,
-``_march``: ``evolve`` is a single solve of a whole number of steps with
-optional snapshots and an observer hook, and the temporal study solves its
-step counts together as lanes of one kernel, building a fresh kernel for the
-lanes still running each time some finish.  The loop guards against blow-up
-and raises BlowUp.
+``_march``: a single solve of a whole number of steps hands its recorded
+states, one at a time, to ``_record_solve``'s callback (``evolve`` collects
+them, ``kbf solve`` writes each to its file), and the temporal study solves
+its step counts together as lanes of one kernel, building a fresh kernel for
+the lanes still running each time some finish.  The loop guards against
+blow-up and raises BlowUp.
 """
 
 from __future__ import annotations
@@ -355,27 +356,47 @@ def evolve(
     when given, is called as ``observer(step, time, state)`` at each recorded
     step.  Raises BlowUp when a state turns non-finite or its L2 norm grows
     past ``BLOWUP_NORM_FACTOR`` times the initial norm, with no numpy warning
-    on the way; the observer runs under the caller's numpy error state.
+    on the way; the observer runs under the caller's numpy error state.  The
+    returned Trajectory holds every recorded state; a caller that needs each
+    state only once can pass its callback to ``_record_solve``, which keeps
+    none.
+    """
+    times, states = [], []
+
+    def collect(step, time, state):
+        times.append(time)
+        states.append(state)
+        if observer is not None:
+            observer(step, time, state)
+
+    _record_solve(initial, params, config, collect)
+    return Trajectory(tuple(times), tuple(states), final=states[-1], steps_taken=config.n_steps)
+
+
+def _record_solve(initial: SpectralState, params: ModelParams, config: SolveConfig, record) -> None:
+    """Solve ``config`` from ``initial``, calling ``record(step, time, state)`` at each recorded step.
+
+    The one recording rule of a single solve: steps ``0, stride, 2*stride,
+    ...`` below ``n_steps`` when ``snapshot_stride`` is positive, and always
+    step ``n_steps``, last.  A step's time is ``step*dt``, except that the
+    last one's is ``t_final`` exactly, and its state is the loop's result,
+    not converted twice.  Nothing is kept, so memory does not grow with the
+    number of recorded steps.  ``record`` runs under the caller's numpy error
+    state; BlowUp is raised as by ``evolve``.
     """
     grid = initial.grid
     n = config.n_steps
     stride = config.snapshot_stride
-    times, states = [], []
 
-    def record(step, s):
-        t = config.t_final if step == n else step * config.dt
-        times.append(t)
-        states.append(s)
-        if observer is not None:
-            observer(step, t, s)
+    def at(step, state):
+        record(step, config.t_final if step == n else step * config.dt, state)
 
     def snapshot(step, half):
-        record(step, _from_half(half, grid))
+        at(step, _from_half(half, grid))
 
-    # the final state is recorded from the loop's result, not converted twice
-    snap_at = set(range(0, n, stride)) if stride > 0 else ()
-    record(n, _march(initial, params, (config,), snapshot, snap_at)[config])
-    return Trajectory(tuple(times), tuple(states), final=states[-1], steps_taken=n)
+    # a range, not a set: its size does not grow with the number of snapshots
+    snap_at = range(0, n, stride) if stride > 0 else ()
+    at(n, _march(initial, params, (config,), snapshot, snap_at)[config])
 
 
 def _march(initial: SpectralState, params: ModelParams, configs, record=None, record_at=()):

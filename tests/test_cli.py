@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
 
@@ -249,6 +250,31 @@ def test_final_csv_is_the_last_snapshot_byte_for_byte(tmp_path, capsys, stride, 
     assert capsys.readouterr().out == f"wrote {recorded} snapshot(s) and {out / 'final.csv'}\n"
     assert len(list(out.glob("snapshot_*.csv"))) == recorded
     assert (out / "final.csv").read_bytes() == (out / "snapshot_000010.csv").read_bytes()
+
+
+def test_solve_memory_does_not_grow_with_the_snapshot_count(tmp_path, capsys):
+    # each state is written and dropped: recording all 65 states must cost less
+    # than four states of 1024 complex coefficients over the final state alone
+    config = FULL_CONFIG.replace("n_modes = 256", "n_modes = 1024").replace("dt = 0.125", "dt = 0.015625")
+
+    def solve(stride):
+        cfg_file = tmp_path / f"run{stride}.cfg"
+        cfg_file.write_text(config + f"snapshot_stride = {stride}\n")
+        out = tmp_path / f"out{stride}"
+        assert run_cli(["solve", "--config", str(cfg_file), "--output", str(out)]) == 0
+        return len(list(out.glob("snapshot_*.csv")))
+
+    solve(0)  # fills the caches a solve builds once
+    tracemalloc.start()
+    try:
+        assert solve(0) == 1
+        _, final_only = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert solve(1) == 65
+        _, every_step = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert every_step - final_only < 4 * 1024 * 16
 
 
 def test_blow_up_exits_2(tmp_path, capsys):

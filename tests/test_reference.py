@@ -1,7 +1,10 @@
 import ast
 import hashlib
 import logging
+import os
 import struct
+import subprocess
+import sys
 from collections import OrderedDict
 from pathlib import Path
 
@@ -568,7 +571,8 @@ def test_if_rk4_cache_entry_is_not_read(tmp_path, monkeypatch, full_params, empt
     initial = build_initial(InitialConditionSpec(kind="paper"), g)
     with monkeypatch.context() as patch:
         patch.setattr(reference_module, "_METHOD", b"if-rk4 step-doubling v2")
-        old_key = reference_module._content_key(initial, full_params, 0.5, "standard", "none")
+        old_content = reference_module._content(initial, full_params, 0.5, "standard", "none")
+        old_key = reference_module._content_key(old_content)
     write_reference_file(tmp_path / f"{old_key}.kbfr", SpectralState(np.zeros(32), g))
     ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
     solved, _, _ = doubling(
@@ -664,6 +668,52 @@ def test_make_reference_logs_where_it_was_served_from(tmp_path, caplog, full_par
         f"reference {method} from solve: steps {steps}, estimate {estimate}"
     )
     assert logging.getLogger("kbf").handlers == []
+
+
+def test_disk_cache_file_names_are_unchanged(tmp_path, full_params, empty_memory_cache):
+    # a changed key would orphan every existing cache file without a word
+    g = make_grid(16, 0.0, TWO_PI)
+    coeffs = np.zeros(16, dtype=complex)
+    coeffs[0], coeffs[1], coeffs[15] = 8.0, -2j, 2j
+    initial = SpectralState(coeffs, g)
+    make_reference(initial, full_params, linear_symbol(full_params, g), 0.5, cache_dir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [
+        "3f9196de6aabee7d89d6d566c2bdf01480b22e951c17e3b3084b740e2fda4e53.kbfr"
+    ]
+
+
+def test_memory_cache_key_is_exact(caplog, full_params, empty_memory_cache):
+    initial, sym = _small_problem(full_params)
+    coeffs = initial.coeffs.copy()
+    coeffs[0] = np.nextafter(coeffs[0].real, np.inf)  # the last bit of the mean
+    nudged = SpectralState(coeffs, initial.grid)
+    caplog.set_level(logging.DEBUG, logger="kbf")
+    first = make_reference(initial, full_params, sym, 0.5)
+    make_reference(nudged, full_params, sym, 0.5)
+    again = make_reference(initial, full_params, sym, 0.5)
+    sources = [r.reference["source"] for r in caplog.records if r.name == "kbf"]
+    assert sources == ["solve", "solve", "memory"]
+    np.testing.assert_array_equal(again.coeffs, first.coeffs)
+
+
+def test_a_study_without_a_disk_cache_loads_neither_openssl_nor_logging():
+    # hashlib's OpenSSL serves only disk-cache names; the reference's DEBUG
+    # record is built only once something has imported logging
+    src = str(Path(reference_module.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, kbf, kbf.cli\n"
+        "spec = kbf.ExperimentSpec(params=kbf.ModelParams(nu=1.0, eps_conv=1.0, eps_react=1.0),"
+        " grid=kbf.make_grid(16, 0.0, 6.283185307179586),"
+        " initial_condition=kbf.InitialConditionSpec(kind='paper'), t_final=0.5, axis=(4, 8))\n"
+        "kbf.temporal_convergence_study(spec, quality='standard')\n"
+        "print(sorted({'_hashlib', 'logging'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ----- coupling to the production scheme (sanity) -----
