@@ -3,9 +3,9 @@ dispersion-dissipation-reaction equation.
 
 Strang splitting in time (exact Fourier-space exponential for the linear
 part, classical RK4 for the nonlinear part) on a Fourier collocation grid,
-together with an ETDRK4 reference solver (cross-checked by an
-integrating-factor RK4 solver), closed-form oracles and a convergence-study
-harness.
+together with an ETDRK4 reference solver (and an integrating-factor RK4
+solver that shares its right-hand side), closed-form oracles and a
+convergence-study harness.
 """
 
 # the public names are each module's __all__ (errors has none: its classes)

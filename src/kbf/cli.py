@@ -109,6 +109,7 @@ def _read(source: str, overrides: dict | None, unread=()) -> dict:
     """Each key's text, from ``key = value`` lines and then the overrides, which win.
 
     Unknown keys are rejected, keys in ``unread`` dropped; every other required key must be given.
+    A value must be one line without surrounding whitespace, so that ``emit_config`` echoes it.
     """
     raw = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
@@ -120,9 +121,11 @@ def _read(source: str, overrides: dict | None, unread=()) -> dict:
         key, _, value = stripped.partition("=")
         raw[key.strip()] = value.strip()
     raw.update((key, str(value)) for key, value in (overrides or {}).items() if value is not None)
-    for key in raw:
+    for key, text in raw.items():
         if key not in _KEYS:
             raise ValidationError(key, "unknown key")
+        if text != text.strip() or len(text.splitlines()) > 1:
+            raise ValidationError(key, f"must be one line without outer whitespace, got {text!r}")
     for key in _REQUIRED:
         if key not in raw and key not in unread:
             raise ValidationError(key, "required key is missing")

@@ -13,7 +13,8 @@ The linear part evolves each Fourier mode by the symbol
 with kappa the physical wavenumber.  The nonlinear right-hand side is used
 in the conservative spectral form
 ``-(eps/3)*(i*kappa)*T(y^3) + eps_react*(yhat - T(y^2))`` with pointwise
-powers taken in physical space.
+powers taken in physical space.  Both reference integrators use the one copy
+here, on the real half-spectrum; the splitting solver keeps its own.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch, NonFiniteInput, ValidationError, _check_real
-from .spectral import GridSpec, SpectralState, _derivative_symbol, to_physical
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    GridMismatch,
+    NonFiniteInput,
+    ValidationError,
+    _check_real,
+)
+from .spectral import GridSpec, SpectralState, _derivative_symbol, _from_half, _real_half
 
 __all__ = [
     "ModelParams",
@@ -99,27 +107,36 @@ def nonlinear_rhs_physical(values: np.ndarray, params: ModelParams, grid: GridSp
     return -params.eps_conv * y * y * y_x + params.eps_react * y * (1.0 - y)
 
 
-def _nonlinear_rhs_coeffs(
-    coeffs: np.ndarray,
-    params: ModelParams,
-    ik: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Conservative spectral right-hand side on a raw coefficient vector.
+def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, mask: np.ndarray | None, lanes: int):
+    """The conservative nonlinear right-hand side on ``k = 0..N/2``.
 
-    ``ik`` is the first-derivative symbol of the grid; ``mask`` optionally
-    dealiases the transformed products.
+    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` for ``lanes``
+    stacked half-spectra, from one ``irfft`` and one batched ``rfft`` of
+    ``[y^3, y^2]``, the products dealiased by the keep-mask ``mask`` over the
+    N modes (None keeps them all).  Written apart from the splitting kernel's,
+    so that the reference does not inherit a bug of the solver it measures.
     """
-    y = np.fft.ifft(coeffs).real
-    cubed = np.fft.fft(y * y * y)
-    squared = np.fft.fft(y * y)
-    if mask is not None:
-        cubed = np.where(mask, cubed, 0.0)
-        squared = np.where(mask, squared, 0.0)
-    out = (-params.eps_conv / 3.0) * (ik * cubed)
-    if params.eps_react != 0.0:
-        out += params.eps_react * (coeffs - squared)
-    return out
+    n = grid.n_modes
+    m = n // 2 + 1
+    conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
+    keep = None if mask is None else mask[:m]
+    react = params.eps_react
+    # the transforms write into these instead of allocating their outputs per call
+    y = np.empty((lanes, n))
+    powers = np.empty((2, lanes, n))
+    spectra = np.empty((2, lanes, m), dtype=complex)
+
+    def rhs(c: np.ndarray) -> np.ndarray:
+        np.fft.irfft(c, n, out=y)
+        np.multiply(y, y, out=powers[1])
+        np.multiply(y, powers[1], out=powers[0])
+        np.fft.rfft(powers, out=spectra)
+        if keep is not None:
+            np.multiply(spectra, keep, out=spectra)
+        cubed, squared = spectra
+        return conv * cubed + react * (c - squared)
+
+    return rhs
 
 
 def nonlinear_rhs_spectral(
@@ -127,11 +144,20 @@ def nonlinear_rhs_spectral(
     params: ModelParams,
     dealias: np.ndarray | None = None,
 ) -> SpectralState:
-    """Conservative spectral right-hand side of the nonlinear subproblem."""
-    to_physical(state)  # rejects a state that is not real-representable
-    ik = _derivative_symbol(state.grid, 1)
-    out = _nonlinear_rhs_coeffs(state.coeffs, params, ik, dealias)
-    return SpectralState(out, state.grid)
+    """Conservative spectral right-hand side of the nonlinear subproblem; exactly Hermitian.
+
+    ``dealias`` is an optional keep-mask over the N modes that keeps or drops
+    ``k`` and ``-k`` together, such as ``dealias_mask(grid, "two_thirds")``.
+    """
+    grid = state.grid
+    if dealias is not None:
+        dealias = np.asarray(dealias, dtype=bool)
+        if dealias.shape != (grid.n_modes,):
+            raise DimensionMismatch(f"dealias mask of shape {dealias.shape}, not ({grid.n_modes},)")
+        if not np.array_equal(dealias, dealias[-np.arange(grid.n_modes)]):
+            raise ValidationError("dealias", "the mask must keep or drop k and -k together")
+    half = _real_half(state)[None]  # rejects a state that is not real-representable
+    return _from_half(_half_spectrum_rhs(grid, params, dealias, 1)(half)[0], grid)
 
 
 def full_rhs(

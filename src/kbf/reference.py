@@ -1,12 +1,12 @@
 """Independent solution sources.
 
 The reference for convergence studies is an exponential time-differencing
-RK4 solve (Cox-Matthews) of the full equation on the real half-spectrum,
-with its own right-hand side, verified by step doubling.  An
-integrating-factor RK4 solver on the full complex spectrum stays as its
-independent cross-check; closed-form oracles cover the degenerate parameter
-limits (pure linear flow, logistic reaction).  The oracles deliberately
-share no code with the production flows.
+RK4 solve (Cox-Matthews) of the full equation, verified by step doubling;
+an integrating-factor RK4 solver is a second integrator of the same
+problem.  Both step the real half-spectrum with the model's nonlinear
+right-hand side, which is written apart from the splitting solver's.
+Closed-form oracles cover the degenerate parameter limits (pure linear
+flow, logistic reaction) and share no code with the production flows.
 
 Both integrators are kernels that step stacked lanes, one step count per
 lane (``_Lanes``): the step doubling runs its solves as lanes of one loop,
@@ -38,12 +38,11 @@ from .errors import (
     _check_choice,
     _check_real,
 )
-from .model import LinearSymbol, ModelParams, _check_symbol, _nonlinear_rhs_coeffs
+from .model import LinearSymbol, ModelParams, _check_symbol, _half_spectrum_rhs
 from .spectral import (
     DEALIAS_RULES,
     GridSpec,
     SpectralState,
-    _derivative_symbol,
     _from_half,
     _real_half,
     dealias_mask,
@@ -83,10 +82,11 @@ def integrating_factor_rk4_solve(
     The linear part is removed by the exact exponential substitution
     ``w = exp(-lambda*(t-t_n)) * yhat`` recentered at each step, so the
     explicit RK4 stages see only the nonlinearity; stage exponentials at
-    ``dt/2`` and ``dt`` are precomputed once.  The products of the
-    nonlinearity are dealiased by the rule ``dealias``, as the splitting
-    solver's are.  Exact for any ``dt`` when the nonlinear coefficients vanish.
-    A one-lane run of the kernel of ``_if_rk4_kernel``.
+    ``dt/2`` and ``dt`` are precomputed once.  Like the ETDRK4 reference, it
+    steps the real half-spectrum with the model's right-hand side, whose
+    products are dealiased by the rule ``dealias`` as the splitting solver's
+    are.  Exact for any ``dt`` when the nonlinear coefficients vanish.  A
+    one-lane run of the kernel of ``_if_rk4_kernel``.
     """
     n = _step_count(dt, t_final)
     return _one_lane(_if_rk4_kernel(initial, params, symbol, dealias), n, dt)
@@ -146,75 +146,44 @@ def _etd_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     return np.exp(z / 2.0), np.exp(z), q * scale, f1 * scale, f2 * scale, f3 * scale
 
 
-def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, dealias: str, lanes: int):
-    """The reference's conservative nonlinear right-hand side on ``k = 0..N/2``.
-
-    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` for ``lanes``
-    stacked half-spectra, from one ``irfft`` and one batched ``rfft`` of
-    ``[y^3, y^2]``, the products dealiased by the rule ``dealias``.  Written
-    apart from the splitting kernel's, so that the reference does not inherit
-    a bug of the solver it measures.
-    """
-    n = grid.n_modes
-    m = n // 2 + 1
-    conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
-    keep = None if dealias == "none" else dealias_mask(grid, dealias)[:m]
-    react = params.eps_react
-    # the transforms write into these instead of allocating their outputs per call
-    y = np.empty((lanes, n))
-    powers = np.empty((2, lanes, n))
-    spectra = np.empty((2, lanes, m), dtype=complex)
-
-    def rhs(c: np.ndarray) -> np.ndarray:
-        np.fft.irfft(c, n, out=y)
-        np.multiply(y, y, out=powers[1])
-        np.multiply(y, powers[1], out=powers[0])
-        np.fft.rfft(powers, out=spectra)
-        if keep is not None:
-            np.multiply(spectra, keep, out=spectra)
-        cubed, squared = spectra
-        return conv * cubed + react * (c - squared)
-
-    return rhs
-
-
 class _Kernel(NamedTuple):
     """A fixed-step integrator of one problem, written for stacked lanes.
 
-    Every lane starts from ``start``.  ``weights(dt)`` is the tuple of rows
-    that one lane steps with; ``stepper(rows)``, given those rows stacked
-    over the lanes, returns ``step(v)``, which advances the ``(lanes, ·)``
-    states ``v`` by one step of each lane's own size.  ``finish`` turns one
-    lane's final row into a state.
+    Every lane starts from the real half-spectrum of ``initial``.  ``weights(dt)``
+    is the tuple of rows that one lane steps with; ``stepper(rows)``, given those
+    rows stacked over the lanes, returns ``step(v)``, which advances the
+    ``(lanes, N/2+1)`` states ``v`` by one step of each lane's own size.
     """
 
     name: str
-    start: np.ndarray
+    initial: SpectralState
     weights: Callable
     stepper: Callable
-    finish: Callable
+
+
+def _problem(initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str):
+    """The symbol on ``k = 0..N/2`` and ``rhs(lanes)``, the model's RHS for stacked half-spectra."""
+    grid = initial.grid
+    _check_symbol(symbol, params, grid)
+    mask = None if dealias == "none" else dealias_mask(grid, dealias)
+    lam = symbol.values[: grid.n_modes // 2 + 1]
+    return lam, lambda lanes: _half_spectrum_rhs(grid, params, mask, lanes)
 
 
 def _etdrk4_kernel(
     initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str = "none"
 ) -> _Kernel:
-    """The ETDRK4 scheme of Cox and Matthews on the real half-spectrum.
+    """The ETDRK4 scheme of Cox and Matthews.
 
     The linear symbol is integrated exactly through the weights of
     ``_etd_weights``; the nonlinearity (reaction included) is taken by the
     four Cox-Matthews stages.
     """
-    grid = initial.grid
-    _check_symbol(symbol, params, grid)
-    lam = symbol.values[: grid.n_modes // 2 + 1]
-
-    def weights(dt):
-        e_half, e_full, q, f1, f2, f3 = _etd_weights(lam, dt)
-        return e_half, e_full, q, f1, 2.0 * f2, f3
+    lam, rhs = _problem(initial, params, symbol, dealias)
 
     def stepper(rows):
-        e_half, e_full, q, f1, two_f2, f3 = rows
-        f = _half_spectrum_rhs(grid, params, dealias, len(e_half))
+        e_half, e_full, q, f1, f2, f3 = rows
+        f = rhs(len(e_half))
 
         def step(v):
             nv = f(v)
@@ -224,37 +193,26 @@ def _etdrk4_kernel(
             b = ev + q * na
             nb = f(b)
             c = e_half * a + q * (2.0 * nb - nv)
-            return e_full * v + f1 * nv + two_f2 * (na + nb) + f3 * f(c)
+            return e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * f(c)
 
         return step
 
-    return _Kernel("ETDRK4", _real_half(initial), weights, stepper, lambda v: _from_half(v, grid))
+    return _Kernel("ETDRK4", initial, lambda dt: _etd_weights(lam, dt), stepper)
 
 
 def _if_rk4_kernel(
     initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str = "none"
 ) -> _Kernel:
-    """The integrating-factor RK4 method on the full complex spectrum.
-
-    The nonlinearity is the model's shared right-hand side, which acts on
-    stacked coefficient vectors as it does on one.
-    """
-    grid = initial.grid
-    _check_symbol(symbol, params, grid)
-    ik = _derivative_symbol(grid, 1)
-    mask = None if dealias == "none" else dealias_mask(grid, dealias)
-
-    def f(c):
-        return _nonlinear_rhs_coeffs(c, params, ik, mask)
+    """The integrating-factor RK4 method."""
+    lam, rhs = _problem(initial, params, symbol, dealias)
 
     def weights(dt):
-        e_half = np.exp(symbol.values * (dt / 2.0))
-        # the step sizes are complex, as a Python float is when it scales a complex array
-        sizes = np.array([0.5 * dt, dt, dt / 6.0], dtype=complex)
-        return (e_half, e_half * e_half, *sizes[:, None])
+        e_half = np.exp(lam * (dt / 2.0))
+        return (e_half, e_half * e_half, *np.array([[0.5 * dt], [dt], [dt / 6.0]]))
 
     def stepper(rows):
         e_half, e_full, half_dt, dt, dt_6 = rows
+        f = rhs(len(e_half))
 
         def step(c):
             a = f(c)
@@ -265,7 +223,7 @@ def _if_rk4_kernel(
 
         return step
 
-    return _Kernel("IF-RK4", initial.coeffs, weights, stepper, lambda c: SpectralState(c, grid))
+    return _Kernel("IF-RK4", initial, weights, stepper)
 
 
 class _Lanes:
@@ -280,12 +238,13 @@ class _Lanes:
 
     def __init__(self, kernel: _Kernel):
         self.kernel = kernel
+        self._start = _real_half(kernel.initial)
         self.started: list[int] = []
         # finished lanes: step count -> final state, or the NonFiniteState it raised
         self._results: dict[int, SpectralState | NonFiniteState] = {}
         # running lanes: step count -> [steps left, weight rows]
         self._running: dict[int, list] = {}
-        self._states = np.empty((0, len(kernel.start)), dtype=complex)
+        self._states = np.empty((0, len(self._start)), dtype=complex)
 
     def start(self, n: int, dt: float) -> None:
         """Start a lane of ``n`` steps of ``dt``, unless it has started already."""
@@ -293,7 +252,7 @@ class _Lanes:
             return
         self.started.append(n)
         self._running[n] = [n, self.kernel.weights(dt)]
-        self._states = np.concatenate((self._states, self.kernel.start[None]))
+        self._states = np.concatenate((self._states, self._start[None]))
 
     def result(self, n: int) -> SpectralState:
         """Lane ``n``'s final state, stepping the stack until that lane has left it.
@@ -331,7 +290,7 @@ class _Lanes:
                     f"reference solve turned non-finite at step {n - lane[0]}"
                 )
             elif lane[0] == 0:
-                self._results[n] = self.kernel.finish(v[i])
+                self._results[n] = _from_half(v[i], self.kernel.initial.grid)
             else:
                 stay.append(i)
         self._running = dict(lanes[i] for i in stay)

@@ -64,28 +64,37 @@ def random_band_limited(rng, grid_points, max_mode, amplitude=1.0):
     return values, coeffs
 
 
+def full_spectrum_rhs(coeffs, params, grid, dealias="none"):
+    """The conservative nonlinear right-hand side on the full complex spectrum.
+
+    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` from one complex
+    ``ifft`` and two complex ``fft``, the products dealiased by the rule
+    ``dealias``; written apart from the package's half-spectrum forms.
+    """
+    n = len(coeffs)
+    ik = 1j * np.asarray(grid.physical_wavenumbers, dtype=float)
+    ik[n // 2] = 0.0
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    keep = np.abs(k) <= n // 3 if dealias == "two_thirds" else np.ones(n, dtype=bool)
+    y = np.fft.ifft(coeffs).real
+    cubed = np.where(keep, np.fft.fft(y * y * y), 0.0)
+    squared = np.where(keep, np.fft.fft(y * y), 0.0)
+    return (-params.eps_conv / 3.0) * (ik * cubed) + params.eps_react * (coeffs - squared)
+
+
 def full_spectrum_solve(state, params, symbol, dt, n_steps, scheme="strang",
                         dealias="none", substeps=1):
     """Splitting solve on the full complex spectrum, a reference for the kernel.
 
     Linear factors ``exp(lambda*dt/2)`` around the nonlinear flow (Strang) or
     ``exp(lambda*dt)`` before it (Lie-Trotter); the nonlinear right-hand side
-    takes one complex ``ifft`` and two complex ``fft`` per call and is
-    integrated by RK4 substeps.
+    is ``full_spectrum_rhs``, integrated by RK4 substeps.
     """
     c = np.array(state.coeffs, dtype=complex)
-    n = len(c)
-    ik = 1j * np.asarray(state.grid.physical_wavenumbers, dtype=float)
-    ik[n // 2] = 0.0
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    keep = np.abs(k) <= n // 3 if dealias == "two_thirds" else np.ones(n, dtype=bool)
     linear = np.exp(symbol.values * (dt / 2.0 if scheme == "strang" else dt))
 
     def rhs(v):
-        y = np.fft.ifft(v).real
-        cubed = np.where(keep, np.fft.fft(y * y * y), 0.0)
-        squared = np.where(keep, np.fft.fft(y * y), 0.0)
-        return (-params.eps_conv / 3.0) * (ik * cubed) + params.eps_react * (v - squared)
+        return full_spectrum_rhs(v, params, state.grid, dealias)
 
     def nonlinear(v):
         h = dt / substeps
@@ -102,3 +111,11 @@ def full_spectrum_solve(state, params, symbol, dt, n_steps, scheme="strang",
         if scheme == "strang":
             c = linear * c
     return c
+
+
+def assert_exactly_hermitian(coeffs):
+    """Assert ``coeffs`` are the spectrum of real data bit for bit: ``c[-k] == conj(c[k])``."""
+    n = len(coeffs)
+    assert coeffs[0].imag == 0.0
+    assert coeffs[n // 2].imag == 0.0
+    np.testing.assert_array_equal(coeffs[n // 2 + 1 :], np.conj(coeffs[1 : n // 2][::-1]))

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -241,6 +242,23 @@ def test_user_text_in_the_header_cannot_break_the_rows(tmp_path, capsys, key):
     assert np.all(np.isfinite(rows_y))
 
 
+@pytest.mark.parametrize("key,tail", [("output", "\nnu = 5"), ("output", "\u2028x"), ("ic.path", " ")])
+def test_a_value_the_header_cannot_echo_is_rejected(tmp_path, capsys, key, tail):
+    # the header holds one `key = value` line per key, which a line break would split
+    # and whose value is read back stripped
+    ic_path = tmp_path / ("ic.csv" + (tail if key == "ic.path" else ""))
+    xs = np.arange(16) * (TWO_PI / 16)
+    ic_path.write_text("x,y\n" + "".join(f"{_fmt(x)},{_fmt(0.5 + 0.25 * np.sin(x))}\n" for x in xs))
+    out = str(tmp_path / "out") + (tail if key == "output" else "")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(SMALL_CONFIG.replace("paper", "file"))
+    argv = ["solve", "--config", str(cfg_file), "--ic-path", str(ic_path), "--output", out]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"kbf: error: ValidationError: {key}: must be one line")
+    # rejected before the output directory is made
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([ic_path.name, "run.cfg"])
+
+
 @pytest.mark.parametrize("stride,recorded", [(1, 11), (0, 1)])
 def test_final_csv_is_the_last_snapshot_byte_for_byte(tmp_path, capsys, stride, recorded):
     cfg_file = tmp_path / "run.cfg"
@@ -265,10 +283,14 @@ def test_solve_memory_does_not_grow_with_the_snapshot_count(tmp_path, capsys):
         return len(list(out.glob("snapshot_*.csv")))
 
     solve(0)  # fills the caches a solve builds once
+    # each run_cli leaves its argument parser as cyclic garbage; it is collected
+    # before each window, so that no window counts the one before it
+    gc.collect()
     tracemalloc.start()
     try:
         assert solve(0) == 1
         _, final_only = tracemalloc.get_traced_memory()
+        gc.collect()
         tracemalloc.reset_peak()
         assert solve(1) == 65
         _, every_step = tracemalloc.get_traced_memory()

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 import kbf.reference as reference_module
-from helpers import fd_derivative, random_band_limited
+from helpers import assert_exactly_hermitian, fd_derivative, full_spectrum_rhs, random_band_limited
 from kbf import (
     ConfigError,
+    DimensionMismatch,
     GridMismatch,
     InitialConditionSpec,
     ModelParams,
     NonFiniteInput,
     SpectralState,
+    ValidationError,
     build_initial,
+    dealias_mask,
     full_rhs,
     integrating_factor_rk4_solve,
     lie_trotter_step,
@@ -158,6 +161,36 @@ def test_rhs_spectral_preserves_reality(rng, full_params):
     g = make_grid(64, 0.0, TWO_PI)
     s = to_spectral(rng.standard_normal(64), g)
     assert real_residue(nonlinear_rhs_spectral(s, full_params).coeffs) < 1e-12
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("n_modes", [16, 64, 256])
+def test_rhs_spectral_matches_the_full_spectrum_oracle(rng, full_params, n_modes, dealias):
+    # both reference integrators step this right-hand side; the oracle is written apart from it
+    g = make_grid(n_modes, 0.0, TWO_PI)
+    s = to_spectral(rng.standard_normal(n_modes), g)
+    mask = None if dealias == "none" else dealias_mask(g, dealias)
+    out = nonlinear_rhs_spectral(s, full_params, mask).coeffs
+    oracle = full_spectrum_rhs(s.coeffs, full_params, g, dealias)
+    assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    assert_exactly_hermitian(out)
+    sym = linear_symbol(full_params, g)
+    small = SpectralState(0.1 * s.coeffs, g)
+    solved = integrating_factor_rk4_solve(small, full_params, sym, 0.25, 1.0, dealias)
+    assert_exactly_hermitian(solved.coeffs)
+
+
+def test_rhs_spectral_rejects_a_bad_dealias_mask(full_params):
+    g = make_grid(16, 0.0, TWO_PI)
+    s = to_spectral(np.ones(16), g)
+    for size in (8, 32):
+        with pytest.raises(DimensionMismatch):
+            nonlinear_rhs_spectral(s, full_params, np.ones(size, dtype=bool))
+    lopsided = dealias_mask(g, "two_thirds")
+    lopsided[3] = False  # drops k = 3 but keeps k = -3
+    with pytest.raises(ValidationError) as info:
+        nonlinear_rhs_spectral(s, full_params, lopsided)
+    assert info.value.key == "dealias"
 
 
 # ----- assembled right-hand side -----

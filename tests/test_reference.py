@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kbf.model as model_module
 import kbf.reference as reference_module
 from kbf import (
     ConfigError,
@@ -37,7 +38,6 @@ from kbf import (
     write_reference_file,
 )
 from kbf.errors import NegativeDuration
-from kbf.model import _nonlinear_rhs_coeffs
 from kbf.reference import (
     _QUALITY_TOL,
     _doubling_solve,
@@ -288,29 +288,11 @@ def test_a_non_finite_lane_leaves_its_neighbour_unchanged(kernel):
 
 
 def _plain_loop(kernel, initial, params, symbol, dt, n, dealias):
-    """``n`` steps of ``dt`` on one 1-D state, each integrator written out as a plain loop."""
+    """``n`` steps of ``dt`` on one half-spectrum, each integrator written out as a plain loop."""
     grid = initial.grid
-    mask = None if dealias == "none" else dealias_mask(grid, dealias)
-    ik = _derivative_symbol(grid, 1)
-    if kernel == "if_rk4":
-        e_half = np.exp(symbol.values * (dt / 2.0))
-        e_full = e_half * e_half
-
-        def f(c):
-            return _nonlinear_rhs_coeffs(c, params, ik, mask)
-
-        c = initial.coeffs.copy()
-        for _ in range(n):
-            a = f(c)
-            b = f(e_half * (c + (0.5 * dt) * a))
-            s3 = f(e_half * c + (0.5 * dt) * b)
-            s4 = f(e_full * c + dt * (e_half * s3))
-            c = e_full * c + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + s3) + s4)
-        return c
     m = grid.n_modes // 2 + 1
-    e_half, e_full, q, f1, f2, f3 = _etd_weights(symbol.values[:m], dt)
-    conv = (-params.eps_conv / 3.0) * ik[:m]
-    keep = None if mask is None else mask[:m]
+    conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
+    keep = None if dealias == "none" else dealias_mask(grid, dealias)[:m]
 
     def f(c):
         y = np.fft.irfft(c, grid.n_modes)
@@ -321,15 +303,26 @@ def _plain_loop(kernel, initial, params, symbol, dt, n, dealias):
         return conv * spectra[0] + params.eps_react * (c - spectra[1])
 
     v = 0.5 * (initial.coeffs[:m] + np.conj(initial.coeffs[-np.arange(m)]))
-    for _ in range(n):
-        nv = f(v)
-        ev = e_half * v
-        a = ev + q * nv
-        na = f(a)
-        b = ev + q * na
-        nb = f(b)
-        c = e_half * a + q * (2.0 * nb - nv)
-        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * f(c)
+    if kernel == "if_rk4":
+        e_half = np.exp(symbol.values[:m] * (dt / 2.0))
+        e_full = e_half * e_half
+        for _ in range(n):
+            a = f(v)
+            b = f(e_half * (v + (0.5 * dt) * a))
+            s3 = f(e_half * v + (0.5 * dt) * b)
+            s4 = f(e_full * v + dt * (e_half * s3))
+            v = e_full * v + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + s3) + s4)
+    else:
+        e_half, e_full, q, f1, f2, f3 = _etd_weights(symbol.values[:m], dt)
+        for _ in range(n):
+            nv = f(v)
+            ev = e_half * v
+            a = ev + q * nv
+            na = f(a)
+            b = ev + q * na
+            nb = f(b)
+            c = e_half * a + q * (2.0 * nb - nv)
+            v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * f(c)
     return np.concatenate((v, np.conj(v[-2:0:-1])))
 
 
@@ -345,9 +338,9 @@ def test_one_lane_equals_a_plain_loop_bit_for_bit(full_params, kernel, n_modes, 
     np.testing.assert_array_equal(lane.coeffs, plain)
 
 
-def test_the_reference_shares_no_kernel_with_the_splitting_solver():
-    # the reference measures the splitting solver, so it may borrow only the step-count rule
-    tree = ast.parse(Path(reference_module.__file__).read_text(encoding="utf-8"))
+def _borrowed_from_splitting(module):
+    """The names that ``module`` imports from ``kbf.splitting``, which it must not import whole."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     borrowed = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module in ("splitting", "kbf.splitting"):
@@ -356,7 +349,14 @@ def test_the_reference_shares_no_kernel_with_the_splitting_solver():
             assert all(alias.name != "kbf.splitting" for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module in (None, "kbf"):
             assert all(alias.name != "splitting" for alias in node.names)
-    assert borrowed == ["_step_count"]
+    return borrowed
+
+
+def test_the_reference_shares_no_kernel_with_the_splitting_solver():
+    # the reference measures the splitting solver, so it may borrow only the step-count rule
+    assert _borrowed_from_splitting(reference_module) == ["_step_count"]
+    # and the right-hand side it steps with is the model's, which borrows nothing
+    assert _borrowed_from_splitting(model_module) == []
 
 
 # ----- step doubling -----

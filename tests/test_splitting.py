@@ -27,7 +27,7 @@ from kbf import (
     to_spectral,
 )
 from kbf import splitting
-from helpers import full_spectrum_solve
+from helpers import assert_exactly_hermitian, full_spectrum_solve
 
 TWO_PI = 2.0 * np.pi
 
@@ -316,19 +316,12 @@ def test_dense_kernel_matches_fft_kernel(monkeypatch, full_params, scheme, deali
     assert np.max(np.abs(dense - fft)) <= 1e-13 * np.max(np.abs(fft))
 
 
-def _assert_exactly_hermitian(coeffs):
-    n = len(coeffs)
-    assert coeffs[0].imag == 0.0
-    assert coeffs[n // 2].imag == 0.0
-    np.testing.assert_array_equal(coeffs[n // 2 + 1 :], np.conj(coeffs[1 : n // 2][::-1]))
-
-
 def test_outputs_are_exactly_hermitian(rng, full_params):
     ladder = [SolveConfig(dt=dt, t_final=0.25) for dt in (1.0 / 32, 1.0 / 16, 1.0 / 8)]
     for n in (16, 64, 256):
         g = make_grid(n, 0.0, TWO_PI)
         state = to_spectral(rng.standard_normal(n), g)
-        _assert_exactly_hermitian(state.coeffs)
+        assert_exactly_hermitian(state.coeffs)
         sym = linear_symbol(full_params, g)
         # a state that is real only to within rounding is projected at the boundary
         c = state.coeffs.copy()
@@ -337,14 +330,14 @@ def test_outputs_are_exactly_hermitian(rng, full_params):
         cfg = SolveConfig(dt=1.0 / 32, t_final=0.25, snapshot_stride=4)
         for s in (state, nearly_real):
             for snap in evolve(s, full_params, cfg).states:
-                _assert_exactly_hermitian(snap.coeffs)
-            _assert_exactly_hermitian(strang_step(s, 0.01, full_params, sym).coeffs)
-            _assert_exactly_hermitian(lie_trotter_step(s, 0.01, full_params, sym).coeffs)
-            _assert_exactly_hermitian(nonlinear_flow(s, 0.01, full_params).coeffs)
+                assert_exactly_hermitian(snap.coeffs)
+            assert_exactly_hermitian(strang_step(s, 0.01, full_params, sym).coeffs)
+            assert_exactly_hermitian(lie_trotter_step(s, 0.01, full_params, sym).coeffs)
+            assert_exactly_hermitian(nonlinear_flow(s, 0.01, full_params).coeffs)
             finals = splitting._march(s, full_params, ladder)
             assert set(finals) == set(ladder)
             for final in finals.values():
-                _assert_exactly_hermitian(final.coeffs)
+                assert_exactly_hermitian(final.coeffs)
 
 
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])
@@ -356,10 +349,10 @@ def test_dense_kernel_outputs_are_exactly_hermitian(rng, full_params, dealias):
         flow = NonlinearFlowConfig(substeps=2, dealias=dealias)
         cfg = SolveConfig(dt=1.0 / 256, t_final=0.125, snapshot_stride=8, nonlinear_cfg=flow)
         for snap in evolve(state, full_params, cfg).states:
-            _assert_exactly_hermitian(snap.coeffs)
-        _assert_exactly_hermitian(strang_step(state, 0.01, full_params, sym, flow).coeffs)
-        _assert_exactly_hermitian(lie_trotter_step(state, 0.01, full_params, sym, flow).coeffs)
-        _assert_exactly_hermitian(nonlinear_flow(state, 0.01, full_params, flow).coeffs)
+            assert_exactly_hermitian(snap.coeffs)
+        assert_exactly_hermitian(strang_step(state, 0.01, full_params, sym, flow).coeffs)
+        assert_exactly_hermitian(lie_trotter_step(state, 0.01, full_params, sym, flow).coeffs)
+        assert_exactly_hermitian(nonlinear_flow(state, 0.01, full_params, flow).coeffs)
 
 
 def test_non_real_input_is_rejected(full_params):
