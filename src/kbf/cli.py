@@ -26,6 +26,7 @@ from .errors import (
     ReferenceNotConverged,
     SingularSolution,
     ValidationError,
+    _check_line,
 )
 from .harness import (
     ExperimentSpec,
@@ -89,6 +90,9 @@ class RunConfig:
     norm: NormSpec = NormSpec()
     output: str = ""
 
+    def __post_init__(self):
+        _check_line(ValidationError, "output", self.output)
+
 
 def _convert(key, text):
     convert = _KEYS[key]
@@ -109,7 +113,7 @@ def _read(source: str, overrides: dict | None, unread=()) -> dict:
     """Each key's text, from ``key = value`` lines and then the overrides, which win.
 
     Unknown keys are rejected, keys in ``unread`` dropped; every other required key must be given.
-    A value must be one line without surrounding whitespace, so that ``emit_config`` echoes it.
+    Every value must pass ``_check_line``, so that ``emit_config`` echoes it.
     """
     raw = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
@@ -124,8 +128,7 @@ def _read(source: str, overrides: dict | None, unread=()) -> dict:
     for key, text in raw.items():
         if key not in _KEYS:
             raise ValidationError(key, "unknown key")
-        if text != text.strip() or len(text.splitlines()) > 1:
-            raise ValidationError(key, f"must be one line without outer whitespace, got {text!r}")
+        _check_line(ValidationError, key, text)
     for key in _REQUIRED:
         if key not in raw and key not in unread:
             raise ValidationError(key, "required key is missing")

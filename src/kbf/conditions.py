@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, GridMismatch, ValidationError
-from .errors import _check_choice, _check_int, _check_real
+from .errors import _check_choice, _check_int, _check_line, _check_real
 from .spectral import GridSpec, SpectralState, to_spectral
 
 __all__ = ["InitialConditionSpec", "build_initial"]
@@ -38,6 +38,8 @@ class InitialConditionSpec:
     path: str = ""
 
     def __post_init__(self):
+        _check_line(ValidationError, "ic.kind", self.kind)
+        _check_line(ValidationError, "ic.path", self.path)
         _check_choice(ValidationError, "ic.kind", self.kind, IC_KINDS)
         if self.kind == "file" and not self.path:
             raise ValidationError("ic.path", "required for ic.kind = file")

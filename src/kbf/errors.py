@@ -1,7 +1,8 @@
 """Exception types shared across the solver suite.
 
 The ``_check_*`` functions are every construction-time rule on a single
-value; each raises the caller's own keyed error class under the caller's key.
+value.  Each raises the caller's own keyed error class under the caller's
+key, except ``_check_length``, whose DimensionMismatch names no key.
 """
 
 import math as _math
@@ -136,3 +137,19 @@ def _check_choice(error, key, value, choices) -> None:
     """Raise ``error(key, ...)`` unless ``value`` is one of ``choices``."""
     if value not in choices:
         raise error(key, f"must be one of {choices}, got {value!r}")
+
+
+def _check_line(error, key, value) -> None:
+    """Raise ``error(key, ...)`` unless ``value`` is text of one line without outer whitespace.
+
+    Such a value survives a ``key = value`` line: written and read back
+    stripped, it parses to itself.
+    """
+    if not isinstance(value, str) or value != value.strip() or len(value.splitlines()) > 1:
+        raise error(key, f"must be one line without outer whitespace, got {value!r}")
+
+
+def _check_length(what, array, n) -> None:
+    """Raise DimensionMismatch unless ``array`` has shape ``(n,)``, one entry per grid point."""
+    if array.shape != (n,):
+        raise DimensionMismatch(f"{what} of shape {array.shape}, not ({n},)")

@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DimensionMismatch,
     GridMismatch,
     NonFiniteInput,
     ValidationError,
+    _check_length,
     _check_real,
 )
 from .spectral import GridSpec, SpectralState, _derivative_symbol, _from_half, _real_half
@@ -98,8 +98,7 @@ def nonlinear_rhs_physical(values: np.ndarray, params: ModelParams, grid: GridSp
     as an independent cross-check of the conservative spectral form.
     """
     y = np.asarray(values, dtype=np.float64)
-    if y.shape != (grid.n_modes,):
-        raise GridMismatch(f"expected {grid.n_modes} values, got shape {y.shape}")
+    _check_length("values", y, grid.n_modes)
     if not np.all(np.isfinite(y)):
         raise NonFiniteInput("values contain NaN or infinity")
     dsym = _derivative_symbol(grid, 1)
@@ -152,8 +151,7 @@ def nonlinear_rhs_spectral(
     grid = state.grid
     if dealias is not None:
         dealias = np.asarray(dealias, dtype=bool)
-        if dealias.shape != (grid.n_modes,):
-            raise DimensionMismatch(f"dealias mask of shape {dealias.shape}, not ({grid.n_modes},)")
+        _check_length("dealias mask", dealias, grid.n_modes)
         if not np.array_equal(dealias, dealias[-np.arange(grid.n_modes)]):
             raise ValidationError("dealias", "the mask must keep or drop k and -k together")
     half = _real_half(state)[None]  # rejects a state that is not real-representable

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DimensionMismatch,
     InvalidGrid,
     InvalidTestFunction,
     NonFiniteInput,
@@ -32,6 +31,7 @@ from .errors import (
     ValidationError,
     _check_choice,
     _check_int,
+    _check_length,
     _check_real,
 )
 
@@ -113,10 +113,7 @@ class SpectralState:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n_modes,):
-            raise DimensionMismatch(
-                f"coefficient vector has length {c.shape}, grid has {self.grid.n_modes} modes"
-            )
+        _check_length("coefficient vector", c, self.grid.n_modes)
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -156,10 +153,7 @@ def to_spectral(values: np.ndarray, grid: GridSpec) -> SpectralState:
     result is exactly Hermitian.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.shape != (grid.n_modes,):
-        raise DimensionMismatch(
-            f"expected {grid.n_modes} values, got shape {v.shape}"
-        )
+    _check_length("values", v, grid.n_modes)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("values contain NaN or infinity")
     return _from_half(np.fft.rfft(v), grid)
@@ -298,8 +292,7 @@ def norm(obj, spec: NormSpec = NormSpec(), grid: GridSpec | None = None) -> floa
     v = np.asarray(obj, dtype=np.float64)
     if grid is None:
         raise ConfigError("grid", "raw values need an explicit grid")
-    if v.shape != (grid.n_modes,):
-        raise DimensionMismatch(f"expected {grid.n_modes} values, got shape {v.shape}")
+    _check_length("values", v, grid.n_modes)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("values contain NaN or infinity")
     if spec.kind == "l2":

@@ -9,7 +9,9 @@ nonlinear flow alone, run in one stepping kernel built once per solve on the
 real half-spectrum ``k = 0..N/2`` (``rfft`` layout), where each right-hand
 side costs one ``irfft`` and one batched ``rfft`` of ``[y^3, y^2]``, or on
 grids of at most ``_DENSE_MAX`` points the same two transforms as dense real
-matrices, which cost less than numpy's per-call FFT overhead there.  The
+matrices, which cost less than numpy's per-call FFT overhead there.  On those
+grids a whole RK4 substep is a few matrix products on buffers the kernel owns,
+its stages combined by precomputed coefficients (``_rk4_rows``).  The
 public functions convert FFT-order ``SpectralState`` vectors at the boundary,
 so every state they return is exactly Hermitian, and they reject states that
 are not real-representable.  Every solve runs through one time loop,
@@ -195,15 +197,41 @@ def _dense_forward(grid: GridSpec, eps_conv: float, eps_react: float, dealias: s
     return w
 
 
+def _rk4_rows(h: float, react: float) -> np.ndarray:
+    """Coefficients of one dense RK4 substep of size ``h`` over ``S = [c, G0, G1, G2, G3]``.
+
+    ``G_i`` is the right-hand side at the stage input ``u_i`` without its
+    term ``react*u_i``, so the stage's slope is ``K_i = G_i + react*u_i``.
+    Row ``i < 3`` holds ``u_{i+1} - c`` and row 3 the substep's result minus
+    ``c``, each over the rows of ``S`` and zero past ``G_i``.  ``c``'s own 1
+    stays out: rounded into a coefficient, it would repeat every substep.
+    """
+    rows = np.zeros((4, 5))
+    u = np.zeros(5)  # u_i - c; u_0 = c
+    for i, weight in enumerate((h / 6, h / 3, h / 3, h / 6)):
+        slope = react * u
+        slope[0] += react
+        slope[i + 1] += 1.0
+        rows[3] += weight * slope
+        if i < 3:
+            u = rows[i] = (h if i == 2 else h / 2) * slope
+    return rows
+
+
 class _Stepper:
     """One splitting step on the real half-spectrum, built once per set of lanes.
 
     Holds the linear factors of the scheme (``exp(lambda*dt/2)`` for Strang,
     ``exp(lambda*dt)`` for Lie-Trotter) and the nonlinear data on
     ``k = 0..N/2``.  Built without a symbol it only runs the nonlinear flow.
-    On grids of at most ``_DENSE_MAX`` points the right-hand side applies the
-    inverse matrix of ``_dft_matrices`` and the forward one of
-    ``_dense_forward`` instead of the FFT pair.
+
+    Above ``_DENSE_MAX`` points each RK4 substep is ``_rk4_coeffs`` on
+    ``rhs``, the FFT pair.  On smaller grids a substep works on the
+    half-spectrum's ``float64`` view in preallocated buffers: the stage rows
+    ``S = [c, G0, G1, G2, G3]`` come from the inverse matrix of
+    ``_dft_matrices`` and the forward one of ``_dense_forward``, and each
+    stage input, and the result, is ``c`` plus one product of a row of
+    ``_rk4_rows`` with the rows of ``S`` already written.
 
     ``dts`` holds one step size per lane.  With one lane a state is one
     half-spectrum; with more, the states of as many independent solves on the
@@ -221,9 +249,10 @@ class _Stepper:
         symbol: LinearSymbol | None = None,
         scheme: str = "strang",
     ):
-        m = grid.n_modes // 2 + 1
+        n = grid.n_modes
+        m = n // 2 + 1
         lanes = (len(dts),) if len(dts) > 1 else ()
-        self.n_modes = grid.n_modes
+        self.n_modes = n
         self.strang = scheme == "strang"
         if symbol is not None:
             split = 2.0 if self.strang else 1.0
@@ -233,42 +262,41 @@ class _Stepper:
         self.substeps = cfg.substeps
         # a column per lane broadcasts each lane's substep over its modes
         self.sub_dt = np.divide(dts, cfg.substeps)[:, None] if lanes else dts[0] / cfg.substeps
-        self.powers = np.empty(lanes + (2, grid.n_modes))
+        self.powers = np.empty(lanes + (2, n))
         self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
+        # the transforms write into these instead of allocating their outputs per call
+        self.y = np.empty(lanes + (n,))
         self.inv = None
-        if grid.n_modes <= _DENSE_MAX:
-            self.inv = _dft_matrices(grid.n_modes)[0]
+        if n <= _DENSE_MAX:
+            self.inv = _dft_matrices(n)[0]
             self.fwd = _dense_forward(grid, params.eps_conv, params.eps_react, cfg.dealias)
+            # Each product takes one lane at a time, as a product over the whole stack rounds
+            # differently; so its vectors are (1, len) rows or (len, 1) columns, lanes or not.
+            self.rows = np.empty(lanes + (5, 2 * m))
+            u = np.empty(lanes + (1, 2 * m))
+            coef = np.reshape([_rk4_rows(dt / cfg.substeps, self.react) for dt in dts], lanes + (4, 5))
+            self.c_row, self.y_col = self.rows[..., :1, :], self.y[..., None]
+            self.powers_row = self.powers.reshape(lanes + (1, 2 * n))
+            # per stage: its input as a column, its row G_i, its coefficients, the rows filled by
+            # then (0 times an unfilled NaN is NaN), and its output buffer (None: a new array)
+            ins = [self.rows[..., 0, :, None]] + 3 * [u.swapaxes(-1, -2)]
+            self.stages = [
+                (ins[i], self.rows[..., i + 1 : i + 2, :], coef[..., i : i + 1, : i + 2],
+                 self.rows[..., : i + 2, :], u if i < 3 else None)
+                for i in range(4)
+            ]
         else:
             self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
             self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[:m]
-            # the transforms write into these instead of allocating their outputs per call
-            self.y = np.empty(lanes + (grid.n_modes,))
             self.spectra = np.empty(lanes + (2, m), dtype=complex)
             self.cubed, self.squared = self.spectra[..., 0, :], self.spectra[..., 1, :]
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
-        """Conservative right-hand side ``-(eps/3)*ik*T(y^3) + eps_react*(c - T(y^2))``."""
-        dense = self.inv is not None
-        # lanes take one matrix product each: a product over the whole stack rounds differently
-        lone = c.ndim == 1
-        if dense:
-            v = c.view(np.float64)
-            y = self.inv @ v if lone else (self.inv @ v[:, :, None])[:, :, 0]
-        else:
-            y = np.fft.irfft(c, self.n_modes, out=self.y)
-        powers = self.powers
+        """Conservative right-hand side ``-(eps/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` by FFT."""
+        y = np.fft.irfft(c, self.n_modes, out=self.y)
         np.multiply(y, y, out=self.squares)
         np.multiply(self.squares, y, out=self.cubes)
-        if dense:
-            if lone:
-                out = (powers.reshape(-1) @ self.fwd).view(np.complex128)
-            else:
-                out = (powers.reshape(len(c), 1, -1) @ self.fwd)[:, 0].view(np.complex128)
-            if self.react != 0.0:
-                out += self.react * c
-            return out
-        np.fft.rfft(powers, out=self.spectra)
+        np.fft.rfft(self.powers, out=self.spectra)
         if self.drop is not None:
             self.spectra[..., self.drop] = 0.0
         out = self.conv * self.cubed
@@ -280,9 +308,24 @@ class _Stepper:
             out += squared
         return out
 
+    def _dense_substep(self, c: np.ndarray) -> np.ndarray:
+        """One RK4 substep of the half-spectra ``c`` on their ``float64`` views, as a new array."""
+        self.rows[..., 0, :] = c.view(np.float64)
+        y, squares, cubes = self.y, self.squares, self.cubes
+        for stage_in, g, coef, filled, out in self.stages:
+            np.matmul(self.inv, stage_in, out=self.y_col)
+            np.multiply(y, y, out=squares)
+            np.multiply(squares, y, out=cubes)
+            np.matmul(self.powers_row, self.fwd, out=g)
+            out = np.matmul(coef, filled, out=out)
+            out += self.c_row
+        if not np.isfinite(out).all():
+            raise NonFiniteState("RK4 stage produced non-finite values")
+        return out.view(np.complex128).reshape(c.shape)
+
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         for _ in range(self.substeps):
-            c = _rk4_coeffs(c, self.sub_dt, self.rhs)
+            c = _rk4_coeffs(c, self.sub_dt, self.rhs) if self.inv is None else self._dense_substep(c)
         return c
 
     def step(self, c: np.ndarray) -> np.ndarray:

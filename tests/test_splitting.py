@@ -316,6 +316,47 @@ def test_dense_kernel_matches_fft_kernel(monkeypatch, full_params, scheme, deali
     assert np.max(np.abs(dense - fft)) <= 1e-13 * np.max(np.abs(fft))
 
 
+# ----- the equation's structure -----
+
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("n_modes", [8, 64, 256])
+def test_reaction_alone_is_the_logistic_rk4_at_every_point(n_modes, substeps):
+    # without transport each grid value solves y' = eps_react*(y - y^2) on its own, and
+    # RK4 on the spectrum is RK4 on the values: elementwise, each point's scalar RK4
+    params = ModelParams(eps_react=0.75)
+    initial = _rich_initial(n_modes)
+    cfg = SolveConfig(dt=1.0 / 16, t_final=1.0, nonlinear_cfg=NonlinearFlowConfig(substeps))
+    ours = to_physical(evolve(initial, params, cfg).final)
+
+    def f(y):
+        return params.eps_react * (y - y * y)
+
+    y, h = to_physical(initial), cfg.dt / substeps
+    for _ in range(cfg.n_steps * substeps):
+        a = f(y)
+        b = f(y + 0.5 * h * a)
+        c = f(y + 0.5 * h * b)
+        d = f(y + h * c)
+        y = y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+    assert np.max(np.abs(ours - y) / np.abs(y)) <= 1e-14
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+@pytest.mark.parametrize("n_modes", [64, 256])
+def test_without_reaction_the_mean_is_conserved_bit_for_bit(n_modes, scheme, dealias):
+    # with eps_react = 0 every term is a derivative, so mode 0 never moves:
+    # N = 64 runs the dense kernel, N = 256 the FFT one, and the ladder stacks lanes
+    params = ModelParams(nu=1.0, mu=1.0, gamma=1.0, eps_conv=1.0)
+    initial = _rich_initial(n_modes)
+    flow = NonlinearFlowConfig(substeps=2, dealias=dealias)
+    ladder = [SolveConfig(1.0 / n, 0.25, scheme, flow) for n in (64, 128, 256)]
+    mean = initial.coeffs[0]
+    assert evolve(initial, params, ladder[0]).final.coeffs[0] == mean
+    finals = splitting._march(initial, params, ladder)
+    assert [final.coeffs[0] for final in finals.values()] == [mean] * 3
+
+
 def test_outputs_are_exactly_hermitian(rng, full_params):
     ladder = [SolveConfig(dt=dt, t_final=0.25) for dt in (1.0 / 32, 1.0 / 16, 1.0 / 8)]
     for n in (16, 64, 256):

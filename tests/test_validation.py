@@ -8,6 +8,7 @@ import pytest
 from kbf import (
     ConfigError,
     ConvergenceReport,
+    DimensionMismatch,
     ExperimentSpec,
     InitialConditionSpec,
     InvalidGrid,
@@ -17,6 +18,7 @@ from kbf import (
     NonlinearFlowConfig,
     NormSpec,
     SolveConfig,
+    SpectralState,
     ValidationError,
     build_propagator,
     dealias_mask,
@@ -27,12 +29,15 @@ from kbf import (
     make_grid,
     make_reference,
     nonlinear_flow,
+    nonlinear_rhs_physical,
+    nonlinear_rhs_spectral,
     norm,
     rk4_step,
     spatial_convergence_study,
     strang_step,
     to_spectral,
 )
+from kbf.cli import RunConfig
 
 G16 = make_grid(16, 0.0, 2.0 * np.pi)
 STATE = to_spectral(0.5 + 0.25 * np.sin(G16.points), G16)
@@ -97,6 +102,19 @@ CASES = {
     "ic_c_inf": (lambda: InitialConditionSpec(kind="constant", c=math.inf), "ic.c"),
     "ic_c_str": (lambda: InitialConditionSpec(kind="constant", c="1"), "ic.c"),
     "ic_mode_k_fraction": (lambda: InitialConditionSpec(kind="mode", mode_k=1.5), "ic.mode_k"),
+    # user text is echoed as one ``key = value`` line, which must read back as itself:
+    # "o\nnu = 5" would reparse as output = o and nu = 5.0
+    "ic_kind_outer_space": (lambda: InitialConditionSpec(kind="paper "), "ic.kind"),
+    "ic_path_two_lines": (lambda: InitialConditionSpec(kind="file", path="ic.csv\nnu = 5"), "ic.path"),
+    "ic_path_outer_space": (lambda: InitialConditionSpec(kind="file", path=" ic.csv"), "ic.path"),
+    "run_output_two_lines": (
+        lambda: RunConfig(PARAMS, G16, SolveConfig(0.5, 1.0), InitialConditionSpec(), output="o\nnu = 5"),
+        "output",
+    ),
+    "run_output_not_text": (
+        lambda: RunConfig(PARAMS, G16, SolveConfig(0.5, 1.0), InitialConditionSpec(), output=None),
+        "output",
+    ),
     "ic_mode_offset_inf": (
         lambda: InitialConditionSpec(kind="mode", mode_offset=-math.inf), "ic.mode_offset"
     ),
@@ -137,6 +155,22 @@ def test_public_api_raises_keyed_kbf_errors(case):
     assert isinstance(exc, ValidationError) and isinstance(exc, ValueError)
     assert exc.key == key
     assert str(exc) == f"{key}: {exc.message}"
+
+
+# an array that does not fit its grid raises the one unkeyed DimensionMismatch
+LENGTH_CASES = {
+    "state_coeffs": lambda: SpectralState(np.zeros(8), G16),
+    "to_spectral_values": lambda: to_spectral(np.zeros(8), G16),
+    "norm_values": lambda: norm(np.zeros(8), grid=G16),
+    "rhs_spectral_dealias_mask": lambda: nonlinear_rhs_spectral(STATE, PARAMS, np.ones(8, dtype=bool)),
+    "rhs_physical_values": lambda: nonlinear_rhs_physical(np.zeros(8), PARAMS, G16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LENGTH_CASES))
+def test_an_array_that_does_not_fit_the_grid_raises_dimension_mismatch(case):
+    with pytest.raises(DimensionMismatch, match=r" of shape \(8,\), not \(16,\)$"):
+        LENGTH_CASES[case]()
 
 
 # durations have their own error type, a ConfigError keyed t
