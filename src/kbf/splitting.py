@@ -17,10 +17,11 @@ so every state they return is exactly Hermitian, and they reject states that
 are not real-representable.  Every solve runs through one time loop,
 ``_march``: a single solve of a whole number of steps hands its recorded
 states, one at a time, to ``_record_solve``'s callback (``evolve`` collects
-them, ``kbf solve`` writes each to its file), and the temporal study solves
+them, ``kbf solve`` writes each to its file), the temporal study solves
 its step counts together as lanes of one kernel, building a fresh kernel for
-the lanes still running each time some finish.  The loop guards against
-blow-up and raises BlowUp.
+the lanes still running each time some finish, and the spatial study solves
+its coarse grids together as one block of the dense kernel, its matrices
+block-diagonal.  The loop guards against blow-up and raises BlowUp.
 """
 
 from __future__ import annotations
@@ -218,12 +219,22 @@ def _rk4_rows(h: float, react: float) -> np.ndarray:
     return rows
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """Dense block-diagonal matrix of the 2-d ``blocks``, in order."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out
+
+
 class _Stepper:
     """One splitting step on the real half-spectrum, built once per set of lanes.
 
     Holds the linear factors of the scheme (``exp(lambda*dt/2)`` for Strang,
     ``exp(lambda*dt)`` for Lie-Trotter) and the nonlinear data on
-    ``k = 0..N/2``.  Built without a symbol it only runs the nonlinear flow.
+    ``k = 0..N/2``.  Built without symbols it only runs the nonlinear flow.
 
     Above ``_DENSE_MAX`` points each RK4 substep is ``_rk4_coeffs`` on
     ``rhs``, the FFT pair.  On smaller grids a substep works on the
@@ -238,26 +249,34 @@ class _Stepper:
     same grid are stacked as ``(lanes, N/2+1)``: every transform acts on the
     whole stack at once, and each lane's rows equal its own solve's bit for
     bit.
+
+    ``grids`` holds one grid, or, on the dense path and with one lane, the
+    grids of a block: its state is their half-spectra concatenated, its
+    matrices are theirs set block-diagonally, and its linear factors theirs
+    concatenated, so each product advances every grid at once.  A product
+    then sums over the whole block width, so each grid agrees with its own
+    solve to rounding, not bit for bit.
     """
 
     def __init__(
         self,
-        grid: GridSpec,
+        grids,
         params: ModelParams,
         dts,
         cfg: NonlinearFlowConfig,
-        symbol: LinearSymbol | None = None,
+        symbols=None,
         scheme: str = "strang",
     ):
-        n = grid.n_modes
-        m = n // 2 + 1
+        n = sum(grid.n_modes for grid in grids)
+        m = sum(grid.n_modes // 2 + 1 for grid in grids)
         lanes = (len(dts),) if len(dts) > 1 else ()
         self.n_modes = n
         self.strang = scheme == "strang"
-        if symbol is not None:
+        if symbols is not None:
             split = 2.0 if self.strang else 1.0
-            factors = [build_propagator(symbol, dt / split).factors[:m] for dt in dts]
-            self.linear = np.reshape(factors, lanes + (m,))
+            factors = [build_propagator(sym, dt / split).factors for sym in symbols for dt in dts]
+            halves = [f[: f.size // 2 + 1] for f in factors]
+            self.linear = np.reshape(np.concatenate(halves), lanes + (m,))
         self.react = params.eps_react
         self.substeps = cfg.substeps
         # a column per lane broadcasts each lane's substep over its modes
@@ -267,9 +286,18 @@ class _Stepper:
         # the transforms write into these instead of allocating their outputs per call
         self.y = np.empty(lanes + (n,))
         self.inv = None
-        if n <= _DENSE_MAX:
-            self.inv = _dft_matrices(n)[0]
-            self.fwd = _dense_forward(grid, params.eps_conv, params.eps_react, cfg.dealias)
+        if max(grid.n_modes for grid in grids) <= _DENSE_MAX:
+            fwds = [
+                _dense_forward(g, params.eps_conv, params.eps_react, cfg.dealias) for g in grids
+            ]
+            if len(grids) == 1:
+                self.inv, self.fwd = _dft_matrices(n)[0], fwds[0]
+            else:
+                self.inv = _block_diag([_dft_matrices(g.n_modes)[0] for g in grids])
+                # the forward matrix's rows act on [y^3, y^2]: a block-diagonal part for each
+                cubes = _block_diag([f[: g.n_modes] for f, g in zip(fwds, grids)])
+                squares = _block_diag([f[g.n_modes :] for f, g in zip(fwds, grids)])
+                self.fwd = np.concatenate((cubes, squares))
             # Each product takes one lane at a time, as a product over the whole stack rounds
             # differently; so its vectors are (1, len) rows or (len, 1) columns, lanes or not.
             self.rows = np.empty(lanes + (5, 2 * m))
@@ -286,6 +314,7 @@ class _Stepper:
                 for i in range(4)
             ]
         else:
+            (grid,) = grids
             self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
             self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[:m]
             self.spectra = np.empty(lanes + (2, m), dtype=complex)
@@ -341,7 +370,7 @@ def nonlinear_flow(
 ) -> SpectralState:
     """Advance the nonlinear subproblem by ``dt`` using RK4 substeps."""
     _check_real(ConfigError, "dt", dt)
-    half = _Stepper(state.grid, params, (dt,), cfg).nonlinear(_real_half(state))
+    half = _Stepper((state.grid,), params, (dt,), cfg).nonlinear(_real_half(state))
     return _from_half(half, state.grid)
 
 
@@ -360,7 +389,7 @@ def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
 def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
     _check_real(ConfigError, "dt", dt, 0, strict=True)
     _check_symbol(symbol, params, state.grid)
-    stepper = _Stepper(state.grid, params, (dt,), cfg, symbol, scheme)
+    stepper = _Stepper((state.grid,), params, (dt,), cfg, (symbol,), scheme)
     return _from_half(stepper.step(_real_half(state)), state.grid)
 
 
@@ -442,24 +471,35 @@ def _record_solve(initial: SpectralState, params: ModelParams, config: SolveConf
     at(n, _march(initial, params, (config,), snapshot, snap_at)[config])
 
 
-def _march(initial: SpectralState, params: ModelParams, configs, record=None, record_at=()):
+def _march(initial, params: ModelParams, configs, record=None, record_at=()):
     """``{config: final state}`` of a solve from ``initial`` for each of ``configs``.
 
-    The one time loop of every splitting solve.  The configs may differ in
-    ``dt`` only.  Their solves run as lanes of one stepper, longest first, so
+    The one time loop of every splitting solve.  Its lanes are configs that
+    differ in ``dt`` only, run as lanes of one stepper, longest first, so
     the lanes still running are always a prefix; when lanes finish, a fresh
-    stepper is built for the rest.  ``record(step, half)`` is called at each
-    step in ``record_at``, under the caller's numpy error state.  Raises
-    BlowUp when a state turns non-finite or the L2 norm of the lanes grows
-    past ``BLOWUP_NORM_FACTOR`` times the initial norm; the step and time it
-    names are the longest solve's.
+    stepper is built for the rest.  Or ``initial`` is a tuple of states on
+    grids of at most ``_DENSE_MAX`` points, solved with one config as one
+    block of the stepper, and the result is ``{grid: final state}``.
+    ``record(step, half)`` is called at each step in ``record_at``, under
+    the caller's numpy error state.  Raises BlowUp when a state turns
+    non-finite or an L2 norm (of the lanes together, or of each grid) grows
+    past ``BLOWUP_NORM_FACTOR`` times its initial value; the step and time
+    it names are the longest solve's.
     """
-    grid = initial.grid
+    block = isinstance(initial, tuple)
+    states = initial if block else (initial,)
+    grids = tuple(state.grid for state in states)
     configs = sorted(configs, key=lambda cfg: cfg.n_steps, reverse=True)
     first = configs[0]
-    symbol = linear_symbol(params, grid)
-    c = _real_half(initial)
-    norm_cap = BLOWUP_NORM_FACTOR * max(_half_l2(c, grid), 1e-300)
+    symbols = tuple(linear_symbol(params, grid) for grid in grids)
+    halves = [_real_half(state) for state in states]
+    # per grid: its slice of the state, and its blow-up cap
+    guards, end = [], 0
+    for half, grid in zip(halves, grids):
+        cap = BLOWUP_NORM_FACTOR * max(_half_l2(half, grid), 1e-300)
+        guards.append((slice(end, end + half.size), grid, cap))
+        end += half.size
+    c = np.concatenate(halves) if len(halves) > 1 else halves[0]
     if 0 in record_at:
         record(0, c)
     lanes = len(configs)
@@ -472,17 +512,18 @@ def _march(initial: SpectralState, params: ModelParams, configs, record=None, re
     with np.errstate(over="ignore", invalid="ignore"):
         while lanes:
             dts = [cfg.dt for cfg in configs[:lanes]]
-            stepper = _Stepper(grid, params, dts, first.nonlinear_cfg, symbol, first.scheme)
+            stepper = _Stepper(grids, params, dts, first.nonlinear_cfg, symbols, first.scheme)
             for step in range(done + 1, configs[lanes - 1].n_steps + 1):
                 try:
                     c = stepper.step(c)
                 except NonFiniteState as exc:
                     raise BlowUp(step, step * first.dt, str(exc)) from exc
-                # NaN fails the comparison, so one reduction checks both guards
-                if not _half_l2(c, grid) <= norm_cap:
-                    finite = np.isfinite(c).all()
-                    why = "L2 norm exploded" if finite else "state turned non-finite"
-                    raise BlowUp(step, step * first.dt, why)
+                # NaN fails the comparison, so one reduction per grid checks both guards
+                for part, grid, cap in guards:
+                    if not _half_l2(c[..., part], grid) <= cap:
+                        finite = np.isfinite(c).all()
+                        why = "L2 norm exploded" if finite else "state turned non-finite"
+                        raise BlowUp(step, step * first.dt, why)
                 if step in record_at:
                     with np.errstate(**caller):
                         record(step, c)
@@ -490,6 +531,8 @@ def _march(initial: SpectralState, params: ModelParams, configs, record=None, re
             rows = np.atleast_2d(c)
             while lanes and configs[lanes - 1].n_steps == done:
                 lanes -= 1
-                finals[configs[lanes]] = _from_half(rows[lanes], grid)
+                finals[configs[lanes]] = rows[lanes]
             c = rows[:lanes] if lanes > 1 else rows[0]
-    return finals
+    if block:
+        return {grid: _from_half(finals[first][part], grid) for part, grid, _ in guards}
+    return {cfg: _from_half(half, grids[0]) for cfg, half in finals.items()}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kbf.harness as harness_module
+from kbf import splitting
 from kbf import (
     BlowUp,
     ConfigError,
@@ -211,6 +212,7 @@ def test_repeated_axis_value_rejected_before_any_solve(monkeypatch, full_params,
 
     monkeypatch.setattr(harness_module, "make_reference", no_run)
     monkeypatch.setattr(harness_module, "evolve", no_run)
+    monkeypatch.setattr(harness_module, "_march", no_run)
     grid = make_grid(64, 0.0, TWO_PI)
     with pytest.raises(ConfigError) as info:
         study(_study_spec(full_params, grid, (20, 20)))
@@ -324,6 +326,48 @@ def test_spatial_blow_up_on_the_finest_grid_names_it():
         spatial_convergence_study(_logistic_blow_up_spec((8,)), dt=0.05)
     assert info.value.step == 23
     assert info.value.time == pytest.approx(1.15)
+
+
+def test_spatial_blow_up_inside_the_block_names_its_grid(monkeypatch):
+    # only N = 8 gets the logistic data c0 = -1/2; the other grids of the block,
+    # and the finest, get the paper profile, which stays bounded
+    spec = ExperimentSpec(
+        params=ModelParams(eps_react=1.0),
+        grid=make_grid(64, 0.0, TWO_PI),
+        initial_condition=InitialConditionSpec(kind="paper"),
+        t_final=2.0,
+        axis=(32, 8, 16),
+    )
+    logistic = InitialConditionSpec(kind="constant", c=-0.5)
+
+    def initial_for(ic, grid):
+        return build_initial(logistic if grid.n_modes == 8 else ic, grid)
+
+    with pytest.raises(BlowUp) as alone:
+        evolve(initial_for(logistic, make_grid(8, 0.0, TWO_PI)), spec.params, SolveConfig(0.05, 2.0))
+    monkeypatch.setattr(harness_module, "build_initial", initial_for)
+    with pytest.raises(BlowUp, match="^blow-up at axis value 8: L2 norm exploded$") as info:
+        spatial_convergence_study(spec, dt=0.05)
+    assert (info.value.step, info.value.time) == (alone.value.step, alone.value.time)
+    assert info.value.step == 23
+    assert info.value.time == pytest.approx(1.15)
+
+
+def test_spatial_study_solves_its_coarse_grids_as_one_block(monkeypatch, full_params):
+    # shaped like the benchmark's spatial workload: one stepper for the finest
+    # grid, then one for the block of every coarse grid
+    builds = []
+
+    class CountedStepper(splitting._Stepper):
+        def __init__(self, grids, *args):
+            builds.append(tuple(grid.n_modes for grid in grids))
+            super().__init__(grids, *args)
+
+    monkeypatch.setattr(splitting, "_Stepper", CountedStepper)
+    spec = _study_spec(full_params, make_grid(128, 0.0, TWO_PI), (8, 16, 32, 64))
+    report = spatial_convergence_study(spec, dt=1.0 / 8)
+    assert builds == [(128,), (8, 16, 32, 64)]
+    assert report.axis == (8, 16, 32, 64)
 
 
 # ----- report serialization -----

@@ -207,6 +207,22 @@ def test_blow_up_of_one_lane_trips_the_guard():
         splitting._march(initial, params, (healthy, unstable))
 
 
+def test_blow_up_of_one_grid_of_a_block_trips_its_own_guard():
+    # data -1e-9 grow like -1e-9*exp(t) and pass 1e6 times their norm at step 28
+    # (t = 14), long before the logistic singularity near t = 20.7; each grid is
+    # checked against its own initial norm, so the block names that step too
+    params = ModelParams(eps_react=1.0)
+    tiny = to_spectral(np.full(8, -1e-9), make_grid(8, 0.0, TWO_PI))
+    paper = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
+    cfg = SolveConfig(dt=0.5, t_final=20.0)
+    with pytest.raises(BlowUp, match="^L2 norm exploded$") as alone:
+        evolve(tiny, params, cfg)
+    for block in ((tiny, paper), (paper, tiny)):
+        with pytest.raises(BlowUp, match="^L2 norm exploded$") as info:
+            splitting._march(block, params, (cfg,))
+        assert (info.value.step, info.value.time) == (alone.value.step, alone.value.time) == (28, 14.0)
+
+
 def test_overflowing_blow_up_is_reported_only_as_blow_up():
     # the norm overflows float64 at step 20; no RuntimeWarning may escape on
     # the way, which the suite's filter would raise in place of the BlowUp
@@ -316,6 +332,33 @@ def test_dense_kernel_matches_fft_kernel(monkeypatch, full_params, scheme, deali
     assert np.max(np.abs(dense - fft)) <= 1e-13 * np.max(np.abs(fft))
 
 
+@pytest.mark.parametrize("n_modes", [(8, 16, 32, 64), (8, splitting._DENSE_MAX)])
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+def test_block_of_grids_matches_separate_solves(full_params, scheme, dealias, substeps, n_modes):
+    initials = tuple(_rich_initial(n) for n in n_modes)
+    cfg = SolveConfig(
+        dt=1.0 / 256,
+        t_final=1.0,
+        scheme=scheme,
+        nonlinear_cfg=NonlinearFlowConfig(substeps=substeps, dealias=dealias),
+    )
+    finals = splitting._march(initials, full_params, (cfg,))
+    assert list(finals) == [initial.grid for initial in initials]
+    for initial in initials:
+        alone = evolve(initial, full_params, cfg).final.coeffs
+        assert np.max(np.abs(finals[initial.grid].coeffs - alone)) <= 1e-13 * np.max(np.abs(alone))
+
+
+@pytest.mark.parametrize("n_modes", [8, 64, splitting._DENSE_MAX])
+def test_block_of_one_grid_is_the_single_grid_kernel_bit_for_bit(full_params, n_modes):
+    initial = _rich_initial(n_modes)
+    cfg = SolveConfig(dt=1.0 / 64, t_final=0.5, nonlinear_cfg=NonlinearFlowConfig(substeps=2))
+    block = splitting._march((initial,), full_params, (cfg,))[initial.grid]
+    assert np.array_equal(block.coeffs, evolve(initial, full_params, cfg).final.coeffs)
+
+
 # ----- the equation's structure -----
 
 @pytest.mark.parametrize("substeps", [1, 3])
@@ -355,6 +398,18 @@ def test_without_reaction_the_mean_is_conserved_bit_for_bit(n_modes, scheme, dea
     assert evolve(initial, params, ladder[0]).final.coeffs[0] == mean
     finals = splitting._march(initial, params, ladder)
     assert [final.coeffs[0] for final in finals.values()] == [mean] * 3
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+def test_without_reaction_each_grid_of_a_block_keeps_its_mean_bit_for_bit(scheme, dealias):
+    # a block sums each product over every grid's columns; the other grids' zero
+    # entries must leave each grid's mode 0 exactly where it started
+    params = ModelParams(nu=1.0, mu=1.0, gamma=1.0, eps_conv=1.0)
+    initials = tuple(_rich_initial(n) for n in (8, 16, 32, 64))
+    cfg = SolveConfig(1.0 / 64, 0.25, scheme, NonlinearFlowConfig(substeps=2, dealias=dealias))
+    finals = splitting._march(initials, params, (cfg,))
+    assert [finals[s.grid].coeffs[0] for s in initials] == [s.coeffs[0] for s in initials]
 
 
 def test_outputs_are_exactly_hermitian(rng, full_params):
