@@ -31,7 +31,14 @@ from .errors import (
     _check_length,
     _check_real,
 )
-from .spectral import GridSpec, SpectralState, _derivative_symbol, _from_half, _real_half
+from .spectral import (
+    GridSpec,
+    SpectralState,
+    _derivative_symbol,
+    _from_half,
+    _real_half,
+    _rfft_pair,
+)
 
 __all__ = [
     "ModelParams",
@@ -124,12 +131,13 @@ def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, mask: np.ndarray | N
     y = np.empty((lanes, n))
     powers = np.empty((2, lanes, n))
     spectra = np.empty((2, lanes, m), dtype=complex)
+    irfft, rfft = _rfft_pair(n)
 
     def rhs(c: np.ndarray) -> np.ndarray:
-        np.fft.irfft(c, n, out=y)
+        irfft(c, y)
         np.multiply(y, y, out=powers[1])
         np.multiply(y, powers[1], out=powers[0])
-        np.fft.rfft(powers, out=spectra)
+        rfft(powers, spectra)
         if keep is not None:
             np.multiply(spectra, keep, out=spectra)
         cubed, squared = spectra

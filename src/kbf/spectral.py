@@ -1,8 +1,9 @@
 """Periodic Fourier collocation core.
 
-Grid construction, the DFT/IDFT pair (and its dense real matrices for
-small grids), spectral differentiation, trigonometric interpolation,
-discrete L2/H^s norms and dealiasing masks.
+Grid construction, the DFT/IDFT pair (its dense real matrices for small
+grids, and pocketfft's own real transforms for the right-hand-side
+kernels), spectral differentiation, trigonometric interpolation, discrete
+L2/H^s norms and dealiasing masks.
 
 Conventions
 -----------
@@ -180,6 +181,22 @@ def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     inv.setflags(write=False)
     fwd.setflags(write=False)
     return inv, fwd
+
+
+def _rfft_pair(n: int):
+    """``irfft(c, out)`` and ``rfft(a, out)`` on an even ``n`` points, along the last axis.
+
+    Each writes into ``out`` and returns it, equal bit for bit to
+    ``np.fft.irfft(c, n, out=out)`` and ``np.fft.rfft(a, out=out)``: they are
+    the pocketfft gufuncs those call, with the factors they pass.
+    """
+    # numpy.fft's Python wrapper (norm lookup, dtype and axis handling) costs about as much per
+    # call as the transform itself at N = 256; a kernel that owns its buffers needs none of it.
+    # Imported here, not at module level, so that importing kbf does not load numpy.fft.
+    from numpy.fft import _pocketfft_umath as pocketfft
+
+    inverse, forward, scale = pocketfft.irfft, pocketfft.rfft_n_even, 1.0 / n
+    return (lambda c, out: inverse(c, scale, out=out)), (lambda a, out: forward(a, 1.0, out=out))
 
 
 def _real_half(state: SpectralState) -> np.ndarray:

@@ -7,13 +7,13 @@ step, a full nonlinear step and another half linear step; a Lie-Trotter
 step is a full linear step followed by a full nonlinear step.  Both, and the
 nonlinear flow alone, run in one stepping kernel built once per solve on the
 real half-spectrum ``k = 0..N/2`` (``rfft`` layout), where each right-hand
-side costs one ``irfft`` and one batched ``rfft`` of ``[y^3, y^2]``, or on
-grids of at most ``_DENSE_MAX`` points the same two transforms as dense real
-matrices, which cost less than numpy's per-call FFT overhead there.  On those
-grids a whole RK4 substep is a few matrix products on buffers the kernel owns,
-its stages combined by precomputed coefficients (``_rk4_rows``).  The
-public functions convert FFT-order ``SpectralState`` vectors at the boundary,
-so every state they return is exactly Hermitian, and they reject states that
+side costs one ``irfft`` and one batched ``rfft`` of ``[y^3, y^2]``, called
+as pocketfft's own transforms (``_rfft_pair``), or on grids of at most
+``_DENSE_MAX`` points the same two transforms as dense real matrices.  There
+a whole RK4 substep is a few matrix products on buffers the kernel owns, its
+stages combined by precomputed coefficients (``_rk4_rows``).  The public
+functions convert FFT-order ``SpectralState`` vectors at the boundary, so
+every state they return is exactly Hermitian, and they reject states that
 are not real-representable.  Every solve runs through one time loop,
 ``_march``: a single solve of a whole number of steps hands its recorded
 states, one at a time, to ``_record_solve``'s callback (``evolve`` collects
@@ -43,6 +43,7 @@ from .spectral import (
     _dft_matrices,
     _from_half,
     _real_half,
+    _rfft_pair,
     dealias_mask,
 )
 
@@ -66,8 +67,9 @@ SCHEMES = ("strang", "lie_trotter")
 BLOWUP_NORM_FACTOR = 1e6
 
 # Largest grid whose right-hand side applies dense real-DFT matrices instead of
-# the irfft/rfft pair: per right-hand side the matrices win at N = 128 and lose
-# at N = 256, where the FFT's arithmetic outgrows its per-call overhead.
+# the FFT pair.  A Strang step costs 34 us dense against 44 us by FFT at N = 64,
+# 53 against 50 us at N = 128.  At 64 the spatial study would run ~6% faster, but
+# its errors' round-off floor would rise from 2.6e-16 to 4.0e-16.
 _DENSE_MAX = 128
 
 
@@ -247,8 +249,7 @@ class _Stepper:
     ``dts`` holds one step size per lane.  With one lane a state is one
     half-spectrum; with more, the states of as many independent solves on the
     same grid are stacked as ``(lanes, N/2+1)``: every transform acts on the
-    whole stack at once, and each lane's rows equal its own solve's bit for
-    bit.
+    whole stack at once, and each lane's rows equal its own solve's bit for bit.
 
     ``grids`` holds one grid, or, on the dense path and with one lane, the
     grids of a block: its state is their half-spectra concatenated, its
@@ -270,7 +271,6 @@ class _Stepper:
         n = sum(grid.n_modes for grid in grids)
         m = sum(grid.n_modes // 2 + 1 for grid in grids)
         lanes = (len(dts),) if len(dts) > 1 else ()
-        self.n_modes = n
         self.strang = scheme == "strang"
         if symbols is not None:
             split = 2.0 if self.strang else 1.0
@@ -319,13 +319,14 @@ class _Stepper:
             self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[:m]
             self.spectra = np.empty(lanes + (2, m), dtype=complex)
             self.cubed, self.squared = self.spectra[..., 0, :], self.spectra[..., 1, :]
+            self.irfft, self.rfft = _rfft_pair(n)
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         """Conservative right-hand side ``-(eps/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` by FFT."""
-        y = np.fft.irfft(c, self.n_modes, out=self.y)
+        y = self.irfft(c, self.y)
         np.multiply(y, y, out=self.squares)
         np.multiply(self.squares, y, out=self.cubes)
-        np.fft.rfft(self.powers, out=self.spectra)
+        self.rfft(self.powers, self.spectra)
         if self.drop is not None:
             self.spectra[..., self.drop] = 0.0
         out = self.conv * self.cubed
@@ -377,12 +378,11 @@ def nonlinear_flow(
 def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
     """Discrete L2 norm of the real data whose half-spectrum is ``half``.
 
-    Of a stack of half-spectra it is the norm of all of them together, which
-    no lane's own norm exceeds.
+    Of a stack of half-spectra (``vdot`` flattens it) it is the norm of all of them
+    together, which no lane's own norm exceeds.  Modes ``0 < k < N/2`` count twice.
     """
-    if half.ndim > 1:
-        return math.hypot(*(_half_l2(lane, grid) for lane in half))
-    sq = 2.0 * np.vdot(half, half).real - abs(half[0]) ** 2 - abs(half[-1]) ** 2
+    inner = half[..., 1:-1]
+    sq = np.vdot(half, half).real + np.vdot(inner, inner).real
     return math.sqrt(sq * grid.spacing / grid.n_modes)
 
 

@@ -105,6 +105,26 @@ def test_criterion_01_table1_orders(strang_table):
     assert elapsed < 30.0
 
 
+TABLE1_ERRORS_HEX = [
+    "0x1.7a6018dbcb691p-14",
+    "0x1.68992c7448ed5p-16",
+    "0x1.671ddaf9b7931p-18",
+    "0x1.5dc1f740104e1p-20",
+    "0x1.5cdc2fe72ce71p-22",
+    "0x1.5ca10d7d0d9b6p-24",
+]
+
+
+def test_table1_errors_are_bit_identical_to_the_pin(strang_table):
+    """Table 1's six errors, bit for bit, as pinned on numpy 2.4.6 on x86-64.
+
+    A change that moves them is not bit-identical: it reports the new values
+    and why they moved in CHANGES.md; the pin is not re-pinned silently.
+    """
+    report, _ = strang_table
+    assert [e.hex() for e in report.errors] == TABLE1_ERRORS_HEX
+
+
 def test_criterion_02_error_curve_shape(strang_table):
     report, _ = strang_table
     errors = np.asarray(report.errors)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import fd_derivative, random_band_limited, slow_dft
-from kbf.spectral import _dft_matrices
+import kbf
+from kbf.spectral import _dft_matrices, _rfft_pair
 from kbf import (
     ConfigError,
     DimensionMismatch,
@@ -162,6 +167,30 @@ def test_dft_matrices_are_irfft_and_rfft(rng, n):
     y = rng.standard_normal(n)
     expected = np.fft.rfft(y)
     assert np.max(np.abs(y @ fwd - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+# every batch the kernels pass: one half-spectrum, (lanes, m), (2, n), (lanes, 2, n), (2, lanes, n)
+@pytest.mark.parametrize("batch", [(), (3,), (2,), (3, 2), (2, 3)])
+@pytest.mark.parametrize("n", [4, 256, 4096])
+def test_direct_transforms_are_numpy_fft_bit_for_bit(rng, n, batch):
+    irfft, rfft = _rfft_pair(n)
+    m = n // 2 + 1
+    c = rng.standard_normal(batch + (m,)) + 1j * rng.standard_normal(batch + (m,))
+    y = np.empty(batch + (n,))
+    assert irfft(c, y) is y
+    assert y.tobytes() == np.fft.irfft(c, n).tobytes()
+    spectra = np.empty(batch + (m,), dtype=complex)
+    assert rfft(y, spectra) is spectra
+    assert spectra.tobytes() == np.fft.rfft(y).tobytes()
+
+
+def test_importing_kbf_leaves_numpy_fft_unloaded():
+    src = str(Path(kbf.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, kbf\nprint(sorted(m for m in sys.modules if m.startswith('numpy.fft')))\n"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ----- spectral differentiation -----

@@ -223,6 +223,18 @@ def test_blow_up_of_one_grid_of_a_block_trips_its_own_guard():
         assert (info.value.step, info.value.time) == (alone.value.step, alone.value.time) == (28, 14.0)
 
 
+@pytest.mark.parametrize("n", [4, 16, 256])
+def test_guard_norm_of_a_half_spectrum_and_of_a_stack(rng, n):
+    # one half-spectrum: the state's L2 norm; a stack: the lanes' norms combined
+    g = make_grid(n, 0.0, TWO_PI)
+    states = [to_spectral(rng.standard_normal(n), g) for _ in range(3)]
+    halves = [splitting._real_half(s) for s in states]
+    for half, state in zip(halves, states):
+        assert splitting._half_l2(half, g) == pytest.approx(norm(state), rel=1e-14)
+    combined = np.sqrt(sum(norm(s) ** 2 for s in states))
+    assert splitting._half_l2(np.stack(halves), g) == pytest.approx(combined, rel=1e-14)
+
+
 def test_overflowing_blow_up_is_reported_only_as_blow_up():
     # the norm overflows float64 at step 20; no RuntimeWarning may escape on
     # the way, which the suite's filter would raise in place of the BlowUp
