@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,8 @@ SCHEMES = ("strang", "lie_trotter")
 
 # evolve aborts when the L2 norm exceeds this multiple of the initial norm
 BLOWUP_NORM_FACTOR = 1e6
+# what a blow-up or a one-step wrapper reports of a non-finite result
+_NON_FINITE = "RK4 stage produced non-finite values"
 
 # Largest grid whose right-hand side applies dense real-DFT matrices instead of
 # the FFT pair.  A Strang step costs 34 us dense against 44 us by FFT at N = 64,
@@ -118,10 +121,14 @@ def _rk4_coeffs(coeffs: np.ndarray, dt: float, f) -> np.ndarray:
     b = f(coeffs + (0.5 * dt) * a)
     c = f(coeffs + (0.5 * dt) * b)
     d = f(coeffs + dt * c)
-    out = coeffs + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-    if not np.isfinite(out).all():
-        raise NonFiniteState("RK4 stage produced non-finite values")
-    return out
+    return coeffs + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, after checking that every entry is finite; raises NonFiniteState."""
+    if not np.isfinite(a).all():
+        raise NonFiniteState(_NON_FINITE)
+    return a
 
 
 def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
@@ -135,7 +142,7 @@ def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
             raise NonFiniteState("right-hand side produced non-finite values")
         return out
 
-    return SpectralState(_rk4_coeffs(state.coeffs, dt, f), grid)
+    return SpectralState(_finite(_rk4_coeffs(state.coeffs, dt, f)), grid)
 
 
 def _step_count(dt: float, t_final: float) -> int:
@@ -259,15 +266,8 @@ class _Stepper:
     solve to rounding, not bit for bit.
     """
 
-    def __init__(
-        self,
-        grids,
-        params: ModelParams,
-        dts,
-        cfg: NonlinearFlowConfig,
-        symbols=None,
-        scheme: str = "strang",
-    ):
+    def __init__(self, grids, params: ModelParams, dts, cfg: NonlinearFlowConfig,
+                 symbols=None, scheme: str = "strang"):
         n = sum(grid.n_modes for grid in grids)
         m = sum(grid.n_modes // 2 + 1 for grid in grids)
         lanes = (len(dts),) if len(dts) > 1 else ()
@@ -349,8 +349,6 @@ class _Stepper:
             np.matmul(self.powers_row, self.fwd, out=g)
             out = np.matmul(coef, filled, out=out)
             out += self.c_row
-        if not np.isfinite(out).all():
-            raise NonFiniteState("RK4 stage produced non-finite values")
         return out.view(np.complex128).reshape(c.shape)
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
@@ -363,16 +361,12 @@ class _Stepper:
         return self.linear * c if self.strang else c
 
 
-def nonlinear_flow(
-    state: SpectralState,
-    dt: float,
-    params: ModelParams,
-    cfg: NonlinearFlowConfig = NonlinearFlowConfig(),
-) -> SpectralState:
+def nonlinear_flow(state: SpectralState, dt: float, params: ModelParams,
+                   cfg: NonlinearFlowConfig = NonlinearFlowConfig()) -> SpectralState:
     """Advance the nonlinear subproblem by ``dt`` using RK4 substeps."""
     _check_real(ConfigError, "dt", dt)
     half = _Stepper((state.grid,), params, (dt,), cfg).nonlinear(_real_half(state))
-    return _from_half(half, state.grid)
+    return _from_half(_finite(half), state.grid)
 
 
 def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
@@ -390,27 +384,17 @@ def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
     _check_real(ConfigError, "dt", dt, 0, strict=True)
     _check_symbol(symbol, params, state.grid)
     stepper = _Stepper((state.grid,), params, (dt,), cfg, (symbol,), scheme)
-    return _from_half(stepper.step(_real_half(state)), state.grid)
+    return _from_half(_finite(stepper.step(_real_half(state))), state.grid)
 
 
-def strang_step(
-    state: SpectralState,
-    dt: float,
-    params: ModelParams,
-    symbol: LinearSymbol,
-    cfg: NonlinearFlowConfig = NonlinearFlowConfig(),
-) -> SpectralState:
+def strang_step(state: SpectralState, dt: float, params: ModelParams, symbol: LinearSymbol,
+                cfg: NonlinearFlowConfig = NonlinearFlowConfig()) -> SpectralState:
     """One Strang step: half linear, full nonlinear, half linear."""
     return _one_step(state, dt, params, symbol, cfg, "strang")
 
 
-def lie_trotter_step(
-    state: SpectralState,
-    dt: float,
-    params: ModelParams,
-    symbol: LinearSymbol,
-    cfg: NonlinearFlowConfig = NonlinearFlowConfig(),
-) -> SpectralState:
+def lie_trotter_step(state: SpectralState, dt: float, params: ModelParams, symbol: LinearSymbol,
+                     cfg: NonlinearFlowConfig = NonlinearFlowConfig()) -> SpectralState:
     """One Lie-Trotter step: full linear step, then full nonlinear step."""
     return _one_step(state, dt, params, symbol, cfg, "lie_trotter")
 
@@ -426,12 +410,11 @@ def evolve(
     Snapshots are recorded every ``snapshot_stride`` steps plus the initial
     and final states; stride 0 records the final state only.  The observer,
     when given, is called as ``observer(step, time, state)`` at each recorded
-    step.  Raises BlowUp when a state turns non-finite or its L2 norm grows
-    past ``BLOWUP_NORM_FACTOR`` times the initial norm, with no numpy warning
-    on the way; the observer runs under the caller's numpy error state.  The
-    returned Trajectory holds every recorded state; a caller that needs each
-    state only once can pass its callback to ``_record_solve``, which keeps
-    none.
+    step.  Raises BlowUp at the first step whose state is non-finite or whose
+    L2 norm exceeds ``BLOWUP_NORM_FACTOR`` times the initial norm (one
+    reduction per step checks both), with no numpy warning on the way; the
+    observer runs under the caller's numpy error state.  The returned
+    Trajectory holds every recorded state; ``_record_solve`` keeps none.
     """
     times, states = [], []
 
@@ -471,6 +454,26 @@ def _record_solve(initial: SpectralState, params: ModelParams, config: SolveConf
     at(n, _march(initial, params, (config,), snapshot, snap_at)[config])
 
 
+def _guards(halves, grids):
+    """``(slice, grid, cap)`` per grid of the state concatenating ``halves``, and ``quick``.
+
+    A state ``c`` (lanes included) with ``vdot(c, c) <= quick`` has each grid's
+    ``_half_l2``, at most ``sqrt(2*vdot(c, c)*h/N)``, under its cap, with 1e-9 kept
+    for rounding and the norm's sums finite.  A cap is 1e6 times a norm, so its bound
+    is 0 (the floor 1e-300 squares to 0) or holds 12 digits even when subnormal; a
+    NaN cap (its norm overflowed) passes nothing.
+    """
+    guards, end, quick = [], 0, sys.float_info.max
+    for half, grid in zip(halves, grids):
+        cap = BLOWUP_NORM_FACTOR * max(_half_l2(half, grid), 1e-300)
+        guards.append((slice(end, end + half.size), grid, cap))
+        end += half.size
+        h = grid.spacing
+        bound = min(cap * cap * grid.n_modes / h, sys.float_info.max / max(h, 1.0))
+        quick = min(quick, -1.0 if math.isnan(cap) else bound)
+    return guards, 0.5 * (1 - 1e-9) * quick
+
+
 def _march(initial, params: ModelParams, configs, record=None, record_at=()):
     """``{config: final state}`` of a solve from ``initial`` for each of ``configs``.
 
@@ -484,7 +487,8 @@ def _march(initial, params: ModelParams, configs, record=None, record_at=()):
     the caller's numpy error state.  Raises BlowUp when a state turns
     non-finite or an L2 norm (of the lanes together, or of each grid) grows
     past ``BLOWUP_NORM_FACTOR`` times its initial value; the step and time
-    it names are the longest solve's.
+    it names are the longest solve's.  A step pays one reduction against
+    ``quick`` (``_guards``); only a step that fails it takes the exact checks.
     """
     block = isinstance(initial, tuple)
     states = initial if block else (initial,)
@@ -493,12 +497,7 @@ def _march(initial, params: ModelParams, configs, record=None, record_at=()):
     first = configs[0]
     symbols = tuple(linear_symbol(params, grid) for grid in grids)
     halves = [_real_half(state) for state in states]
-    # per grid: its slice of the state, and its blow-up cap
-    guards, end = [], 0
-    for half, grid in zip(halves, grids):
-        cap = BLOWUP_NORM_FACTOR * max(_half_l2(half, grid), 1e-300)
-        guards.append((slice(end, end + half.size), grid, cap))
-        end += half.size
+    guards, quick = _guards(halves, grids)
     c = np.concatenate(halves) if len(halves) > 1 else halves[0]
     if 0 in record_at:
         record(0, c)
@@ -514,16 +513,15 @@ def _march(initial, params: ModelParams, configs, record=None, record_at=()):
             dts = [cfg.dt for cfg in configs[:lanes]]
             stepper = _Stepper(grids, params, dts, first.nonlinear_cfg, symbols, first.scheme)
             for step in range(done + 1, configs[lanes - 1].n_steps + 1):
-                try:
-                    c = stepper.step(c)
-                except NonFiniteState as exc:
-                    raise BlowUp(step, step * first.dt, str(exc)) from exc
-                # NaN fails the comparison, so one reduction per grid checks both guards
-                for part, grid, cap in guards:
-                    if not _half_l2(c[..., part], grid) <= cap:
-                        finite = np.isfinite(c).all()
-                        why = "L2 norm exploded" if finite else "state turned non-finite"
-                        raise BlowUp(step, step * first.dt, why)
+                c = stepper.step(c)
+                # one reduction (NaN fails it); only a failing step takes the exact checks, and a
+                # non-finite state came from an RK4 stage, as no linear factor exceeds 1 in modulus
+                if not np.vdot(c, c).real <= quick:
+                    if not np.isfinite(c).all():
+                        raise BlowUp(step, step * first.dt, _NON_FINITE)
+                    for part, grid, cap in guards:
+                        if not _half_l2(c[..., part], grid) <= cap:
+                            raise BlowUp(step, step * first.dt, "L2 norm exploded")
                 if step in record_at:
                     with np.errstate(**caller):
                         record(step, c)

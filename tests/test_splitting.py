@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbf import (
     BlowUp,
     ConfigError,
     InitialConditionSpec,
     ModelParams,
+    NonFiniteState,
     NonlinearFlowConfig,
     NotRealRepresentable,
     SolveConfig,
@@ -233,6 +236,110 @@ def test_guard_norm_of_a_half_spectrum_and_of_a_stack(rng, n):
         assert splitting._half_l2(half, g) == pytest.approx(norm(state), rel=1e-14)
     combined = np.sqrt(sum(norm(s) ** 2 for s in states))
     assert splitting._half_l2(np.stack(halves), g) == pytest.approx(combined, rel=1e-14)
+
+
+def _exact_guard_passes(c, guards):
+    """The per-grid guard: every entry finite, and each grid's norm under its own cap."""
+    norms = [splitting._half_l2(c[..., part], grid) for part, grid, _ in guards]
+    return bool(np.isfinite(c).all()) and all(n <= cap for n, (_, _, cap) in zip(norms, guards))
+
+
+@settings(max_examples=150)
+@given(
+    sizes=st.lists(st.sampled_from([4, 8, 16, 64, 256]), min_size=1, max_size=4),
+    lanes=st.integers(1, 4),
+    length=st.sampled_from([TWO_PI, 1e-3, 1e3]),
+    # 150: the caps' squares overflow; 160: the initial norms do; -160: their squares are subnormal
+    start=st.one_of(st.integers(-200, 200), st.sampled_from([150, 160, -160]), st.none()),
+    later=st.integers(-200, 200),
+    bad=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quick_guard_never_passes_a_state_the_exact_guard_fails(
+    sizes, lanes, length, start, later, bad, real, seed
+):
+    # Initial half-spectra of magnitude 10**start, times up to 1e3 either way
+    # per grid (None: zero, so the cap is 1e6*1e-300 and its square underflows),
+    # set the caps.  The later states, a half-spectrum, a stack of lanes or a
+    # block, are one random state at magnitude 10**later, with one bad entry or
+    # none, and the same state at ratios to the caps around 1/sqrt(2), 1 and
+    # sqrt(2), where the two checks part, and the largest lone inner mode of
+    # each grid that passes the quick check.  A real spectrum (even data)
+    # overflows vdot to inf, a complex one to NaN.  Norms overflow here as in
+    # _march.
+    rng = np.random.default_rng(seed)
+    grids = [make_grid(n, 0.0, length) for n in sizes]
+    lanes = lanes if len(grids) == 1 else 1
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * (0.0 if real else rng.standard_normal(shape))
+
+    scale = 0.0 if start is None else 10.0**start
+    initial = [draw(g.n_modes // 2 + 1) * scale * 10.0 ** rng.uniform(-3, 3) for g in grids]
+    c = np.concatenate([draw((lanes, g.n_modes // 2 + 1)) for g in grids], axis=-1)
+    c = c[0] if lanes == 1 else c
+    with np.errstate(over="ignore", invalid="ignore"):
+        guards, quick = splitting._guards(initial, grids)
+        (_, grid, cap), *rest = guards
+        worst = max(splitting._half_l2(c[..., part], g) / cap for part, g, cap in guards)
+        ratios = (1e-6, 0.7, 0.99, 1.01, 1.2, 1.4, 2.0) if 0.0 < worst < np.inf else ()
+        states = [c * 10.0**later] + [c * (r / worst) for r in ratios]
+        if bad is not None:
+            states[0].flat[rng.integers(c.size)] = bad
+        for part, _, _ in guards:
+            # the largest lone inner mode of this grid that the quick check lets through
+            states.append(np.zeros(c.shape[-1], dtype=complex))
+            states[-1][part.start + 1] = np.nextafter(np.sqrt(quick), 0.0)
+        for state in states:
+            passes = np.vdot(state, state).real <= quick
+            assert _exact_guard_passes(state, guards) or not passes
+            if not rest and np.isfinite(state).all() and 1e-140 < cap < 1e140:
+                # not vacuous: a state well under its cap passes
+                assert passes or not splitting._half_l2(state, grid) <= 1e-3 * cap
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+@pytest.mark.parametrize("sizes", [(16,), (256,), (8, 16, 32)], ids=["dense", "fft", "block"])
+def test_equilibria_stay_put_on_each_kernel_path(full_params, sizes, value):
+    # y = 0 stays exactly 0; its cap is 1e6*1e-300, whose square underflows, so
+    # only an exact 0 passes the quick guard.  y = 1 stays exactly 1 by FFT; a
+    # dense product sums its rows' rounding, so there it holds to a few ulps.
+    grids = [make_grid(n, 0.0, TWO_PI) for n in sizes]
+    states = tuple(to_spectral(np.full(g.n_modes, value), g) for g in grids)
+    halves = [splitting._real_half(state) for state in states]
+    assert (splitting._guards(halves, grids)[1] == 0.0) == (value == 0.0)
+    cfg = SolveConfig(dt=0.01, t_final=1.0)
+    if len(grids) == 1:
+        finals = {grids[0]: evolve(states[0], full_params, cfg).final}
+    else:
+        finals = splitting._march(states, full_params, (cfg,))
+    for grid, final in finals.items():
+        y = to_physical(final)
+        if value == 0.0 or grid.n_modes > splitting._DENSE_MAX:
+            assert np.array_equal(y, np.full(grid.n_modes, value))
+        else:
+            assert np.max(np.abs(y - value)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+@pytest.mark.parametrize("n", [16, 256])
+def test_non_finite_step_is_reported_as_the_rk4_stage(full_params, n, scheme):
+    # the paper profile times 1e160 overflows y^3 in the first RK4 stage, so the
+    # first step turns the state NaN; no substep checks itself, the guard does
+    g = make_grid(n, 0.0, TWO_PI)
+    initial = build_initial(InitialConditionSpec(kind="paper"), g)
+    huge = SpectralState(initial.coeffs * 1e160, g)
+    cfg = SolveConfig(dt=0.01, t_final=0.1, scheme=scheme)
+    with pytest.raises(BlowUp, match="^RK4 stage produced non-finite values$") as info:
+        evolve(huge, full_params, cfg)
+    assert (info.value.step, info.value.time) == (1, 0.01)
+    step = strang_step if scheme == "strang" else lie_trotter_step
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteState, match="^RK4 stage produced non-finite values$"):
+            step(huge, 0.01, full_params, linear_symbol(full_params, g))
+        with pytest.raises(NonFiniteState, match="^RK4 stage produced non-finite values$"):
+            nonlinear_flow(huge, 0.01, full_params)
 
 
 def test_overflowing_blow_up_is_reported_only_as_blow_up():
