@@ -244,7 +244,7 @@ def _exact_guard_passes(c, guards):
     return bool(np.isfinite(c).all()) and all(n <= cap for n, (_, _, cap) in zip(norms, guards))
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(
     sizes=st.lists(st.sampled_from([4, 8, 16, 64, 256]), min_size=1, max_size=4),
     lanes=st.integers(1, 4),
