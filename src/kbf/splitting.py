@@ -70,9 +70,9 @@ BLOWUP_NORM_FACTOR = 1e6
 _NON_FINITE = "RK4 stage produced non-finite values"
 
 # Largest grid whose right-hand side applies dense real-DFT matrices instead of
-# the FFT pair.  A Strang step costs 34 us dense against 44 us by FFT at N = 64,
-# 53 against 50 us at N = 128.  At 64 the spatial study would run ~6% faster, but
-# its errors' round-off floor would rise from 2.6e-16 to 4.0e-16.
+# the FFT pair.  A Strang step costs 44 us dense against 82 us by FFT at N = 64,
+# 67 against 85 us at N = 128 and 240 against 112 us at N = 256.  At 64 the spatial
+# study's errors' round-off floor would also rise from 2.6e-16 to 4.0e-16.
 _DENSE_MAX = 128
 
 
@@ -254,9 +254,11 @@ class _Stepper:
     ``_rk4_rows`` with the rows of ``S`` already written.
 
     ``dts`` holds one step size per lane.  With one lane a state is one
-    half-spectrum; with more, the states of as many independent solves on the
-    same grid are stacked as ``(lanes, N/2+1)``: every transform acts on the
-    whole stack at once, and each lane's rows equal its own solve's bit for bit.
+    half-spectrum, and the dense products are ``np.dot``; with more, the states
+    of as many independent solves on the same grid are stacked as ``(lanes,
+    N/2+1)``: every transform acts on the whole stack at once, the dense ones as
+    ``np.matmul``, which broadcasts over the lanes, and each lane's rows equal
+    its own solve's bit for bit, as ``np.dot`` and ``np.matmul`` round alike.
 
     ``grids`` holds one grid, or, on the dense path and with one lane, the
     grids of a block: its state is their half-spectra concatenated, its
@@ -285,11 +287,9 @@ class _Stepper:
         self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
         # the transforms write into these instead of allocating their outputs per call
         self.y = np.empty(lanes + (n,))
-        self.inv = None
+        self.inv = self.head = None
         if max(grid.n_modes for grid in grids) <= _DENSE_MAX:
-            fwds = [
-                _dense_forward(g, params.eps_conv, params.eps_react, cfg.dealias) for g in grids
-            ]
+            fwds = [_dense_forward(g, params.eps_conv, params.eps_react, cfg.dealias) for g in grids]
             if len(grids) == 1:
                 self.inv, self.fwd = _dft_matrices(n)[0], fwds[0]
             else:
@@ -300,10 +300,12 @@ class _Stepper:
                 self.fwd = np.concatenate((cubes, squares))
             # Each product takes one lane at a time, as a product over the whole stack rounds
             # differently; so its vectors are (1, len) rows or (len, 1) columns, lanes or not.
+            self.product = np.matmul if lanes else np.dot
             self.rows = np.empty(lanes + (5, 2 * m))
             u = np.empty(lanes + (1, 2 * m))
             coef = np.reshape([_rk4_rows(dt / cfg.substeps, self.react) for dt in dts], lanes + (4, 5))
             self.c_row, self.y_col = self.rows[..., :1, :], self.y[..., None]
+            self.head = self.rows[..., 0, :].view(np.complex128)  # step writes linear*c here
             self.powers_row = self.powers.reshape(lanes + (1, 2 * n))
             # per stage: its input as a column, its row G_i, its coefficients, the rows filled by
             # then (0 times an unfilled NaN is NaN), and its output buffer (None: a new array)
@@ -339,15 +341,16 @@ class _Stepper:
         return out
 
     def _dense_substep(self, c: np.ndarray) -> np.ndarray:
-        """One RK4 substep of the half-spectra ``c`` on their ``float64`` views, as a new array."""
-        self.rows[..., 0, :] = c.view(np.float64)
-        y, squares, cubes = self.y, self.squares, self.cubes
+        """One RK4 substep of the half-spectra ``c`` (``head``: already in ``S``), as a new array."""
+        if c is not self.head:
+            self.rows[..., 0, :] = c.view(np.float64)
+        y, squares, cubes, product = self.y, self.squares, self.cubes, self.product
         for stage_in, g, coef, filled, out in self.stages:
-            np.matmul(self.inv, stage_in, out=self.y_col)
+            product(self.inv, stage_in, out=self.y_col)
             np.multiply(y, y, out=squares)
             np.multiply(squares, y, out=cubes)
-            np.matmul(self.powers_row, self.fwd, out=g)
-            out = np.matmul(coef, filled, out=out)
+            product(self.powers_row, self.fwd, out=g)
+            out = product(coef, filled, out=out)
             out += self.c_row
         return out.view(np.complex128).reshape(c.shape)
 
@@ -357,7 +360,7 @@ class _Stepper:
         return c
 
     def step(self, c: np.ndarray) -> np.ndarray:
-        c = self.nonlinear(self.linear * c)
+        c = self.nonlinear(np.multiply(self.linear, c, out=self.head))
         return self.linear * c if self.strang else c
 
 
@@ -399,12 +402,8 @@ def lie_trotter_step(state: SpectralState, dt: float, params: ModelParams, symbo
     return _one_step(state, dt, params, symbol, cfg, "lie_trotter")
 
 
-def evolve(
-    initial: SpectralState,
-    params: ModelParams,
-    config: SolveConfig,
-    observer=None,
-) -> Trajectory:
+def evolve(initial: SpectralState, params: ModelParams, config: SolveConfig,
+           observer=None) -> Trajectory:
     """Run ``t_final/dt`` steps of the chosen scheme from ``initial``.
 
     Snapshots are recorded every ``snapshot_stride`` steps plus the initial

@@ -478,7 +478,91 @@ def test_block_of_one_grid_is_the_single_grid_kernel_bit_for_bit(full_params, n_
     assert np.array_equal(block.coeffs, evolve(initial, full_params, cfg).final.coeffs)
 
 
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+@pytest.mark.parametrize("n_modes", [16, splitting._DENSE_MAX, 256])
+def test_each_lane_of_a_ladder_is_its_own_solve_bit_for_bit(
+    full_params, n_modes, scheme, dealias, substeps
+):
+    # three lanes run together, then two, then the longest alone: on the dense
+    # path lanes take their products through np.matmul and a lone solve through
+    # np.dot, which must round alike
+    initial = _rich_initial(n_modes)
+    flow = NonlinearFlowConfig(substeps=substeps, dealias=dealias)
+    ladder = [SolveConfig(0.25 / n, 0.25, scheme, flow) for n in (8, 16, 32)]
+    finals = splitting._march(initial, full_params, ladder)
+    for cfg in ladder:
+        assert np.array_equal(finals[cfg].coeffs, evolve(initial, full_params, cfg).final.coeffs)
+
+
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize(
+    "sizes, lanes",
+    [((16,), 1), ((8, 16, 32), 1), ((16,), 3), ((256,), 1)],
+    ids=["dense", "block", "dense-lanes", "fft"],
+)
+def test_step_never_writes_its_input_or_an_earlier_result(full_params, sizes, lanes, substeps, scheme):
+    # a step writes linear*c into a buffer of its own, on the dense path its first
+    # stage row; neither the input nor a state the stepper returned may be that buffer
+    states = [_rich_initial(n) for n in sizes]
+    grids = tuple(state.grid for state in states)
+    c = np.concatenate([splitting._real_half(state) for state in states])
+    c = np.tile(c, (lanes, 1)) if lanes > 1 else c
+    symbols = tuple(linear_symbol(full_params, g) for g in grids)
+    dts = [1.0 / 64, 1.0 / 32, 1.0 / 16][:lanes]
+    stepper = splitting._Stepper(grids, full_params, dts, NonlinearFlowConfig(substeps), symbols, scheme)
+    given = c.copy()
+    first = stepper.step(c)
+    kept = first.copy()
+    second = stepper.step(c)
+    assert np.array_equal(c, given)
+    assert np.array_equal(first, kept) and np.array_equal(second, kept)
+    later = stepper.step(second)
+    assert np.array_equal(second, kept) and np.array_equal(first, kept)
+    assert not np.array_equal(later, kept)
+
+
 # ----- the equation's structure -----
+
+# N/2 up to the dense path's largest grid, then up to N = 256 by FFT
+_HALF_SIZES = [(4, splitting._DENSE_MAX // 2), (splitting._DENSE_MAX // 2 + 1, 128)]
+
+
+@pytest.mark.parametrize("half_sizes", _HALF_SIZES, ids=["dense", "fft"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_translation_by_grid_points_commutes_with_evolve(half_sizes, data):
+    # the scheme is translation invariant: shifting band-limited data by s grid
+    # points and solving equals solving and shifting, to rounding, on either
+    # kernel path; dt keeps the stiffness eps_conv*max(y^2)*k_max*dt at 2 or below
+    n = 2 * data.draw(st.integers(*half_sizes), label="N/2")
+    shift = data.draw(st.integers(1, n - 1), label="shift")
+    coefficient = st.integers(-4, 4).map(lambda i: i / 4)
+    params = ModelParams(
+        nu=data.draw(st.integers(0, 4).map(lambda i: i / 4), label="nu"),
+        mu=data.draw(coefficient, label="mu"),
+        gamma=data.draw(coefficient, label="gamma"),
+        eps_conv=data.draw(coefficient, label="eps_conv"),
+        eps_react=data.draw(coefficient, label="eps_react"),
+    )
+    band = data.draw(st.integers(1, n // 8), label="band")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = make_grid(n, 0.0, TWO_PI)
+    k = np.arange(1, band + 1)[:, None]
+    amps = rng.uniform(-0.5, 0.5, (2, band, 1)) / band
+    y = rng.uniform(-1.0, 1.0) + (amps[0] * np.cos(k * g.points) + amps[1] * np.sin(k * g.points)).sum(0)
+    sigma = data.draw(st.floats(0.05, 2.0), label="sigma")
+    dt = sigma / max(abs(params.eps_conv) * np.max(y * y) * (n // 2), 20.0)
+    substeps = data.draw(st.sampled_from([1, 3]), label="substeps")
+    flow = NonlinearFlowConfig(substeps, data.draw(st.sampled_from(["none", "two_thirds"])))
+    steps = data.draw(st.integers(1, 4), label="steps")
+    cfg = SolveConfig(dt, steps * dt, data.draw(st.sampled_from(["strang", "lie_trotter"])), flow)
+    moved = np.roll(to_physical(evolve(to_spectral(y, g), params, cfg).final), shift)
+    shifted = to_physical(evolve(to_spectral(np.roll(y, shift), g), params, cfg).final)
+    assert np.max(np.abs(moved - shifted)) <= 1e-13 * np.max(np.abs(moved))
+
 
 @pytest.mark.parametrize("substeps", [1, 3])
 @pytest.mark.parametrize("n_modes", [8, 64, 256])
