@@ -35,7 +35,7 @@ from .spectral import (
     norm,
     to_physical,
 )
-from .splitting import _DENSE_MAX, SCHEMES, NonlinearFlowConfig, SolveConfig, _march, evolve
+from .splitting import _DENSE_MAX, SCHEMES, NonlinearFlowConfig, SolveConfig, _Lanes, _Splitting, evolve
 
 __all__ = [
     "ConvergenceReport",
@@ -209,8 +209,8 @@ def temporal_convergence_study(
     The reference is computed once, with the spec's dealias rule, and shared
     by every step count; the error is measured at the final time only.  The
     errors are absolute.  The step counts are solved together, as lanes of
-    one time loop; after a blow-up they are solved again one by one in
-    ascending order, so the error names the first step count to blow up.
+    one time loop, each of which blows up on its own, so the error names the
+    first step count to blow up.
     """
     initial = build_initial(spec.initial_condition, spec.grid)
     symbol = linear_symbol(spec.params, spec.grid)
@@ -219,20 +219,13 @@ def temporal_convergence_study(
         dealias=spec.nonlinear_cfg.dealias,
     )
 
-    flow = spec.nonlinear_cfg
-    configs = {n: SolveConfig(spec.t_final / n, spec.t_final, spec.scheme, flow) for n in spec.axis}
-
-    def solve(n_steps: int) -> SpectralState:
-        return evolve(initial, spec.params, configs[n_steps]).final
-
-    try:
-        finals = _march(initial, spec.params, configs.values())
-    except BlowUp:
-        # separate solves in ascending order name the first step count to blow up
-        finals = {configs[n]: _at_axis_value(n, solve) for n in sorted(configs)}
+    lanes = _Lanes(_Splitting(initial, spec.params, spec.scheme, spec.nonlinear_cfg))
+    for n in spec.axis:
+        cfg = SolveConfig(spec.t_final / n, spec.t_final, spec.scheme, spec.nonlinear_cfg)
+        lanes.start(cfg.n_steps, cfg.dt)
 
     def error_at(n_steps: int) -> float:
-        return error_norm(finals[configs[n_steps]], ref, spec.norm)
+        return error_norm(lanes.result(n_steps), ref, spec.norm)
 
     return _study(spec, "temporal", error_at, {"reference_quality": quality})
 
@@ -281,11 +274,14 @@ def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> 
     finals = {}
     if len(block) > 2:
         initials = tuple(build_initial(spec.initial_condition, grids[n]) for n in block)
+        lanes = _Lanes(_Splitting(initials, spec.params, cfg.scheme, cfg.nonlinear_cfg))
+        lanes.start(cfg.n_steps, cfg.dt)
         try:
-            finals = _march(initials, spec.params, (cfg,))
+            finals = dict(zip((grids[n] for n in block), lanes.result(cfg.n_steps)))
         except BlowUp:
             # separate solves in ascending order name the first grid to blow up
             finals = {grids[n]: _at_axis_value(n, run_on) for n in block}
+        del lanes  # the block's matrices need not outlive its solve
 
     def error_at(n_modes: int) -> float:
         grid = grids[n_modes]

@@ -113,11 +113,11 @@ def nonlinear_rhs_physical(values: np.ndarray, params: ModelParams, grid: GridSp
     return -params.eps_conv * y * y * y_x + params.eps_react * y * (1.0 - y)
 
 
-def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, mask: np.ndarray | None, lanes: int):
+def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, mask: np.ndarray | None, lanes: tuple):
     """The conservative nonlinear right-hand side on ``k = 0..N/2``.
 
-    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` for ``lanes``
-    stacked half-spectra, from one ``irfft`` and one batched ``rfft`` of
+    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` for half-spectra
+    of shape ``lanes + (N/2+1,)``, from one ``irfft`` and one batched ``rfft`` of
     ``[y^3, y^2]``, the products dealiased by the keep-mask ``mask`` over the
     N modes (None keeps them all).  Written apart from the splitting kernel's,
     so that the reference does not inherit a bug of the solver it measures.
@@ -128,9 +128,9 @@ def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, mask: np.ndarray | N
     keep = None if mask is None else mask[:m]
     react = params.eps_react
     # the transforms write into these instead of allocating their outputs per call
-    y = np.empty((lanes, n))
-    powers = np.empty((2, lanes, n))
-    spectra = np.empty((2, lanes, m), dtype=complex)
+    y = np.empty(lanes + (n,))
+    powers = np.empty((2, *lanes, n))
+    spectra = np.empty((2, *lanes, m), dtype=complex)
     irfft, rfft = _rfft_pair(n)
 
     def rhs(c: np.ndarray) -> np.ndarray:
@@ -162,8 +162,8 @@ def nonlinear_rhs_spectral(
         _check_length("dealias mask", dealias, grid.n_modes)
         if not np.array_equal(dealias, dealias[-np.arange(grid.n_modes)]):
             raise ValidationError("dealias", "the mask must keep or drop k and -k together")
-    half = _real_half(state)[None]  # rejects a state that is not real-representable
-    return _from_half(_half_spectrum_rhs(grid, params, dealias, 1)(half)[0], grid)
+    half = _real_half(state)  # rejects a state that is not real-representable
+    return _from_half(_half_spectrum_rhs(grid, params, dealias, ())(half), grid)
 
 
 def full_rhs(

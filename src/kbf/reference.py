@@ -8,10 +8,11 @@ right-hand side, which is written apart from the splitting solver's.
 Closed-form oracles cover the degenerate parameter limits (pure linear
 flow, logistic reaction) and share no code with the production flows.
 
-Both integrators are kernels that step stacked lanes, one step count per
-lane (``_Lanes``): the step doubling runs its solves as lanes of one loop,
-and a single fixed-step solve is a one-lane run.  The loop is this
-module's own, apart from the splitting solver's, which it measures.
+Both integrators are kernels stepped as lanes of the one time loop,
+``splitting._Lanes``: the step doubling runs its solves as lanes, and a
+single fixed-step solve is a one-lane run.  The kernels' arithmetic is this
+module's own, apart from the splitting solver's, which it measures; the
+loop is shared bookkeeping.
 """
 
 from __future__ import annotations
@@ -43,12 +44,10 @@ from .spectral import (
     DEALIAS_RULES,
     GridSpec,
     SpectralState,
-    _from_half,
-    _real_half,
     dealias_mask,
     norm,
 )
-from .splitting import _step_count
+from .splitting import _Lanes, _step_count
 
 __all__ = [
     "integrating_factor_rk4_solve",
@@ -89,7 +88,9 @@ def integrating_factor_rk4_solve(
     one-lane run of the kernel of ``_if_rk4_kernel``.
     """
     n = _step_count(dt, t_final)
-    return _one_lane(_if_rk4_kernel(initial, params, symbol, dealias), n, dt)
+    lanes = _Lanes(_if_rk4_kernel(initial, params, symbol, dealias))
+    lanes.start(n, dt)
+    return lanes.result(n)
 
 
 def logistic_exact(c0: float, eps_react: float, t: float) -> float:
@@ -147,22 +148,26 @@ def _etd_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
 
 
 class _Kernel(NamedTuple):
-    """A fixed-step integrator of one problem, written for stacked lanes.
+    """A fixed-step integrator of one problem, written for the lanes of ``_Lanes``.
 
-    Every lane starts from the real half-spectrum of ``initial``.  ``weights(dt)``
-    is the tuple of rows that one lane steps with; ``stepper(rows)``, given those
-    rows stacked over the lanes, returns ``step(v)``, which advances the
-    ``(lanes, N/2+1)`` states ``v`` by one step of each lane's own size.
+    ``weights(dt)`` is the tuple of rows that one lane steps with; ``stepper(rows)``,
+    given one lane's rows or those rows stacked over lanes, returns ``step(v)``, which
+    advances the half-spectra ``v`` by one step of each lane's own size.  A lane fails
+    only when it turns non-finite, with ``error``'s NonFiniteState.
     """
 
     name: str
     initial: SpectralState
     weights: Callable
     stepper: Callable
+    cap: float = math.inf
+    error: Callable = lambda step, time, why: NonFiniteState(
+        f"reference solve turned non-finite at step {step}"
+    )
 
 
 def _problem(initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str):
-    """The symbol on ``k = 0..N/2`` and ``rhs(lanes)``, the model's RHS for stacked half-spectra."""
+    """The symbol on ``k = 0..N/2`` and ``rhs(lanes)``, the model's RHS on ``lanes + (N/2+1,)``."""
     grid = initial.grid
     _check_symbol(symbol, params, grid)
     mask = None if dealias == "none" else dealias_mask(grid, dealias)
@@ -183,7 +188,7 @@ def _etdrk4_kernel(
 
     def stepper(rows):
         e_half, e_full, q, f1, f2, f3 = rows
-        f = rhs(len(e_half))
+        f = rhs(e_half.shape[:-1])
 
         def step(v):
             nv = f(v)
@@ -212,7 +217,7 @@ def _if_rk4_kernel(
 
     def stepper(rows):
         e_half, e_full, half_dt, dt, dt_6 = rows
-        f = rhs(len(e_half))
+        f = rhs(e_half.shape[:-1])
 
         def step(c):
             a = f(c)
@@ -226,83 +231,6 @@ def _if_rk4_kernel(
     return _Kernel("IF-RK4", initial, weights, stepper)
 
 
-class _Lanes:
-    """Fixed-step solves of one problem, run as lanes of one kernel.
-
-    A lane is a step count ``n`` and its step ``dt``.  Lanes start between
-    kernel steps and leave the stack when they finish or turn non-finite;
-    the lanes still running are stacked as ``(lanes, ·)``, so each transform
-    call serves all of them, and each lane gets the bits that it would get
-    alone.  ``started`` lists the step counts in the order they started.
-    """
-
-    def __init__(self, kernel: _Kernel):
-        self.kernel = kernel
-        self._start = _real_half(kernel.initial)
-        self.started: list[int] = []
-        # finished lanes: step count -> final state, or the NonFiniteState it raised
-        self._results: dict[int, SpectralState | NonFiniteState] = {}
-        # running lanes: step count -> [steps left, weight rows]
-        self._running: dict[int, list] = {}
-        self._states = np.empty((0, len(self._start)), dtype=complex)
-
-    def start(self, n: int, dt: float) -> None:
-        """Start a lane of ``n`` steps of ``dt``, unless it has started already."""
-        if n in self.started:
-            return
-        self.started.append(n)
-        self._running[n] = [n, self.kernel.weights(dt)]
-        self._states = np.concatenate((self._states, self._start[None]))
-
-    def result(self, n: int) -> SpectralState:
-        """Lane ``n``'s final state, stepping the stack until that lane has left it.
-
-        Raises the lane's NonFiniteState if it turned non-finite.
-        """
-        # an overflow is reported once, as the lane's NonFiniteState
-        with np.errstate(over="ignore", invalid="ignore"):
-            while n not in self._results:
-                self._advance()
-        out = self._results[n]
-        if isinstance(out, NonFiniteState):
-            raise out
-        return out
-
-    def _advance(self) -> None:
-        # steps every lane until the first finishes or a step turns some lane non-finite
-        lanes = list(self._running.items())
-        rows = (np.stack(column) for column in zip(*(w for _, (_, w) in lanes)))
-        step = self.kernel.stepper(tuple(rows))
-        v = self._states
-        todo = min(left for _, (left, _) in lanes)
-        taken = 0
-        while taken < todo:
-            v = step(v)
-            taken += 1
-            if not np.isfinite(v).all():
-                break
-        finite = np.isfinite(v).all(axis=1)
-        stay = []
-        for i, (n, lane) in enumerate(lanes):
-            lane[0] -= taken
-            if not finite[i]:
-                self._results[n] = NonFiniteState(
-                    f"reference solve turned non-finite at step {n - lane[0]}"
-                )
-            elif lane[0] == 0:
-                self._results[n] = _from_half(v[i], self.kernel.initial.grid)
-            else:
-                stay.append(i)
-        self._running = dict(lanes[i] for i in stay)
-        self._states = v[stay]
-
-
-def _one_lane(kernel: _Kernel, n: int, dt: float) -> SpectralState:
-    lanes = _Lanes(kernel)
-    lanes.start(n, dt)
-    return lanes.result(n)
-
-
 def _etdrk4_solve(
     initial: SpectralState,
     params: ModelParams,
@@ -311,13 +239,14 @@ def _etdrk4_solve(
     t_final: float,
     dealias: str = "none",
 ) -> SpectralState:
-    """Integrate the full equation with the ETDRK4 scheme of Cox and Matthews.
+    """Integrate the full equation with ETDRK4: a one-lane run of ``_etdrk4_kernel``.
 
-    A one-lane run of the kernel of ``_etdrk4_kernel``.  Same arguments and
-    checks as :func:`integrating_factor_rk4_solve`.
+    Same arguments and checks as :func:`integrating_factor_rk4_solve`.
     """
     n = _step_count(dt, t_final)
-    return _one_lane(_etdrk4_kernel(initial, params, symbol, dealias), n, dt)
+    lanes = _Lanes(_etdrk4_kernel(initial, params, symbol, dealias))
+    lanes.start(n, dt)
+    return lanes.result(n)
 
 
 # Relative tolerance on the Richardson estimate behind each quality name.
@@ -343,15 +272,12 @@ def _doubling_solve(lanes: _Lanes, t_final: float, tol: float) -> tuple[Spectral
     when the difference shrinks by less than 2x in one doubling (rounding
     error reached) or the step cap is passed.
 
-    The solves run as lanes.  The lanes that the next verdict needs always
-    run: ``n``, and ``2n`` beside it when there is no ``u_n/2`` to compare
-    with.  One lane more, ``2n``, starts beside ``n`` when the last
-    estimate, shrunk by the assumed 16x per doubling, predicts that ``n``
-    will not verify; without an estimate none does.  So a speculative lane
-    wastes at most one solve, and no lane passes the cap.  Each lane gets
-    the bits it would get alone, so the stop, the state and the estimate
-    are those of solving the counts one after another; ``lanes.started``
-    records the counts run.
+    The solves run as lanes: ``n``, and ``2n`` beside it when there is no
+    ``u_n/2`` to compare with, or when the last estimate, shrunk by the
+    assumed 16x per doubling, predicts that ``n`` will not verify.  So a
+    speculative lane wastes at most one solve, and no lane passes the cap.
+    Each lane gets the bits it would get alone, so the stop, the state and
+    the estimate are those of solving the counts one after another.
     """
     name = lanes.kernel.name
     coarse = None

@@ -4,24 +4,19 @@ The linear subflow is exact in Fourier space (per-mode factors
 ``exp(lambda_k*t)``); the nonlinear subflow is classical RK4 on the
 conservative spectral right-hand side.  A Strang step is half a linear
 step, a full nonlinear step and another half linear step; a Lie-Trotter
-step is a full linear step followed by a full nonlinear step.  Both, and the
-nonlinear flow alone, run in one stepping kernel built once per solve on the
-real half-spectrum ``k = 0..N/2`` (``rfft`` layout), where each right-hand
-side costs one ``irfft`` and one batched ``rfft`` of ``[y^3, y^2]``, called
-as pocketfft's own transforms (``_rfft_pair``), or on grids of at most
-``_DENSE_MAX`` points the same two transforms as dense real matrices.  There
-a whole RK4 substep is a few matrix products on buffers the kernel owns, its
-stages combined by precomputed coefficients (``_rk4_rows``).  The public
-functions convert FFT-order ``SpectralState`` vectors at the boundary, so
-every state they return is exactly Hermitian, and they reject states that
-are not real-representable.  Every solve runs through one time loop,
-``_march``: a single solve of a whole number of steps hands its recorded
-states, one at a time, to ``_record_solve``'s callback (``evolve`` collects
-them, ``kbf solve`` writes each to its file), the temporal study solves
-its step counts together as lanes of one kernel, building a fresh kernel for
-the lanes still running each time some finish, and the spatial study solves
-its coarse grids together as one block of the dense kernel, its matrices
-block-diagonal.  The loop guards against blow-up and raises BlowUp.
+step is a full linear step followed by a full nonlinear step.  Both, and
+the nonlinear flow alone, run in one stepping kernel, ``_Splitting``, on
+the real half-spectrum ``k = 0..N/2``: by pocketfft's transforms, or on
+grids of at most ``_DENSE_MAX`` points by dense real-DFT matrices.  The
+public functions convert FFT-order ``SpectralState`` vectors at the
+boundary, so every state they return is exactly Hermitian, and they reject
+states that are not real-representable.
+
+Every solve runs through one time loop, ``_Lanes``, which the reference
+integrators share: a single solve is one lane (``_record_solve``), the
+temporal study's step counts are lanes of one loop, and the spatial
+study's coarse grids are one lane of a block.  A lane that blows up is
+retired with its own BlowUp, and its neighbours keep running.
 """
 
 from __future__ import annotations
@@ -238,90 +233,94 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-class _Stepper:
-    """One splitting step on the real half-spectrum, built once per set of lanes.
+class _Splitting:
+    """The stepping kernel of one splitting problem, shaped as the reference's ``_Kernel``.
 
-    Holds the linear factors of the scheme (``exp(lambda*dt/2)`` for Strang,
-    ``exp(lambda*dt)`` for Lie-Trotter) and the nonlinear data on
-    ``k = 0..N/2``.  Built without symbols it only runs the nonlinear flow.
-
-    Above ``_DENSE_MAX`` points each RK4 substep is ``_rk4_coeffs`` on
-    ``rhs``, the FFT pair.  On smaller grids a substep works on the
-    half-spectrum's ``float64`` view in preallocated buffers: the stage rows
-    ``S = [c, G0, G1, G2, G3]`` come from the inverse matrix of
-    ``_dft_matrices`` and the forward one of ``_dense_forward``, and each
+    ``initial`` is a state, or a tuple of states on dense grids solved as one
+    block: their half-spectra, linear factors and matrices concatenated
+    (block-diagonally), so each grid agrees with its own solve to rounding,
+    not bit for bit.  ``weights(dt)`` are a lane's rows: the scheme's linear
+    factors on ``k = 0..N/2`` (None with ``symbols=()``), the substep size
+    and, on the dense path, its ``_rk4_rows``.  A lane blows up past ``cap``
+    times its initial L2 norm.  ``stepper(rows)`` sets the kernel up, in
+    place, with buffers for the lanes of ``rows`` and returns its step, so a
+    kernel steps one set of lanes at a time: one lane's rows make a state one
+    half-spectrum, stacked rows ``(lanes, N/2+1)``.  Above ``_DENSE_MAX``
+    points each RK4 substep is ``_rk4_coeffs`` on the FFT pair.  Below, each
     stage input, and the result, is ``c`` plus one product of a row of
-    ``_rk4_rows`` with the rows of ``S`` already written.
-
-    ``dts`` holds one step size per lane.  With one lane a state is one
-    half-spectrum, and the dense products are ``np.dot``; with more, the states
-    of as many independent solves on the same grid are stacked as ``(lanes,
-    N/2+1)``: every transform acts on the whole stack at once, the dense ones as
-    ``np.matmul``, which broadcasts over the lanes, and each lane's rows equal
-    its own solve's bit for bit, as ``np.dot`` and ``np.matmul`` round alike.
-
-    ``grids`` holds one grid, or, on the dense path and with one lane, the
-    grids of a block: its state is their half-spectra concatenated, its
-    matrices are theirs set block-diagonally, and its linear factors theirs
-    concatenated, so each product advances every grid at once.  A product
-    then sums over the whole block width, so each grid agrees with its own
-    solve to rounding, not bit for bit.
+    ``_rk4_rows`` with the stage rows ``S = [c, G0, G1, G2, G3]`` already
+    written, by ``np.dot`` for one lane and, for more, by ``np.matmul``,
+    which rounds each lane as ``np.dot`` does.
     """
 
-    def __init__(self, grids, params: ModelParams, dts, cfg: NonlinearFlowConfig,
-                 symbols=None, scheme: str = "strang"):
-        n = sum(grid.n_modes for grid in grids)
-        m = sum(grid.n_modes // 2 + 1 for grid in grids)
-        lanes = (len(dts),) if len(dts) > 1 else ()
-        self.strang = scheme == "strang"
-        if symbols is not None:
-            split = 2.0 if self.strang else 1.0
-            factors = [build_propagator(sym, dt / split).factors for sym in symbols for dt in dts]
-            halves = [f[: f.size // 2 + 1] for f in factors]
-            self.linear = np.reshape(np.concatenate(halves), lanes + (m,))
-        self.react = params.eps_react
-        self.substeps = cfg.substeps
-        # a column per lane broadcasts each lane's substep over its modes
-        self.sub_dt = np.divide(dts, cfg.substeps)[:, None] if lanes else dts[0] / cfg.substeps
-        self.powers = np.empty(lanes + (2, n))
-        self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
-        # the transforms write into these instead of allocating their outputs per call
-        self.y = np.empty(lanes + (n,))
-        self.inv = self.head = None
+    cap = BLOWUP_NORM_FACTOR
+    error = BlowUp
+
+    def __init__(self, initial, params: ModelParams, scheme: str, cfg: NonlinearFlowConfig,
+                 symbols=None):
+        self.initial = initial
+        grids = tuple(state.grid for state in (initial if isinstance(initial, tuple) else (initial,)))
+        self.symbols = tuple(linear_symbol(params, g) for g in grids) if symbols is None else symbols
+        self.strang, self.react, self.substeps = scheme == "strang", params.eps_react, cfg.substeps
+        self.n, self.m = sum(g.n_modes for g in grids), sum(g.n_modes // 2 + 1 for g in grids)
+        self.inv = None
         if max(grid.n_modes for grid in grids) <= _DENSE_MAX:
             fwds = [_dense_forward(g, params.eps_conv, params.eps_react, cfg.dealias) for g in grids]
             if len(grids) == 1:
-                self.inv, self.fwd = _dft_matrices(n)[0], fwds[0]
+                self.inv, self.fwd = _dft_matrices(self.n)[0], fwds[0]
             else:
                 self.inv = _block_diag([_dft_matrices(g.n_modes)[0] for g in grids])
                 # the forward matrix's rows act on [y^3, y^2]: a block-diagonal part for each
                 cubes = _block_diag([f[: g.n_modes] for f, g in zip(fwds, grids)])
                 squares = _block_diag([f[g.n_modes :] for f, g in zip(fwds, grids)])
                 self.fwd = np.concatenate((cubes, squares))
-            # Each product takes one lane at a time, as a product over the whole stack rounds
-            # differently; so its vectors are (1, len) rows or (len, 1) columns, lanes or not.
-            self.product = np.matmul if lanes else np.dot
-            self.rows = np.empty(lanes + (5, 2 * m))
-            u = np.empty(lanes + (1, 2 * m))
-            coef = np.reshape([_rk4_rows(dt / cfg.substeps, self.react) for dt in dts], lanes + (4, 5))
-            self.c_row, self.y_col = self.rows[..., :1, :], self.y[..., None]
-            self.head = self.rows[..., 0, :].view(np.complex128)  # step writes linear*c here
-            self.powers_row = self.powers.reshape(lanes + (1, 2 * n))
-            # per stage: its input as a column, its row G_i, its coefficients, the rows filled by
-            # then (0 times an unfilled NaN is NaN), and its output buffer (None: a new array)
-            ins = [self.rows[..., 0, :, None]] + 3 * [u.swapaxes(-1, -2)]
-            self.stages = [
-                (ins[i], self.rows[..., i + 1 : i + 2, :], coef[..., i : i + 1, : i + 2],
-                 self.rows[..., : i + 2, :], u if i < 3 else None)
-                for i in range(4)
-            ]
         else:
             (grid,) = grids
-            self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
-            self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[:m]
+            self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[: self.m]
+            self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[: self.m]
+            self.irfft, self.rfft = _rfft_pair(self.n)
+
+    def weights(self, dt: float) -> tuple:
+        factors = [build_propagator(sym, dt / (2.0 if self.strang else 1.0)).factors for sym in self.symbols]
+        linear = np.concatenate([f[: f.size // 2 + 1] for f in factors]) if factors else None
+        h = dt / self.substeps
+        return (linear, h) if self.inv is None else (linear, h, _rk4_rows(h, self.react))
+
+    def stepper(self, rows):
+        return self._own(*rows).step
+
+    def _own(self, linear, h, coef=None):
+        """This kernel, with the rows ``linear, h, coef`` and buffers for their lanes."""
+        n, m, lanes = self.n, self.m, np.shape(h)
+        self.linear = linear
+        # a column per lane broadcasts each lane's substep over its modes
+        self.sub_dt = h[:, None] if lanes else h
+        self.powers = np.empty(lanes + (2, n))
+        self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
+        # the transforms write into these instead of allocating their outputs per call
+        self.y = np.empty(lanes + (n,))
+        self.head = None
+        if self.inv is None:
             self.spectra = np.empty(lanes + (2, m), dtype=complex)
             self.cubed, self.squared = self.spectra[..., 0, :], self.spectra[..., 1, :]
-            self.irfft, self.rfft = _rfft_pair(n)
+            return self
+        # Each product takes one lane at a time, as a product over the whole stack rounds
+        # differently; so its vectors are (1, len) rows or (len, 1) columns, lanes or not.
+        self.product = np.matmul if lanes else np.dot
+        self.rows = np.empty(lanes + (5, 2 * m))
+        u = np.empty(lanes + (1, 2 * m))
+        self.c_row, self.y_col = self.rows[..., :1, :], self.y[..., None]
+        self.head = self.rows[..., 0, :].view(np.complex128)  # step writes linear*c here
+        self.powers_row = self.powers.reshape(lanes + (1, 2 * n))
+        # per stage: its input as a column, its row G_i, its coefficients, the rows filled by
+        # then (0 times an unfilled NaN is NaN), and its output buffer (None: a new array)
+        ins = [self.rows[..., 0, :, None]] + 3 * [u.swapaxes(-1, -2)]
+        self.stages = [
+            (ins[i], self.rows[..., i + 1 : i + 2, :], coef[..., i : i + 1, : i + 2],
+             self.rows[..., : i + 2, :], u if i < 3 else None)
+            for i in range(4)
+        ]
+        return self
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         """Conservative right-hand side ``-(eps/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` by FFT."""
@@ -368,7 +367,8 @@ def nonlinear_flow(state: SpectralState, dt: float, params: ModelParams,
                    cfg: NonlinearFlowConfig = NonlinearFlowConfig()) -> SpectralState:
     """Advance the nonlinear subproblem by ``dt`` using RK4 substeps."""
     _check_real(ConfigError, "dt", dt)
-    half = _Stepper((state.grid,), params, (dt,), cfg).nonlinear(_real_half(state))
+    kernel = _Splitting(state, params, "strang", cfg, symbols=())
+    half = kernel._own(*kernel.weights(dt)).nonlinear(_real_half(state))
     return _from_half(_finite(half), state.grid)
 
 
@@ -386,8 +386,8 @@ def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
 def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
     _check_real(ConfigError, "dt", dt, 0, strict=True)
     _check_symbol(symbol, params, state.grid)
-    stepper = _Stepper((state.grid,), params, (dt,), cfg, (symbol,), scheme)
-    return _from_half(_finite(stepper.step(_real_half(state))), state.grid)
+    kernel = _Splitting(state, params, scheme, cfg, (symbol,))
+    return _from_half(_finite(kernel._own(*kernel.weights(dt)).step(_real_half(state))), state.grid)
 
 
 def strang_step(state: SpectralState, dt: float, params: ModelParams, symbol: LinearSymbol,
@@ -430,41 +430,32 @@ def evolve(initial: SpectralState, params: ModelParams, config: SolveConfig,
 def _record_solve(initial: SpectralState, params: ModelParams, config: SolveConfig, record) -> None:
     """Solve ``config`` from ``initial``, calling ``record(step, time, state)`` at each recorded step.
 
-    The one recording rule of a single solve: steps ``0, stride, 2*stride,
-    ...`` below ``n_steps`` when ``snapshot_stride`` is positive, and always
-    step ``n_steps``, last.  A step's time is ``step*dt``, except that the
-    last one's is ``t_final`` exactly, and its state is the loop's result,
-    not converted twice.  Nothing is kept, so memory does not grow with the
-    number of recorded steps.  ``record`` runs under the caller's numpy error
-    state; BlowUp is raised as by ``evolve``.
+    The one recording rule of a single solve: steps ``0, stride, ...`` below
+    ``n_steps`` when ``snapshot_stride`` is positive, and always step
+    ``n_steps``, last, at ``t_final`` exactly.  Nothing is kept, so memory
+    does not grow with the number of recorded steps.  ``record`` runs under
+    the caller's numpy error state; BlowUp is raised as by ``evolve``.
     """
-    grid = initial.grid
-    n = config.n_steps
-    stride = config.snapshot_stride
-
-    def at(step, state):
-        record(step, config.t_final if step == n else step * config.dt, state)
-
-    def snapshot(step, half):
-        at(step, _from_half(half, grid))
-
+    n, stride = config.n_steps, config.snapshot_stride
+    lanes = _Lanes(_Splitting(initial, params, config.scheme, config.nonlinear_cfg))
     # a range, not a set: its size does not grow with the number of snapshots
-    snap_at = range(0, n, stride) if stride > 0 else ()
-    at(n, _march(initial, params, (config,), snapshot, snap_at)[config])
+    record_at = range(0, n, stride) if stride > 0 else ()
+    lanes.start(n, config.dt, lambda step, state: record(step, step * config.dt, state), record_at)
+    record(n, config.t_final, lanes.result(n))
 
 
-def _guards(halves, grids):
+def _guards(halves, grids, factor=BLOWUP_NORM_FACTOR):
     """``(slice, grid, cap)`` per grid of the state concatenating ``halves``, and ``quick``.
 
     A state ``c`` (lanes included) with ``vdot(c, c) <= quick`` has each grid's
     ``_half_l2``, at most ``sqrt(2*vdot(c, c)*h/N)``, under its cap, with 1e-9 kept
-    for rounding and the norm's sums finite.  A cap is 1e6 times a norm, so its bound
-    is 0 (the floor 1e-300 squares to 0) or holds 12 digits even when subnormal; a
-    NaN cap (its norm overflowed) passes nothing.
+    for rounding and the norm's sums finite.  A cap is ``factor`` times a norm, so its
+    bound is 0 (the floor 1e-300 squares to 0) or holds 12 digits even when subnormal;
+    a NaN cap (its norm overflowed) passes nothing, and an infinite factor caps nothing.
     """
     guards, end, quick = [], 0, sys.float_info.max
     for half, grid in zip(halves, grids):
-        cap = BLOWUP_NORM_FACTOR * max(_half_l2(half, grid), 1e-300)
+        cap = factor * max(_half_l2(half, grid), 1e-300) if factor < math.inf else math.inf
         guards.append((slice(end, end + half.size), grid, cap))
         end += half.size
         h = grid.spacing
@@ -473,63 +464,109 @@ def _guards(halves, grids):
     return guards, 0.5 * (1 - 1e-9) * quick
 
 
-def _march(initial, params: ModelParams, configs, record=None, record_at=()):
-    """``{config: final state}`` of a solve from ``initial`` for each of ``configs``.
+class _Lanes:
+    """The one time loop: fixed-step solves of one problem, run as lanes of one kernel.
 
-    The one time loop of every splitting solve.  Its lanes are configs that
-    differ in ``dt`` only, run as lanes of one stepper, longest first, so
-    the lanes still running are always a prefix; when lanes finish, a fresh
-    stepper is built for the rest.  Or ``initial`` is a tuple of states on
-    grids of at most ``_DENSE_MAX`` points, solved with one config as one
-    block of the stepper, and the result is ``{grid: final state}``.
-    ``record(step, half)`` is called at each step in ``record_at``, under
-    the caller's numpy error state.  Raises BlowUp when a state turns
-    non-finite or an L2 norm (of the lanes together, or of each grid) grows
-    past ``BLOWUP_NORM_FACTOR`` times its initial value; the step and time
-    it names are the longest solve's.  A step pays one reduction against
-    ``quick`` (``_guards``); only a step that fails it takes the exact checks.
+    The kernel is a ``_Splitting`` or a ``reference._Kernel``.  A lane is a
+    step count ``n`` and its step ``dt``; it starts from the kernel's
+    ``initial`` and steps with ``weights(dt)``, computed once, when it
+    starts.  Lanes start between steps and leave when they finish or fail;
+    ``stepper(rows)`` is rebuilt for the lanes still running.  One lane
+    keeps its 1-d state, more are stacked as ``(lanes, ·)``, and each lane
+    gets the bits it would get alone.  ``started`` lists the step counts in
+    the order they started.  A step pays one reduction against ``quick``
+    (``_guards``); only a step that fails it takes each lane's exact checks,
+    and a lane that fails them is retired with ``kernel.error(step, time,
+    why)``.  A non-finite state came from an RK4 stage, as no linear factor
+    exceeds 1 in modulus.
     """
-    block = isinstance(initial, tuple)
-    states = initial if block else (initial,)
-    grids = tuple(state.grid for state in states)
-    configs = sorted(configs, key=lambda cfg: cfg.n_steps, reverse=True)
-    first = configs[0]
-    symbols = tuple(linear_symbol(params, grid) for grid in grids)
-    halves = [_real_half(state) for state in states]
-    guards, quick = _guards(halves, grids)
-    c = np.concatenate(halves) if len(halves) > 1 else halves[0]
-    if 0 in record_at:
-        record(0, c)
-    lanes = len(configs)
-    c = np.tile(c, (lanes, 1)) if lanes > 1 else c
-    finals = {}
-    done = 0
-    caller = np.geterr()
-    # A blow-up overflows on its way to the guards, which report it as BlowUp
-    # alone; entered once per solve, as per step it would cost ~5% of a step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while lanes:
-            dts = [cfg.dt for cfg in configs[:lanes]]
-            stepper = _Stepper(grids, params, dts, first.nonlinear_cfg, symbols, first.scheme)
-            for step in range(done + 1, configs[lanes - 1].n_steps + 1):
-                c = stepper.step(c)
-                # one reduction (NaN fails it); only a failing step takes the exact checks, and a
-                # non-finite state came from an RK4 stage, as no linear factor exceeds 1 in modulus
-                if not np.vdot(c, c).real <= quick:
-                    if not np.isfinite(c).all():
-                        raise BlowUp(step, step * first.dt, _NON_FINITE)
-                    for part, grid, cap in guards:
-                        if not _half_l2(c[..., part], grid) <= cap:
-                            raise BlowUp(step, step * first.dt, "L2 norm exploded")
-                if step in record_at:
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        initial = kernel.initial
+        states = initial if isinstance(initial, tuple) else (initial,)
+        halves = [_real_half(state) for state in states]
+        self._guards, self._quick = _guards(halves, [state.grid for state in states], kernel.cap)
+        self._start = np.concatenate(halves) if len(halves) > 1 else halves[0]
+        self.started: list[int] = []
+        # finished lanes: step count -> final state, or the error the lane failed with
+        self._results: dict = {}
+        # running lanes, in stack order: [step count, steps left, dt, rows, record, record_at]
+        self._running: list[list] = []
+        self._c = self._step = None
+
+    def start(self, n: int, dt: float, record=None, record_at=()) -> None:
+        """Start a lane of ``n`` steps of ``dt``, unless it has started already; ``record(step,
+        state)`` runs at each step in ``record_at``, under the caller's numpy error state."""
+        if n in self.started:
+            return
+        self.started.append(n)
+        if 0 in record_at:
+            record(0, self._state(self._start))
+        self._running.append([n, n, dt, self.kernel.weights(dt), record, record_at])
+        self._c = self._start if self._c is None else np.vstack((self._c, self._start))
+        self._step = None
+
+    def result(self, n: int):
+        """Lane ``n``'s final state (a tuple for a block), or its own error if it failed."""
+        caller = np.geterr()
+        # A blow-up overflows on its way to the checks, which report it as the lane's
+        # error alone; entered once per call, as per step it would cost ~5% of a step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while n not in self._results:
+                self._advance(caller)
+        out = self._results[n]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def _advance(self, caller) -> None:
+        # steps every lane until the first finishes or one fails
+        lanes = self._running
+        if self._step is None:
+            rows = [lane[3] for lane in lanes]
+            self._step = self.kernel.stepper(rows[0] if len(rows) == 1 else tuple(map(np.stack, zip(*rows))))
+        step, c, quick = self._step, self._c, self._quick
+        recording = [(i, lane) for i, lane in enumerate(lanes) if lane[5]]
+        failed = {}
+        for taken in range(1, min(lane[1] for lane in lanes) + 1):
+            c = step(c)
+            # one reduction (NaN fails it); only a state that fails it takes the exact checks
+            if not np.vdot(c, c).real <= quick:
+                failed = self._failures(c)
+            for i, (n, left, _, _, record, record_at) in recording:
+                if i not in failed and n - left + taken in record_at:
                     with np.errstate(**caller):
-                        record(step, c)
-            done = configs[lanes - 1].n_steps
-            rows = np.atleast_2d(c)
-            while lanes and configs[lanes - 1].n_steps == done:
-                lanes -= 1
-                finals[configs[lanes]] = rows[lanes]
-            c = rows[:lanes] if lanes > 1 else rows[0]
-    if block:
-        return {grid: _from_half(finals[first][part], grid) for part, grid, _ in guards}
-    return {cfg: _from_half(half, grids[0]) for cfg, half in finals.items()}
+                        record(n - left + taken, self._state(c if c.ndim == 1 else c[i]))
+            if failed:
+                break
+        rows = np.atleast_2d(c)
+        stay = []
+        for i, lane in enumerate(lanes):
+            lane[1] -= taken
+            n, left, dt = lane[:3]
+            if i in failed:
+                self._results[n] = self.kernel.error(n - left, (n - left) * dt, failed[i])
+            elif left == 0:
+                self._results[n] = self._state(rows[i])
+            else:
+                stay.append(i)
+        if len(stay) < len(lanes):
+            self._running, self._step = [lanes[i] for i in stay], None
+            c = rows[stay] if len(stay) > 1 else rows[stay[0]] if stay else None
+        self._c = c
+
+    def _failures(self, c: np.ndarray) -> dict:
+        """``{lane: why}`` for each lane of ``c`` that is non-finite or past a cap."""
+        failed = {}
+        for i, row in enumerate(np.atleast_2d(c)):
+            if not np.isfinite(row).all():
+                failed[i] = _NON_FINITE
+            elif not all(_half_l2(row[part], grid) <= cap for part, grid, cap in self._guards):
+                failed[i] = "L2 norm exploded"
+        return failed
+
+    def _state(self, half: np.ndarray):
+        """The state, or for a block the tuple of states, whose half-spectra ``half`` concatenates."""
+        states = tuple(_from_half(half[part], grid) for part, grid, _ in self._guards)
+        return states if isinstance(self.kernel.initial, tuple) else states[0]

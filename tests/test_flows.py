@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbf import (
     ConfigError,
@@ -129,6 +131,26 @@ def test_apply_linear_sobolev_nonincrease(rng):
         for sidx in (0, 1, 2):
             spec = NormSpec("hs", sidx)
             assert norm(out, spec) <= norm(s, spec) * (1 + 1e-12)
+
+
+@settings(max_examples=100)
+@given(
+    nu=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    mu=st.floats(-4.0, 4.0),
+    gamma=st.floats(-4.0, 4.0),
+    n=st.sampled_from([4, 6, 16, 64, 256, 1024]),
+    length=st.floats(0.5, 100.0),
+    t=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_flow_never_expands(nu, mu, gamma, n, length, t, seed):
+    # Re(lambda_k) = -nu*kappa^2 <= 0, so no factor exceeds 1 in modulus (to an ulp
+    # of abs) and the L2 norm cannot grow: the splitting loop relies on it when it
+    # reports a non-finite state as an RK4 stage's fault
+    g = make_grid(n, 0.0, length)
+    s = to_spectral(np.random.default_rng(seed).standard_normal(n), g)
+    prop = build_propagator(linear_symbol(ModelParams(nu=nu, mu=mu, gamma=gamma), g), t)
+    assert norm(apply_linear(prop, s)) <= (1 + 4 * np.finfo(float).eps) * norm(s)
 
 
 # ----- RK4 -----

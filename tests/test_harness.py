@@ -212,7 +212,7 @@ def test_repeated_axis_value_rejected_before_any_solve(monkeypatch, full_params,
 
     monkeypatch.setattr(harness_module, "make_reference", no_run)
     monkeypatch.setattr(harness_module, "evolve", no_run)
-    monkeypatch.setattr(harness_module, "_march", no_run)
+    monkeypatch.setattr(harness_module, "_Lanes", no_run)
     grid = make_grid(64, 0.0, TWO_PI)
     with pytest.raises(ConfigError) as info:
         study(_study_spec(full_params, grid, (20, 20)))
@@ -358,12 +358,14 @@ def test_spatial_study_solves_its_coarse_grids_as_one_block(monkeypatch, full_pa
     # grid, then one for the block of every coarse grid
     builds = []
 
-    class CountedStepper(splitting._Stepper):
-        def __init__(self, grids, *args):
-            builds.append(tuple(grid.n_modes for grid in grids))
-            super().__init__(grids, *args)
+    stepper = splitting._Splitting.stepper
 
-    monkeypatch.setattr(splitting, "_Stepper", CountedStepper)
+    def counted(kernel, rows):
+        initial = kernel.initial
+        builds.append(tuple(s.grid.n_modes for s in (initial if isinstance(initial, tuple) else (initial,))))
+        return stepper(kernel, rows)
+
+    monkeypatch.setattr(splitting._Splitting, "stepper", counted)
     spec = _study_spec(full_params, make_grid(128, 0.0, TWO_PI), (8, 16, 32, 64))
     report = spatial_convergence_study(spec, dt=1.0 / 8)
     assert builds == [(128,), (8, 16, 32, 64)]

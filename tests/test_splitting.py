@@ -35,6 +35,26 @@ from helpers import assert_exactly_hermitian, full_spectrum_solve
 TWO_PI = 2.0 * np.pi
 
 
+def _lanes(initial, params, configs):
+    """The loop of ``configs`` (same scheme and flow, one lane each) from ``initial``."""
+    first = configs[0]
+    lanes = splitting._Lanes(splitting._Splitting(initial, params, first.scheme, first.nonlinear_cfg))
+    for cfg in configs:
+        lanes.start(cfg.n_steps, cfg.dt)
+    return lanes
+
+
+def _finals(initial, params, configs):
+    """``{config: final state}`` of ``configs`` solved as lanes of one loop."""
+    lanes = _lanes(initial, params, configs)
+    return {cfg: lanes.result(cfg.n_steps) for cfg in configs}
+
+
+def _block(initials, params, cfg):
+    """``{grid: final state}`` of the states ``initials`` solved by ``cfg`` as one block."""
+    return dict(zip((s.grid for s in initials), _finals(initials, params, [cfg])[cfg]))
+
+
 # ----- configuration -----
 
 def test_config_rejects_partial_steps():
@@ -198,16 +218,37 @@ def test_blow_up_trips_l2_guard_at_step_23(scheme):
 
 def test_blow_up_of_one_lane_trips_the_guard():
     # with dt = 1 the explicit RK4 substep goes unstable by step 4 (t = 4);
-    # with dt = 1/2 the same solve stays bounded
+    # with dt = 1/2 the same solve stays bounded, alone or as a lane beside the unstable one
     params = ModelParams(eps_conv=1.0, eps_react=1.0)
     initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
     healthy, unstable = SolveConfig(dt=0.5, t_final=4.0), SolveConfig(dt=1.0, t_final=4.0)
-    evolve(initial, params, healthy)
+    alone = evolve(initial, params, healthy).final
     with pytest.raises(BlowUp, match="L2 norm exploded") as info:
         evolve(initial, params, unstable)
-    assert info.value.step == 4
-    with pytest.raises(BlowUp, match="L2 norm exploded"):
-        splitting._march(initial, params, (healthy, unstable))
+    assert (info.value.step, info.value.time) == (4, 4.0)
+    lanes = _lanes(initial, params, (healthy, unstable))
+    with pytest.raises(BlowUp, match="^L2 norm exploded$") as info:
+        lanes.result(unstable.n_steps)
+    assert (info.value.step, info.value.time) == (4, 4.0)
+    assert np.array_equal(lanes.result(healthy.n_steps).coeffs, alone.coeffs)
+
+
+def test_a_ladder_keeps_every_lane_that_does_not_blow_up():
+    # the 4-step lane blows up at its step 4; the 8- and 16-step lanes beside it
+    # come back with their own solves' bits, from one pass of the loop
+    params = ModelParams(eps_conv=1.0, eps_react=1.0)
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
+    ladder = [SolveConfig(dt=4.0 / n, t_final=4.0) for n in (4, 8, 16)]
+    lanes = _lanes(initial, params, ladder)
+    with pytest.raises(BlowUp, match="^L2 norm exploded$") as info:
+        lanes.result(4)
+    assert (info.value.step, info.value.time) == (4, 4.0)
+    with pytest.raises(BlowUp) as again:
+        lanes.result(4)
+    assert again.value is info.value
+    for cfg in ladder[1:]:
+        assert np.array_equal(lanes.result(cfg.n_steps).coeffs, evolve(initial, params, cfg).final.coeffs)
+    assert lanes.started == [4, 8, 16]
 
 
 def test_blow_up_of_one_grid_of_a_block_trips_its_own_guard():
@@ -222,7 +263,7 @@ def test_blow_up_of_one_grid_of_a_block_trips_its_own_guard():
         evolve(tiny, params, cfg)
     for block in ((tiny, paper), (paper, tiny)):
         with pytest.raises(BlowUp, match="^L2 norm exploded$") as info:
-            splitting._march(block, params, (cfg,))
+            _block(block, params, cfg)
         assert (info.value.step, info.value.time) == (alone.value.step, alone.value.time) == (28, 14.0)
 
 
@@ -267,7 +308,7 @@ def test_quick_guard_never_passes_a_state_the_exact_guard_fails(
     # sqrt(2), where the two checks part, and the largest lone inner mode of
     # each grid that passes the quick check.  A real spectrum (even data)
     # overflows vdot to inf, a complex one to NaN.  Norms overflow here as in
-    # _march.
+    # the lane loop.
     rng = np.random.default_rng(seed)
     grids = [make_grid(n, 0.0, length) for n in sizes]
     lanes = lanes if len(grids) == 1 else 1
@@ -313,7 +354,7 @@ def test_equilibria_stay_put_on_each_kernel_path(full_params, sizes, value):
     if len(grids) == 1:
         finals = {grids[0]: evolve(states[0], full_params, cfg).final}
     else:
-        finals = splitting._march(states, full_params, (cfg,))
+        finals = _block(states, full_params, cfg)
     for grid, final in finals.items():
         y = to_physical(final)
         if value == 0.0 or grid.n_modes > splitting._DENSE_MAX:
@@ -366,24 +407,39 @@ def test_observer_runs_under_the_callers_error_state(full_params):
     assert len(warned) == len(calls)
 
 
-def test_march_records_only_the_asked_steps_and_builds_once_per_finish(monkeypatch, full_params):
-    builds = []
+def test_lanes_record_only_the_asked_steps_and_build_once_per_change(full_params):
+    # a stepper per set of running lanes, and each lane's weights once, when it starts
+    builds, weights = [], []
 
-    class CountedStepper(splitting._Stepper):
-        def __init__(self, grid, params, dts, *args):
-            builds.append(len(dts))
-            super().__init__(grid, params, dts, *args)
+    class CountedSplitting(splitting._Splitting):
+        def weights(self, dt):
+            weights.append(dt)
+            return super().weights(dt)
 
-    monkeypatch.setattr(splitting, "_Stepper", CountedStepper)
+        def stepper(self, rows):
+            builds.append(np.size(rows[1]))
+            return super().stepper(rows)
+
     initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
-    ladder = [SolveConfig(dt=0.5 / n, t_final=0.5) for n in (6, 3, 12)]
-    assert set(splitting._march(initial, full_params, ladder)) == set(ladder)
-    assert builds == [3, 2, 1]
+    lanes = splitting._Lanes(CountedSplitting(initial, full_params, "strang", NonlinearFlowConfig()))
+    for n in (6, 3, 12):
+        lanes.start(n, 0.5 / n)
+    lanes.result(6)
+    assert builds == [3, 2]
+    lanes.start(3, 0.5 / 3)  # started already: no second lane
+    lanes.start(24, 0.5 / 24)  # starts six steps after the others
+    lanes.result(24)
+    assert builds == [3, 2, 2, 1]
+    assert weights == [0.5 / n for n in (6, 3, 12, 24)]
+    assert lanes.started == [6, 3, 12, 24]
     recorded = []
-    splitting._march(
-        initial, full_params, ladder[:1], lambda step, half: recorded.append(step), {0, 2, 5}
-    )
-    assert recorded == [0, 2, 5]
+    lanes = splitting._Lanes(splitting._Splitting(initial, full_params, "strang", NonlinearFlowConfig()))
+    lanes.start(6, 0.5 / 6, lambda step, state: recorded.append((step, state)), range(0, 6, 2))
+    final = lanes.result(6)
+    assert [step for step, _ in recorded] == [0, 2, 4]
+    cfg = SolveConfig(dt=0.5 / 6, t_final=0.5, snapshot_stride=2)
+    for (_, state), expected in zip(recorded + [(6, final)], evolve(initial, full_params, cfg).states):
+        assert np.array_equal(state.coeffs, expected.coeffs)
 
 
 def test_local_defect_third_order_in_asymptotic_window(full_params, grid256, sine_initial):
@@ -463,7 +519,7 @@ def test_block_of_grids_matches_separate_solves(full_params, scheme, dealias, su
         scheme=scheme,
         nonlinear_cfg=NonlinearFlowConfig(substeps=substeps, dealias=dealias),
     )
-    finals = splitting._march(initials, full_params, (cfg,))
+    finals = _block(initials, full_params, cfg)
     assert list(finals) == [initial.grid for initial in initials]
     for initial in initials:
         alone = evolve(initial, full_params, cfg).final.coeffs
@@ -474,7 +530,7 @@ def test_block_of_grids_matches_separate_solves(full_params, scheme, dealias, su
 def test_block_of_one_grid_is_the_single_grid_kernel_bit_for_bit(full_params, n_modes):
     initial = _rich_initial(n_modes)
     cfg = SolveConfig(dt=1.0 / 64, t_final=0.5, nonlinear_cfg=NonlinearFlowConfig(substeps=2))
-    block = splitting._march((initial,), full_params, (cfg,))[initial.grid]
+    block = _block((initial,), full_params, cfg)[initial.grid]
     assert np.array_equal(block.coeffs, evolve(initial, full_params, cfg).final.coeffs)
 
 
@@ -485,15 +541,17 @@ def test_block_of_one_grid_is_the_single_grid_kernel_bit_for_bit(full_params, n_
 def test_each_lane_of_a_ladder_is_its_own_solve_bit_for_bit(
     full_params, n_modes, scheme, dealias, substeps
 ):
-    # three lanes run together, then two, then the longest alone: on the dense
-    # path lanes take their products through np.matmul and a lone solve through
-    # np.dot, which must round alike
+    # two lanes run together, then one alone, then a third starts eight steps
+    # after them: on the dense path lanes take their products through np.matmul
+    # and a lone solve through np.dot, which must round alike
     initial = _rich_initial(n_modes)
     flow = NonlinearFlowConfig(substeps=substeps, dealias=dealias)
     ladder = [SolveConfig(0.25 / n, 0.25, scheme, flow) for n in (8, 16, 32)]
-    finals = splitting._march(initial, full_params, ladder)
+    lanes = _lanes(initial, full_params, ladder[:2])
+    lanes.result(8)
+    lanes.start(32, ladder[2].dt)
     for cfg in ladder:
-        assert np.array_equal(finals[cfg].coeffs, evolve(initial, full_params, cfg).final.coeffs)
+        assert np.array_equal(lanes.result(cfg.n_steps).coeffs, evolve(initial, full_params, cfg).final.coeffs)
 
 
 @pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
@@ -507,19 +565,19 @@ def test_step_never_writes_its_input_or_an_earlier_result(full_params, sizes, la
     # a step writes linear*c into a buffer of its own, on the dense path its first
     # stage row; neither the input nor a state the stepper returned may be that buffer
     states = [_rich_initial(n) for n in sizes]
-    grids = tuple(state.grid for state in states)
     c = np.concatenate([splitting._real_half(state) for state in states])
     c = np.tile(c, (lanes, 1)) if lanes > 1 else c
-    symbols = tuple(linear_symbol(full_params, g) for g in grids)
-    dts = [1.0 / 64, 1.0 / 32, 1.0 / 16][:lanes]
-    stepper = splitting._Stepper(grids, full_params, dts, NonlinearFlowConfig(substeps), symbols, scheme)
+    initial = tuple(states) if len(states) > 1 else states[0]
+    kernel = splitting._Splitting(initial, full_params, scheme, NonlinearFlowConfig(substeps))
+    rows = [kernel.weights(dt) for dt in [1.0 / 64, 1.0 / 32, 1.0 / 16][:lanes]]
+    step = kernel.stepper(rows[0] if lanes == 1 else tuple(map(np.stack, zip(*rows))))
     given = c.copy()
-    first = stepper.step(c)
+    first = step(c)
     kept = first.copy()
-    second = stepper.step(c)
+    second = step(c)
     assert np.array_equal(c, given)
     assert np.array_equal(first, kept) and np.array_equal(second, kept)
-    later = stepper.step(second)
+    later = step(second)
     assert np.array_equal(second, kept) and np.array_equal(first, kept)
     assert not np.array_equal(later, kept)
 
@@ -564,6 +622,64 @@ def test_translation_by_grid_points_commutes_with_evolve(half_sizes, data):
     assert np.max(np.abs(moved - shifted)) <= 1e-13 * np.max(np.abs(moved))
 
 
+def _reflect(y):
+    """The grid values of ``y(-x)``: point ``x_j`` goes to ``x_{-j}``."""
+    return np.roll(y[::-1], 1)
+
+
+@pytest.mark.parametrize("path", ["dense", "fft", "lanes", "block"])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_reflection_with_the_odd_coefficients_negated_commutes_with_a_solve(path, data):
+    # x -> -x flips the sign of each odd derivative, so solving reflected data with
+    # (mu, gamma, eps_conv) negated gives the reflected solution, to rounding: through
+    # evolve on either kernel path, through stacked lanes and through a block of grids;
+    # dt keeps the stiffness eps_conv*max(y^2)*k_max*dt at 2 or below
+    if path == "block":
+        sizes = data.draw(st.lists(st.sampled_from([8, 16, 24, 32, 64]), min_size=2, max_size=3,
+                                   unique=True), label="sizes")
+    else:
+        half = {"dense": (4, splitting._DENSE_MAX // 2), "fft": (splitting._DENSE_MAX // 2 + 1, 128),
+                "lanes": (4, 128)}[path]
+        sizes = [2 * data.draw(st.integers(*half), label="N/2")]
+    coefficient = st.integers(-4, 4).map(lambda i: i / 4)
+    params = ModelParams(
+        nu=data.draw(st.integers(0, 4).map(lambda i: i / 4), label="nu"),
+        mu=data.draw(coefficient, label="mu"),
+        gamma=data.draw(coefficient, label="gamma"),
+        eps_conv=data.draw(coefficient, label="eps_conv"),
+        eps_react=data.draw(coefficient, label="eps_react"),
+    )
+    mirrored = ModelParams(params.nu, -params.mu, -params.gamma, -params.eps_conv, params.eps_react)
+    # band-limited data with both cosines and sines, so that it is no translate of its mirror image
+    band = data.draw(st.integers(1, min(sizes) // 8), label="band")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    k = np.arange(1, band + 1)[:, None]
+    mean, amps = rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5, (2, band, 1)) / band
+    grids = [make_grid(n, 0.0, TWO_PI) for n in sizes]
+    values = [mean + (amps[0] * np.cos(k * g.points) + amps[1] * np.sin(k * g.points)).sum(0) for g in grids]
+    sigma = data.draw(st.floats(0.05, 2.0), label="sigma")
+    dt = sigma / max(abs(params.eps_conv) * np.max(values[0] ** 2) * (max(sizes) // 2), 20.0)
+    flow = NonlinearFlowConfig(data.draw(st.sampled_from([1, 3]), label="substeps"),
+                               data.draw(st.sampled_from(["none", "two_thirds"]), label="dealias"))
+    steps = data.draw(st.integers(1, 4), label="steps")
+    scheme = data.draw(st.sampled_from(["strang", "lie_trotter"]), label="scheme")
+    ladder = [SolveConfig(dt * steps / n, dt * steps, scheme, flow) for n in (steps, 2 * steps, 3 * steps)]
+
+    def solve(params, reflect):
+        states = [to_spectral(_reflect(y) if reflect else y, g) for y, g in zip(values, grids)]
+        if path == "block":
+            finals = _block(tuple(states), params, ladder[0]).values()
+        elif path == "lanes":
+            finals = _finals(states[0], params, ladder).values()
+        else:
+            finals = [evolve(states[0], params, ladder[0]).final]
+        return [to_physical(final) for final in finals]
+
+    for ours, theirs in zip(solve(params, False), solve(mirrored, True), strict=True):
+        assert np.max(np.abs(theirs - _reflect(ours))) <= 1e-13 * np.max(np.abs(ours))
+
+
 @pytest.mark.parametrize("substeps", [1, 3])
 @pytest.mark.parametrize("n_modes", [8, 64, 256])
 def test_reaction_alone_is_the_logistic_rk4_at_every_point(n_modes, substeps):
@@ -599,7 +715,7 @@ def test_without_reaction_the_mean_is_conserved_bit_for_bit(n_modes, scheme, dea
     ladder = [SolveConfig(1.0 / n, 0.25, scheme, flow) for n in (64, 128, 256)]
     mean = initial.coeffs[0]
     assert evolve(initial, params, ladder[0]).final.coeffs[0] == mean
-    finals = splitting._march(initial, params, ladder)
+    finals = _finals(initial, params, ladder)
     assert [final.coeffs[0] for final in finals.values()] == [mean] * 3
 
 
@@ -611,7 +727,7 @@ def test_without_reaction_each_grid_of_a_block_keeps_its_mean_bit_for_bit(scheme
     params = ModelParams(nu=1.0, mu=1.0, gamma=1.0, eps_conv=1.0)
     initials = tuple(_rich_initial(n) for n in (8, 16, 32, 64))
     cfg = SolveConfig(1.0 / 64, 0.25, scheme, NonlinearFlowConfig(substeps=2, dealias=dealias))
-    finals = splitting._march(initials, params, (cfg,))
+    finals = _block(initials, params, cfg)
     assert [finals[s.grid].coeffs[0] for s in initials] == [s.coeffs[0] for s in initials]
 
 
@@ -633,7 +749,7 @@ def test_outputs_are_exactly_hermitian(rng, full_params):
             assert_exactly_hermitian(strang_step(s, 0.01, full_params, sym).coeffs)
             assert_exactly_hermitian(lie_trotter_step(s, 0.01, full_params, sym).coeffs)
             assert_exactly_hermitian(nonlinear_flow(s, 0.01, full_params).coeffs)
-            finals = splitting._march(s, full_params, ladder)
+            finals = _finals(s, full_params, ladder)
             assert set(finals) == set(ladder)
             for final in finals.values():
                 assert_exactly_hermitian(final.coeffs)
