@@ -540,7 +540,7 @@ class _Lanes:
                         record(n - left + taken, self._state(c if c.ndim == 1 else c[i]))
             if failed:
                 break
-        rows = np.atleast_2d(c)
+        states = np.atleast_2d(c)
         stay = []
         for i, lane in enumerate(lanes):
             lane[1] -= taken
@@ -548,12 +548,12 @@ class _Lanes:
             if i in failed:
                 self._results[n] = self.kernel.error(n - left, (n - left) * dt, failed[i])
             elif left == 0:
-                self._results[n] = self._state(rows[i])
+                self._results[n] = self._state(states[i])
             else:
                 stay.append(i)
         if len(stay) < len(lanes):
             self._running, self._step = [lanes[i] for i in stay], None
-            c = rows[stay] if len(stay) > 1 else rows[stay[0]] if stay else None
+            c = states[stay] if len(stay) > 1 else states[stay[0]] if stay else None
         self._c = c
 
     def _failures(self, c: np.ndarray) -> dict:
