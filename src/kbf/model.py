@@ -119,29 +119,35 @@ def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, mask: np.ndarray | N
     ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` for half-spectra
     of shape ``lanes + (N/2+1,)``, from one ``irfft`` and one batched ``rfft`` of
     ``[y^3, y^2]``, the products dealiased by the keep-mask ``mask`` over the
-    N modes (None keeps them all).  Written apart from the splitting kernel's,
+    N modes (None keeps them all).  ``rhs(c, out)`` writes into ``out``, and
+    ``rhs(c)`` returns a new array.  Written apart from the splitting kernel's,
     so that the reference does not inherit a bug of the solver it measures.
     """
     n = grid.n_modes
     m = n // 2 + 1
     conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
     keep = None if mask is None else mask[:m]
-    react = params.eps_react
+    # a 0-d operand costs less per call than a Python float, and multiplies to the same bits
+    react = np.array(params.eps_react, dtype=complex)
     # the transforms write into these instead of allocating their outputs per call
     y = np.empty(lanes + (n,))
     powers = np.empty((2, *lanes, n))
     spectra = np.empty((2, *lanes, m), dtype=complex)
+    (cube, square), (cubed, squared) = powers, spectra
     irfft, rfft = _rfft_pair(n)
 
-    def rhs(c: np.ndarray) -> np.ndarray:
+    def rhs(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         irfft(c, y)
-        np.multiply(y, y, out=powers[1])
-        np.multiply(y, powers[1], out=powers[0])
+        np.multiply(y, y, out=square)
+        np.multiply(y, square, out=cube)
         rfft(powers, spectra)
         if keep is not None:
             np.multiply(spectra, keep, out=spectra)
-        cubed, squared = spectra
-        return conv * cubed + react * (c - squared)
+        # conv*cubed + react*(c - squared), each product's operands in that order
+        np.subtract(c, squared, out=squared)
+        np.multiply(react, squared, out=squared)
+        out = np.multiply(conv, cubed, out=out)
+        return np.add(out, squared, out=out)
 
     return rhs
 

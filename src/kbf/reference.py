@@ -9,10 +9,7 @@ Closed-form oracles cover the degenerate parameter limits (pure linear
 flow, logistic reaction) and share no code with the production flows.
 
 Both integrators are kernels stepped as lanes of the one time loop,
-``splitting._Lanes``: the step doubling runs its solves as lanes, and a
-single fixed-step solve is a one-lane run.  The kernels' arithmetic is this
-module's own, apart from the splitting solver's, which it measures; the
-loop is shared bookkeeping.
+``splitting._Lanes``; their arithmetic is this module's own.
 """
 
 from __future__ import annotations
@@ -78,14 +75,11 @@ def integrating_factor_rk4_solve(
 ) -> SpectralState:
     """Integrate the full equation with the integrating-factor RK4 method.
 
-    The linear part is removed by the exact exponential substitution
-    ``w = exp(-lambda*(t-t_n)) * yhat`` recentered at each step, so the
-    explicit RK4 stages see only the nonlinearity; stage exponentials at
-    ``dt/2`` and ``dt`` are precomputed once.  Like the ETDRK4 reference, it
-    steps the real half-spectrum with the model's right-hand side, whose
-    products are dealiased by the rule ``dealias`` as the splitting solver's
-    are.  Exact for any ``dt`` when the nonlinear coefficients vanish.  A
-    one-lane run of the kernel of ``_if_rk4_kernel``.
+    The linear part is removed by the substitution ``w = exp(-lambda*(t-t_n))
+    * yhat``, recentered at each step, so the RK4 stages see only the
+    nonlinearity, dealiased by the rule ``dealias``; exact for any ``dt``
+    when the nonlinear coefficients vanish.  A one-lane run of
+    ``_if_rk4_kernel``.
     """
     n = _step_count(dt, t_final)
     lanes = _Lanes(_if_rk4_kernel(initial, params, symbol, dealias))
@@ -118,6 +112,8 @@ def linear_exact_solution(
 
 # Contour points on the full circle of radius 1 around each h*lambda_k.
 _CONTOUR_POINTS = 32
+# A block of contour points holds about this many complex values.
+_BLOCK_VALUES = 1024
 
 
 def _etd_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
@@ -127,24 +123,34 @@ def _etd_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     coefficients ``f1, f2, f3`` are contour means (Kassam-Trefethen) over
     points on the full unit circle around each ``h*lam``, which avoids the
     cancellation of their closed forms near 0.  The symbol is complex, so
-    the mean is complex: half a circle and a real part would hold for a real
-    symbol only.  The points are summed in conjugate pairs, so a real
-    ``h*lam`` (``k = 0``, Nyquist) gets real weights.  The sums accumulate
-    one point at a time and stay the size of ``lam``.
+    the mean is complex.  The points come in conjugate pairs, so a real
+    ``h*lam`` (``k = 0``, Nyquist) gets real weights.  They are evaluated in
+    blocks of rows, one point a row, and the rows are summed one at a time
+    in the order of the points: the bits of a point-by-point loop.
     """
     z = h * lam
     q, f1, f2, f3 = (np.zeros_like(z) for _ in range(4))
     half = _CONTOUR_POINTS // 2
-    for r in np.exp(1j * np.pi * (np.arange(half) + 0.5) / half):
-        for w in (z + r, z + r.conjugate()):
-            e = np.exp(w)
-            w3 = w * w * w
-            q += (np.exp(w / 2.0) - 1.0) / w
-            f1 += (-4.0 - w + e * (4.0 - 3.0 * w + w * w)) / w3
-            f2 += (2.0 + w + e * (w - 2.0)) / w3
-            f3 += (-4.0 - 3.0 * w - w * w + e * (4.0 - w)) / w3
+    r = np.exp(1j * np.pi * (np.arange(half) + 0.5) / half)
+    points = np.stack((r, r.conjugate()), axis=1).ravel()  # r0, conj r0, r1, ...
+    # several points to a block only while it stays near 1k values, far below the 256 KiB
+    # at which numpy's temporary elision may swap a product's operands
+    size = min(_CONTOUR_POINTS, -(-_BLOCK_VALUES // z.size))
+    for start in range(0, _CONTOUR_POINTS, size):
+        w = z + points[start : start + size, None]
+        e = np.exp(w)
+        w3 = w * w * w
+        _add_rows(q, (np.exp(w / 2.0) - 1.0) / w)
+        _add_rows(f1, (-4.0 - w + e * (4.0 - 3.0 * w + w * w)) / w3)
+        _add_rows(f2, (2.0 + w + e * (w - 2.0)) / w3)
+        _add_rows(f3, (-4.0 - 3.0 * w - w * w + e * (4.0 - w)) / w3)
     scale = h / _CONTOUR_POINTS
     return np.exp(z / 2.0), np.exp(z), q * scale, f1 * scale, f2 * scale, f3 * scale
+
+
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
+    for row in rows:
+        total += row
 
 
 class _Kernel(NamedTuple):
@@ -178,27 +184,33 @@ def _problem(initial: SpectralState, params: ModelParams, symbol: LinearSymbol, 
 def _etdrk4_kernel(
     initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str = "none"
 ) -> _Kernel:
-    """The ETDRK4 scheme of Cox and Matthews.
-
-    The linear symbol is integrated exactly through the weights of
-    ``_etd_weights``; the nonlinearity (reaction included) is taken by the
-    four Cox-Matthews stages.
-    """
+    """The ETDRK4 scheme of Cox and Matthews, on the weights of ``_etd_weights``."""
     lam, rhs = _problem(initial, params, symbol, dealias)
 
     def stepper(rows):
         e_half, e_full, q, f1, f2, f3 = rows
         f = rhs(e_half.shape[:-1])
+        twice_f2, two = 2.0 * f2, np.array(2.0 + 0j)  # a 0-d operand: see _half_spectrum_rhs
+        # the stages, their inputs and a scratch row, written in place with each
+        # product's operands in the order of the scheme: complex products do not commute
+        nv, na, nb, nc, ev, a, b, c, t = np.empty((9, *q.shape), dtype=complex)
 
         def step(v):
-            nv = f(v)
-            ev = e_half * v
-            a = ev + q * nv
-            na = f(a)
-            b = ev + q * na
-            nb = f(b)
-            c = e_half * a + q * (2.0 * nb - nv)
-            return e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * f(c)
+            f(v, nv)
+            np.multiply(e_half, v, out=ev)
+            np.add(ev, np.multiply(q, nv, out=a), out=a)
+            f(a, na)
+            np.add(ev, np.multiply(q, na, out=b), out=b)
+            f(b, nb)
+            np.subtract(np.multiply(two, nb, out=t), nv, out=t)
+            np.add(np.multiply(e_half, a, out=c), np.multiply(q, t, out=t), out=c)
+            f(c, nc)
+            # e_full*v + f1*nv + 2*f2*(na + nb) + f3*nc, a new array: the lanes keep it
+            new = e_full * v
+            new += np.multiply(f1, nv, out=t)
+            new += np.multiply(twice_f2, np.add(na, nb, out=t), out=t)
+            new += np.multiply(f3, nc, out=t)
+            return new
 
         return step
 
@@ -262,22 +274,15 @@ _METHOD = b"etdrk4 step-doubling v3"
 def _doubling_solve(lanes: _Lanes, t_final: float, tol: float) -> tuple[SpectralState, int, float]:
     """Fixed-step solve at 64, 128, 256, ... steps until it verifies itself.
 
-    ``lanes`` runs a fourth-order fixed-step kernel: ``_etdrk4_kernel`` for
-    the reference, or ``_if_rk4_kernel``.  The verdicts are taken in
-    ascending step count: after each doubling the error of the finer
-    solution ``u_2n`` is estimated as ``||u_2n - u_n|| / 15`` (Richardson,
-    fourth order, discrete L2); ``(u_2n, 2n, estimate)`` is returned once the
-    estimate is at most ``tol * ||u_2n||``.  A solve that turns non-finite
-    below the cap counts as not converged.  Raises ReferenceNotConverged
-    when the difference shrinks by less than 2x in one doubling (rounding
-    error reached) or the step cap is passed.
-
-    The solves run as lanes: ``n``, and ``2n`` beside it when there is no
-    ``u_n/2`` to compare with, or when the last estimate, shrunk by the
-    assumed 16x per doubling, predicts that ``n`` will not verify.  So a
-    speculative lane wastes at most one solve, and no lane passes the cap.
-    Each lane gets the bits it would get alone, so the stop, the state and
-    the estimate are those of solving the counts one after another.
+    ``lanes`` runs a fourth-order fixed-step kernel.  After each doubling
+    the error of ``u_2n`` is estimated as ``||u_2n - u_n|| / 15``, and
+    ``(u_2n, 2n, estimate)`` is returned once that is at most ``tol *
+    ||u_2n||``; a non-finite solve below the cap counts as not converged.
+    Raises ReferenceNotConverged when a doubling shrinks the difference by
+    less than 2x or the step cap is passed.  The counts run as lanes: ``n``,
+    and ``2n`` beside it when there is no ``u_n/2`` or the last estimate,
+    shrunk 16x, predicts that ``n`` will not verify.  The verdicts, taken in
+    ascending step count, are those of solving the counts one by one.
     """
     name = lanes.kernel.name
     coarse = None
@@ -412,29 +417,13 @@ def make_reference(
 ) -> SpectralState:
     """Cached, self-verifying ETDRK4 reference solution at ``t_final``.
 
-    Each quality names a relative tolerance: ``standard`` 1e-10, ``high``
-    1e-12.  The ETDRK4 solve starts at 64 steps and doubles the step count
-    until the Richardson estimate ``||u_2n - u_n|| / 15`` of its error is at
-    most the tolerance times ``||u_2n||``; ``u_2n`` is returned.  Raises
-    ReferenceNotConverged when rounding error stops a doubling from halving
-    the difference, or when 65536 steps do not suffice.  The step counts run
-    as lanes of one loop (see ``_doubling_solve``).  The nonlinear products
-    are dealiased by the rule ``dealias`` of the run it serves.
-
-    Results are keyed by the exact bytes of the inputs, the quality, the
-    dealias rule and the method in a small in-memory cache (least recently
-    used entries evicted), and, when ``cache_dir`` is given, on disk under
-    the SHA-256 hex of those bytes, which only the disk cache computes.  A
-    disk entry is written to a temporary file and renamed into place, so a
-    crash never leaves a truncated entry.
-
-    Once ``logging`` is imported, each call logs one DEBUG record to the
-    ``kbf`` logger; before that no handler can exist, so none is built.  Its
-    ``reference`` attribute holds the method, the steps, the estimate (both
-    None when served from disk, which does not store them), the source that
-    served the result (``memory``, ``disk`` or ``solve``) and ``solved``:
-    the step counts a solve ran, in the order they started, or None when
-    memory or disk served it.
+    ``quality`` names a relative tolerance on the Richardson estimate:
+    ``standard`` 1e-10, ``high`` 1e-12; the step count doubles from 64 until
+    the estimate meets it (``_doubling_solve``).  ``dealias`` is the rule of
+    the run it serves.  Results are cached in memory, keyed by the exact
+    bytes of the inputs, and on disk under ``cache_dir`` when it is given.
+    Each call logs one DEBUG record to the ``kbf`` logger once ``logging``
+    is imported.  README's "The reference solution" gives the details.
     """
     _check_choice(ConfigError, "quality", quality, tuple(_QUALITY_TOL))
     _check_real(ConfigError, "t_final", t_final, 0, strict=True)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's FFT/symbol code paths: the DFT
 oracle is a direct O(N^2) summation, derivatives come from high-order
-finite-difference stencils with weights from the Fornberg recurrence.
+finite-difference stencils with weights from the Fornberg recurrence, and
+the 80-bit integrator runs on direct DFT matrices.
 """
 
 import numpy as np
@@ -119,3 +120,67 @@ def assert_exactly_hermitian(coeffs):
     assert coeffs[0].imag == 0.0
     assert coeffs[n // 2].imag == 0.0
     np.testing.assert_array_equal(coeffs[n // 2 + 1 :], np.conj(coeffs[1 : n // 2][::-1]))
+
+
+def etd_weights_point_by_point(lam, h, points=32):
+    """ETDRK4 weights ``E2, E, Q, f1, f2, f3`` as contour means taken one point at a time.
+
+    The points lie on the unit circle around each ``h*lam``, in conjugate
+    pairs ``r0, conj r0, r1, ...``, and each point's terms are added to the
+    sums before the next point's are computed.  The package's weights must
+    equal these bit for bit.
+    """
+    z = h * lam
+    q, f1, f2, f3 = (np.zeros_like(z) for _ in range(4))
+    half = points // 2
+    for r in np.exp(1j * np.pi * (np.arange(half) + 0.5) / half):
+        for w in (z + r, z + r.conjugate()):
+            e = np.exp(w)
+            w3 = w * w * w
+            q += (np.exp(w / 2.0) - 1.0) / w
+            f1 += (-4.0 - w + e * (4.0 - 3.0 * w + w * w)) / w3
+            f2 += (2.0 + w + e * (w - 2.0)) / w3
+            f3 += (-4.0 - 3.0 * w - w * w + e * (4.0 - w)) / w3
+    scale = h / points
+    return np.exp(z / 2.0), np.exp(z), q * scale, f1 * scale, f2 * scale, f3 * scale
+
+
+def longdouble_if_rk4(coeffs, params, t_final, n_steps, rules=("none",)):
+    """IF-RK4 on the full spectrum in ``np.longdouble``, on a 2*pi-periodic grid.
+
+    Solves from the coefficients ``coeffs`` once under each dealias rule in
+    ``rules``, all in one march, and returns the coefficients at ``t_final``
+    as ``np.clongdouble``, one row per rule.  The transforms are direct DFT
+    matrices, and the symbol and the conservative right-hand side are built
+    here from ``params``; nothing comes from the package.
+    """
+    n = len(coeffs)
+    pi = 4 * np.arctan(np.longdouble(1))
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.longdouble)
+    angle = 2 * pi * np.outer(k, np.arange(n, dtype=np.longdouble)) / n
+    forward = np.exp(-1j * angle)
+    inverse = forward.conj().T / n
+    odd = np.where(np.arange(n) == n // 2, 0, k)[:, None]  # odd powers of ik vanish at Nyquist
+    lam = -params.nu * k[:, None] ** 2 + 1j * (params.mu * odd**3 - params.gamma * odd**5)
+    keep = np.stack([np.abs(k) <= (n // 3 if rule == "two_thirds" else n) for rule in rules], 1)
+    conv = (-np.longdouble(params.eps_conv) / 3) * 1j * odd * keep
+    keep = keep.astype(np.longdouble)
+    react = np.longdouble(params.eps_react)
+    dt = np.longdouble(t_final) / n_steps
+    e_half = np.exp(lam * (dt / 2))
+    e_full = e_half * e_half
+
+    def rhs(c):
+        y = np.dot(inverse, c).real
+        squared = y * y
+        spectra = np.dot(forward, np.concatenate((squared * y, squared), axis=1))
+        return conv * spectra[:, : len(rules)] + react * (c - keep * spectra[:, len(rules) :])
+
+    c = np.repeat(np.asarray(coeffs).astype(np.clongdouble)[:, None], len(rules), axis=1)
+    for _ in range(n_steps):
+        a = rhs(c)
+        b = rhs(e_half * (c + (dt / 2) * a))
+        s3 = rhs(e_half * c + (dt / 2) * b)
+        s4 = rhs(e_full * c + dt * (e_half * s3))
+        c = e_full * c + (dt / 6) * (e_full * a + 2 * e_half * (b + s3) + s4)
+    return c.T

@@ -13,6 +13,7 @@ import pytest
 
 import kbf.model as model_module
 import kbf.reference as reference_module
+from helpers import etd_weights_point_by_point, longdouble_if_rk4, random_band_limited
 from kbf import (
     ConfigError,
     FileFormatError,
@@ -319,7 +320,7 @@ def _plain_loop(kernel, initial, params, symbol, dt, n, dealias):
             s4 = f(e_full * v + dt * (e_half * s3))
             v = e_full * v + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + s3) + s4)
     else:
-        e_half, e_full, q, f1, f2, f3 = _etd_weights(symbol.values[:m], dt)
+        e_half, e_full, q, f1, f2, f3 = etd_weights_point_by_point(symbol.values[:m], dt)
         for _ in range(n):
             nv = f(v)
             ev = e_half * v
@@ -333,7 +334,7 @@ def _plain_loop(kernel, initial, params, symbol, dt, n, dealias):
 
 
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])
-@pytest.mark.parametrize("n_modes", [16, 256])
+@pytest.mark.parametrize("n_modes", [16, 256, 1024])
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_one_lane_equals_a_plain_loop_bit_for_bit(full_params, kernel, n_modes, dealias):
     g = make_grid(n_modes, 0.0, TWO_PI)
@@ -342,6 +343,110 @@ def test_one_lane_equals_a_plain_loop_bit_for_bit(full_params, kernel, n_modes, 
     lane = _one_lane(KERNELS[kernel](initial, full_params, sym, dealias), 16, 1.0 / 64)
     plain = _plain_loop(kernel, initial, full_params, sym, 1.0 / 64, 16, dealias)
     np.testing.assert_array_equal(lane.coeffs, plain)
+
+
+def test_stacked_etdrk4_lanes_keep_their_bits_past_numpy_elision_size(full_params):
+    # two lanes at N = 16384 stack arrays of over 256 KiB, where numpy may elide a
+    # temporary and swap a complex product's operands; the stages must not let it
+    g = make_grid(16384, 0.0, TWO_PI)
+    kernel = _etdrk4_kernel(build_initial(InitialConditionSpec(kind="paper"), g), full_params,
+                            linear_symbol(full_params, g))
+    lanes = _Lanes(kernel)
+    for n in (2, 4):
+        lanes.start(n, 1e-6 / n)
+    np.testing.assert_array_equal(lanes.result(2).coeffs, _one_lane(kernel, 2, 1e-6 / 2).coeffs)
+
+
+# ----- the contour weights -----
+
+@pytest.mark.parametrize("n_modes", [16, 256, 1024, 4096, 16384])
+def test_etd_weights_equal_a_point_by_point_loop_bit_for_bit(n_modes):
+    g = make_grid(n_modes, 0.0, TWO_PI)
+    for nu in (0.0, 0.01, 1.0):
+        lam = linear_symbol(ModelParams(nu=nu, mu=1.0, gamma=1.0), g).values[: n_modes // 2 + 1]
+        for h in (1 / 16, 1 / 512, 1 / 4096):
+            for got, want in zip(_etd_weights(lam, h), etd_weights_point_by_point(lam, h)):
+                np.testing.assert_array_equal(got, want)
+
+
+def _phi1(z):
+    """``expm1(z)/z``, with ``phi1(0) = 1``."""
+    safe = np.where(z == 0, 1.0, z)
+    return np.where(z == 0, 1.0, np.expm1(safe) / safe)
+
+
+@pytest.mark.parametrize("n_modes", [16, 64, 256, 1024])
+def test_etd_weights_are_exact_for_constant_forcing(n_modes):
+    # a constant forcing is integrated exactly: f1 + 4*f2 + f3 = h*phi1(h*lam) and
+    # Q = (h/2)*phi1(h*lam/2), each to 1e4 eps (1 + |h*lam|) times its terms' magnitudes;
+    # the contour points round to ulp(h*lam), so the error grows with |h*lam|
+    eps = np.finfo(float).eps
+    g = make_grid(n_modes, 0.0, TWO_PI)
+    for nu in (0.0, 0.01, 0.1, 1.0):
+        for mu, gamma in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.1)):
+            lam = linear_symbol(ModelParams(nu=nu, mu=mu, gamma=gamma), g).values[: n_modes // 2 + 1]
+            for h in (1 / 16, 1 / 256, 1 / 1024, 1 / 4096):
+                _, _, q, f1, f2, f3 = _etd_weights(lam, h)
+                z = h * lam
+                full, half = h * _phi1(z), (h / 2) * _phi1(z / 2)
+                for got, want, size in (
+                    (f1 + 4 * f2 + f3, full, abs(f1) + 4 * abs(f2) + abs(f3) + abs(full)),
+                    (q, half, abs(q) + abs(half)),
+                ):
+                    assert np.all(abs(got - want) <= 1e4 * eps * (1 + abs(z)) * size), (nu, mu, gamma, h)
+                # k = 0: Q = h/2 and f1 = f2 = f3 = h/6
+                np.testing.assert_allclose([q[0], f1[0], f2[0], f3[0]], [h / 2] + [h / 6] * 3, rtol=1e-15)
+
+
+# ----- the true error, against an 80-bit oracle -----
+
+# name -> (N, coefficients, dealias rules, initial data on the grid), T = 1.  The random
+# case damps the dispersion: IF-RK4's error grows with dt*|lambda| of the modes the
+# data excites, and with all coefficients 1 the oracle's doubling difference is still
+# 5e-7 relative at 2048 steps.
+TRUE_ERROR_CASES = {
+    "paper": (
+        32, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0), ("none", "two_thirds"),
+        lambda g: build_initial(InitialConditionSpec(kind="paper"), g),
+    ),
+    "random": (
+        16, ModelParams(1.0, 1.0, 0.01, 1.0, 1.0), ("none", "two_thirds"),
+        lambda g: to_spectral(random_band_limited(np.random.default_rng(0), g.points, 4, 0.1)[0], g),
+    ),
+}
+ORACLE_STEPS = 2048
+
+
+@pytest.fixture(scope="module")
+def longdouble_solutions():
+    """name -> [(rule, initial, oracle at ORACLE_STEPS, its doubling difference)]."""
+    solutions = {}
+    for name, (n_modes, params, rules, data) in TRUE_ERROR_CASES.items():
+        g = make_grid(n_modes, 0.0, TWO_PI)
+        initial = data(g)
+        fine = longdouble_if_rk4(initial.coeffs, params, 1.0, ORACLE_STEPS, rules)
+        coarse = longdouble_if_rk4(initial.coeffs, params, 1.0, ORACLE_STEPS // 2, rules)
+        solutions[name] = [
+            (rule, initial, SpectralState(f.astype(complex), g), norm(SpectralState((f - c).astype(complex), g)))
+            for rule, f, c in zip(rules, fine, coarse)
+        ]
+    return solutions
+
+
+@pytest.mark.parametrize("quality", sorted(_QUALITY_TOL))
+@pytest.mark.parametrize("case", sorted(TRUE_ERROR_CASES))
+def test_reference_true_error_is_within_its_tolerance(longdouble_solutions, case, quality):
+    # the distance to the oracle plus the oracle's own Richardson estimate bounds the true error
+    params = TRUE_ERROR_CASES[case][1]
+    for rule, initial, oracle, oracle_diff in longdouble_solutions[case]:
+        sym = linear_symbol(params, initial.grid)
+        reference = make_reference(initial, params, sym, 1.0, quality=quality, dealias=rule)
+        distance = error_norm(reference, oracle)
+        tol = _QUALITY_TOL[quality] * norm(reference)
+        assert distance + oracle_diff / 15 <= tol, (
+            f"{rule}: distance {distance:.3e}, oracle doubling difference {oracle_diff:.3e}, "
+            f"tolerance {tol:.3e}"
+        )
 
 
 def _borrowed_from_splitting(module):
