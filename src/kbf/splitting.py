@@ -12,11 +12,8 @@ public functions convert FFT-order ``SpectralState`` vectors at the
 boundary, so every state they return is exactly Hermitian, and they reject
 states that are not real-representable.
 
-Every solve runs through one time loop, ``_Lanes``, which the reference
-integrators share: a single solve is one lane (``_record_solve``), the
-temporal study's step counts are lanes of one loop, and the spatial
-study's coarse grids are one lane of a block.  A lane that blows up is
-retired with its own BlowUp, and its neighbours keep running.
+Every solve, the reference's included, runs through one time loop,
+``_Lanes``; README describes its lanes.
 """
 
 from __future__ import annotations
@@ -238,18 +235,17 @@ class _Splitting:
 
     ``initial`` is a state, or a tuple of states on dense grids solved as one
     block: their half-spectra, linear factors and matrices concatenated
-    (block-diagonally), so each grid agrees with its own solve to rounding,
-    not bit for bit.  ``weights(dt)`` are a lane's rows: the scheme's linear
-    factors on ``k = 0..N/2`` (None with ``symbols=()``), the substep size
-    and, on the dense path, its ``_rk4_rows``.  A lane blows up past ``cap``
-    times its initial L2 norm.  ``stepper(rows)`` sets the kernel up, in
-    place, with buffers for the lanes of ``rows`` and returns its step, so a
-    kernel steps one set of lanes at a time: one lane's rows make a state one
-    half-spectrum, stacked rows ``(lanes, N/2+1)``.  Above ``_DENSE_MAX``
-    points each RK4 substep is ``_rk4_coeffs`` on the FFT pair.  Below, each
-    stage input, and the result, is ``c`` plus one product of a row of
-    ``_rk4_rows`` with the stage rows ``S = [c, G0, G1, G2, G3]`` already
-    written, by ``np.dot`` for one lane and, for more, by ``np.matmul``,
+    (block-diagonally).  ``weights(dt)`` are a lane's rows: the scheme's
+    linear factors on ``k = 0..N/2`` (None with ``symbols=()``), the substep
+    size and, on the dense path, its ``_rk4_rows``.  ``stepper(rows)`` sets
+    the kernel up, in place, for the lanes of ``rows`` and returns its step:
+    one lane's state is one half-spectrum, stacked ones ``(lanes, N/2+1)``.
+    Above ``_DENSE_MAX`` points each RK4 substep is ``_rk4_coeffs`` on the FFT
+    pair, whose buffers are lanes inner (``powers`` is ``(2, *lanes, N)``), so
+    ``cubes``, ``squares``, ``cubed`` and ``squared`` are contiguous blocks.
+    Below, each stage input, and the result, is ``c`` plus one product of a
+    row of ``_rk4_rows`` with the stage rows ``S = [c, G0, G1, G2, G3]``
+    already written, by ``np.dot`` for one lane and ``np.matmul`` for more,
     which rounds each lane as ``np.dot`` does.
     """
 
@@ -295,15 +291,16 @@ class _Splitting:
         self.linear = linear
         # a column per lane broadcasts each lane's substep over its modes
         self.sub_dt = h[:, None] if lanes else h
-        self.powers = np.empty(lanes + (2, n))
-        self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
         # the transforms write into these instead of allocating their outputs per call
         self.y = np.empty(lanes + (n,))
         self.head = None
         if self.inv is None:
-            self.spectra = np.empty(lanes + (2, m), dtype=complex)
-            self.cubed, self.squared = self.spectra[..., 0, :], self.spectra[..., 1, :]
+            self.powers, self.spectra = np.empty((2, *lanes, n)), np.empty((2, *lanes, m), dtype=complex)
+            (self.cubes, self.squares), (self.cubed, self.squared) = self.powers, self.spectra
             return self
+        # lanes outer: powers_row needs each lane's [y^3, y^2] contiguous
+        self.powers = np.empty(lanes + (2, n))
+        self.cubes, self.squares = self.powers[..., 0, :], self.powers[..., 1, :]
         # Each product takes one lane at a time, as a product over the whole stack rounds
         # differently; so its vectors are (1, len) rows or (len, 1) columns, lanes or not.
         self.product = np.matmul if lanes else np.dot

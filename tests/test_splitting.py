@@ -251,6 +251,30 @@ def test_a_ladder_keeps_every_lane_that_does_not_blow_up():
     assert lanes.started == [4, 8, 16]
 
 
+def _outcome(solve):
+    """``solve()``'s final coefficients, or its BlowUp's step, time and message."""
+    try:
+        return solve().coeffs
+    except BlowUp as error:
+        return (error.step, error.time, str(error))
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+def test_each_lane_of_a_stacked_fft_ladder_fails_or_finishes_as_its_own_solve(dealias):
+    # without dissipation the coarse lanes of this ladder blow up on the FFT path
+    # (with "none", the 8- and 16-step lanes at their steps 8 and 15); each lane
+    # must still end as its own evolve does, with the same error or the same bits
+    params = ModelParams(nu=0.0, mu=1.0, gamma=1.0, eps_conv=1.0, eps_react=1.0)
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(256, 0.0, TWO_PI))
+    ladder = [SolveConfig(1.0 / n, 1.0, nonlinear_cfg=NonlinearFlowConfig(dealias=dealias)) for n in (8, 16, 32)]
+    lanes = _lanes(initial, params, ladder)
+    for cfg in ladder:
+        ours = _outcome(lambda: lanes.result(cfg.n_steps))
+        alone = _outcome(lambda: evolve(initial, params, cfg).final)
+        assert type(ours) is type(alone)
+        assert ours == alone if isinstance(alone, tuple) else np.array_equal(ours, alone)
+
+
 def test_blow_up_of_one_grid_of_a_block_trips_its_own_guard():
     # data -1e-9 grow like -1e-9*exp(t) and pass 1e6 times their norm at step 28
     # (t = 14), long before the logistic singularity near t = 20.7; each grid is
@@ -582,6 +606,22 @@ def test_step_never_writes_its_input_or_an_earlier_result(full_params, sizes, la
     assert not np.array_equal(later, kept)
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 6])
+def test_fft_kernel_buffers_are_contiguous_blocks_of_lanes(full_params, lanes):
+    # the FFT path keeps its transform buffers lanes inner, so every elementwise
+    # product of its rhs runs on one contiguous (lanes, ·) block, not strided rows
+    n = 256
+    kernel = splitting._Splitting(_rich_initial(n), full_params, "strang", NonlinearFlowConfig())
+    rows = [kernel.weights(1.0 / 2**i) for i in range(lanes)]
+    kernel.stepper(rows[0] if lanes == 1 else tuple(map(np.stack, zip(*rows))))
+    stack = (lanes,) if lanes > 1 else ()
+    for name, width in [("y", n), ("cubes", n), ("squares", n), ("cubed", n // 2 + 1), ("squared", n // 2 + 1)]:
+        buffer = getattr(kernel, name)
+        assert buffer.shape == stack + (width,) and buffer.flags.c_contiguous, name
+    if lanes == 1:
+        assert (kernel.powers.shape, kernel.spectra.shape) == ((2, n), (2, n // 2 + 1))
+
+
 # ----- the equation's structure -----
 
 # N/2 up to the dense path's largest grid, then up to N = 256 by FFT
@@ -729,6 +769,37 @@ def test_without_reaction_each_grid_of_a_block_keeps_its_mean_bit_for_bit(scheme
     cfg = SolveConfig(1.0 / 64, 0.25, scheme, NonlinearFlowConfig(substeps=2, dealias=dealias))
     finals = _block(initials, params, cfg)
     assert [finals[s.grid].coeffs[0] for s in initials] == [s.coeffs[0] for s in initials]
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_without_reaction_stacked_fft_lanes_keep_the_mean_bit_for_bit(data):
+    # the fixed cases above, fuzzed over the FFT path's grids, coefficients and lane
+    # counts; dt keeps the stiffness eps_conv*max(y^2)*(N/2)*dt at 2 or below
+    n = 2 * data.draw(st.integers(splitting._DENSE_MAX // 2 + 1, 256), label="N/2")
+    coefficient = st.integers(-4, 4).map(lambda i: i / 4)
+    params = ModelParams(
+        nu=data.draw(st.integers(0, 4).map(lambda i: i / 4), label="nu"),
+        mu=data.draw(coefficient, label="mu"),
+        gamma=data.draw(coefficient, label="gamma"),
+        eps_conv=data.draw(coefficient, label="eps_conv"),
+    )
+    band = data.draw(st.integers(1, 8), label="band")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = make_grid(n, 0.0, TWO_PI)
+    k = np.arange(1, band + 1)[:, None]
+    amps = rng.uniform(-0.5, 0.5, (2, band, 1)) / band
+    y = rng.uniform(-1.0, 1.0) + (amps[0] * np.cos(k * g.points) + amps[1] * np.sin(k * g.points)).sum(0)
+    initial = to_spectral(y, g)
+    sigma = data.draw(st.floats(0.05, 2.0), label="sigma")
+    dt = sigma / max(abs(params.eps_conv) * np.max(y * y) * (n // 2), 20.0)
+    flow = NonlinearFlowConfig(data.draw(st.sampled_from([1, 3]), label="substeps"),
+                               data.draw(st.sampled_from(["none", "two_thirds"]), label="dealias"))
+    scheme = data.draw(st.sampled_from(["strang", "lie_trotter"]), label="scheme")
+    steps = data.draw(st.integers(1, 3), label="steps")
+    ladder = [SolveConfig(dt / j, steps * dt, scheme, flow) for j in range(1, data.draw(st.integers(1, 4)) + 1)]
+    finals = _finals(initial, params, ladder)
+    assert [final.coeffs[0] for final in finals.values()] == [initial.coeffs[0]] * len(ladder)
 
 
 def test_outputs_are_exactly_hermitian(rng, full_params):
