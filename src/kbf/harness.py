@@ -102,8 +102,12 @@ class ConvergenceReport:
     def __post_init__(self):
         if list(self.axis) != sorted(self.axis) or len(set(self.axis)) != len(self.axis):
             raise ConfigError("axis", f"must be strictly increasing, got {self.axis}")
+        if len(self.errors) != len(self.axis):
+            raise ConfigError("errors", f"must be one per axis value, got {len(self.errors)}")
         for e in self.errors:
             _check_real(ConfigError, "errors", e)
+        if len(self.orders) not in (0, len(self.axis) - 1):
+            raise ConfigError("orders", f"must be none or one per axis step, got {len(self.orders)}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,8 @@ class ExperimentSpec:
     def __post_init__(self):
         _check_real(ConfigError, "t_final", self.t_final, 0, strict=True)
         _check_choice(ConfigError, "scheme", self.scheme, SCHEMES)
+        if not isinstance(self.norm, NormSpec):
+            raise ConfigError("norm", f"must be a NormSpec, got {self.norm!r}")
         if not self.axis:
             raise ConfigError("axis", "must be non-empty")
         for a in self.axis:
@@ -202,20 +208,20 @@ def _study(spec: ExperimentSpec, kind: str, error_at, own_echo: dict) -> Converg
 def temporal_convergence_study(
     spec: ExperimentSpec,
     quality: str = "high",
-    cache_dir=None,
 ) -> ConvergenceReport:
     """Errors versus step count at fixed N, against the ETDRK4 reference.
 
-    The reference is computed once, with the spec's dealias rule, and shared
-    by every step count; the error is measured at the final time only.  The
-    errors are absolute.  The step counts are solved together, as lanes of
-    one time loop, each of which blows up on its own, so the error names the
-    first step count to blow up.
+    The reference comes from ``make_reference`` (its in-memory cache or one
+    solve), with the spec's dealias rule, and is shared by every step count;
+    the error is measured at the final time only.  The errors are absolute.
+    The step counts are solved together, as lanes of one time loop, each of
+    which blows up on its own, so the error names the first step count to
+    blow up.
     """
     initial = build_initial(spec.initial_condition, spec.grid)
     symbol = linear_symbol(spec.params, spec.grid)
     ref = make_reference(
-        initial, spec.params, symbol, spec.t_final, quality=quality, cache_dir=cache_dir,
+        initial, spec.params, symbol, spec.t_final, quality=quality,
         dealias=spec.nonlinear_cfg.dealias,
     )
 
@@ -323,6 +329,8 @@ def _report_from_parts(echo: dict, rows: list) -> ConvergenceReport:
     study = echo.get("study", "")
     if study not in ("temporal", "spatial"):
         raise FileFormatError(f"bad or missing study kind {study!r}")
+    if rows and rows[0][3] not in ("", "-"):
+        raise FileFormatError(f"bad report: an order on the first row, {rows[0][3]!r}")
     try:
         return ConvergenceReport(
             study_kind=study,

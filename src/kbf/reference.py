@@ -15,20 +15,18 @@ Both integrators are kernels stepped as lanes of the one time loop,
 from __future__ import annotations
 
 import math
-import os
 import struct
 import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     ConfigError,
-    FileFormatError,
+    GridMismatch,
     NegativeDuration,
     NonFiniteState,
     ReferenceNotConverged,
@@ -39,7 +37,6 @@ from .errors import (
 from .model import LinearSymbol, ModelParams, _check_symbol, _half_spectrum_rhs
 from .spectral import (
     DEALIAS_RULES,
-    GridSpec,
     SpectralState,
     dealias_mask,
     norm,
@@ -51,18 +48,13 @@ __all__ = [
     "logistic_exact",
     "linear_exact_solution",
     "make_reference",
-    "write_reference_file",
-    "read_reference_file",
 ]
-
-_MAGIC = b"KBFR"
-_VERSION = 1
 
 # least recently used entries are evicted beyond this many
 _MEMORY_CACHE_SIZE = 8
 _cache_lock = threading.Lock()
 # content bytes (see _content) -> (coefficients, steps, Richardson estimate)
-_memory_cache: OrderedDict[bytes, tuple[np.ndarray, int | None, float | None]] = OrderedDict()
+_memory_cache: OrderedDict[bytes, tuple[np.ndarray, int, float]] = OrderedDict()
 
 
 def integrating_factor_rk4_solve(
@@ -107,6 +99,8 @@ def linear_exact_solution(
     for oracle duty.
     """
     _check_real(NegativeDuration, "t", t, 0)
+    if symbol.grid != initial.grid:
+        raise GridMismatch("symbol and state were built on different grids")
     return SpectralState(np.exp(symbol.values * t) * initial.coeffs, initial.grid)
 
 
@@ -267,8 +261,8 @@ _QUALITY_TOL = {"standard": 1e-10, "high": 1e-12}
 # verifies itself.
 _START_STEPS = 64
 _MAX_STEPS = 2**16
-# Part of the content key: a changed integrator never reads older entries.
-_METHOD = b"etdrk4 step-doubling v3"
+# The method named in each DEBUG record.
+_METHOD = "etdrk4 step-doubling v3"
 
 
 def _doubling_solve(lanes: _Lanes, t_final: float, tol: float) -> tuple[SpectralState, int, float]:
@@ -345,49 +339,7 @@ def _content(
         struct.pack("<d", t_final),
         quality.encode(),
         dealias.encode(),
-        _METHOD,
     ))
-
-
-def _content_key(content: bytes) -> str:
-    """SHA-256 hex of ``content``: the stem of a disk cache file's name."""
-    # imported on first use: hashlib loads OpenSSL, which only the disk cache needs
-    import hashlib
-
-    return hashlib.sha256(content).hexdigest()
-
-
-def write_reference_file(path, state: SpectralState) -> None:
-    """Write coefficients in the binary cache layout.
-
-    Little-endian: magic ``KBFR``, version u32, N u32, then N interleaved
-    (re, im) float64 pairs.
-    """
-    n = state.grid.n_modes
-    payload = np.empty(2 * n, dtype="<f8")
-    payload[0::2] = state.coeffs.real
-    payload[1::2] = state.coeffs.imag
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, n))
-        fh.write(payload.tobytes())
-
-
-def read_reference_file(path, grid: GridSpec) -> SpectralState:
-    """Read a cache file written by :func:`write_reference_file`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise FileFormatError(f"{path}: bad magic bytes")
-    version, n = struct.unpack("<II", blob[4:12])
-    if version != _VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    if len(blob) != 12 + 16 * n:
-        raise FileFormatError(f"{path}: truncated payload")
-    if n != grid.n_modes:
-        raise FileFormatError(f"{path}: file has {n} modes, grid has {grid.n_modes}")
-    payload = np.frombuffer(blob, dtype="<f8", offset=12)
-    return SpectralState(payload[0::2] + 1j * payload[1::2], grid)
 
 
 def _cache_get(key: bytes):
@@ -398,7 +350,7 @@ def _cache_get(key: bytes):
         return hit
 
 
-def _cache_put(key: bytes, entry: tuple[np.ndarray, int | None, float | None]) -> None:
+def _cache_put(key: bytes, entry: tuple[np.ndarray, int, float]) -> None:
     with _cache_lock:
         _memory_cache[key] = entry
         _memory_cache.move_to_end(key)
@@ -412,7 +364,6 @@ def make_reference(
     symbol: LinearSymbol,
     t_final: float,
     quality: str = "standard",
-    cache_dir=None,
     dealias: str = "none",
 ) -> SpectralState:
     """Cached, self-verifying ETDRK4 reference solution at ``t_final``.
@@ -420,10 +371,10 @@ def make_reference(
     ``quality`` names a relative tolerance on the Richardson estimate:
     ``standard`` 1e-10, ``high`` 1e-12; the step count doubles from 64 until
     the estimate meets it (``_doubling_solve``).  ``dealias`` is the rule of
-    the run it serves.  Results are cached in memory, keyed by the exact
-    bytes of the inputs, and on disk under ``cache_dir`` when it is given.
-    Each call logs one DEBUG record to the ``kbf`` logger once ``logging``
-    is imported.  README's "The reference solution" gives the details.
+    the run it serves.  The last 8 results are cached in memory, keyed by
+    the exact bytes of the inputs.  Each call logs one DEBUG record to the
+    ``kbf`` logger once ``logging`` is imported.  README's "The reference
+    solution" gives the details.
     """
     _check_choice(ConfigError, "quality", quality, tuple(_QUALITY_TOL))
     _check_real(ConfigError, "t_final", t_final, 0, strict=True)
@@ -436,27 +387,9 @@ def make_reference(
         _log_served("memory", steps, estimate)
         return SpectralState(coeffs, initial.grid)
 
-    disk_path = None
-    if cache_dir is not None:
-        disk_path = Path(cache_dir) / f"{_content_key(content)}.kbfr"
-        if disk_path.exists():
-            state = read_reference_file(disk_path, initial.grid)
-            _cache_put(content, (state.coeffs, None, None))
-            _log_served("disk", None, None)
-            return state
-
     lanes = _Lanes(_etdrk4_kernel(initial, params, symbol, dealias))
     state, steps, estimate = _doubling_solve(lanes, t_final, _QUALITY_TOL[quality])
     _cache_put(content, (state.coeffs, steps, estimate))
-    if disk_path is not None:
-        disk_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp_path = disk_path.with_name(f".{disk_path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            write_reference_file(tmp_path, state)
-            os.replace(tmp_path, disk_path)
-        except BaseException:
-            tmp_path.unlink(missing_ok=True)
-            raise
     _log_served("solve", steps, estimate, lanes.started)
     return state
 
@@ -470,7 +403,7 @@ def _log_served(source: str, steps, estimate, solved=None) -> None:
     import logging
 
     record = {
-        "method": _METHOD.decode(),
+        "method": _METHOD,
         "steps": steps,
         "estimate": estimate,
         "source": source,

@@ -412,6 +412,9 @@ def test_hand_written_report_parses():
         ([GOOD_ROWS[1], GOOD_ROWS[0]], "l2"),  # non-increasing axis
         ([GOOD_ROWS[0], ("48", "0.25", "nan", "")], "l2"),  # non-finite error
         (GOOD_ROWS, "hx"),  # unknown norm
+        # misplaced orders, which the writer would move to other rows
+        ([("24", "0.5", "0.001", "7"), ("48", "0.25", "0.00025", "")], "l2"),  # on the first row
+        ([("12", "1", "0.004", ""), *GOOD_ROWS], "l2"),  # missing before the last row
     ],
 )
 def test_malformed_report_raises_file_format_error(rows, norm):

@@ -19,6 +19,7 @@ from kbf import (
     full_rhs,
     integrating_factor_rk4_solve,
     lie_trotter_step,
+    linear_exact_solution,
     linear_symbol,
     make_grid,
     make_reference,
@@ -265,15 +266,14 @@ def test_symbol_ignores_the_nonlinear_coefficients(user, monkeypatch):
 
 
 @pytest.mark.parametrize("foreign", sorted(FOREIGN_SYMBOLS))
-def test_rejected_reference_leaves_no_cache_entry(foreign, tmp_path, monkeypatch):
+def test_rejected_reference_leaves_no_cache_entry(foreign, monkeypatch):
     monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
     build, error = FOREIGN_SYMBOLS[foreign]
     with pytest.raises(error):
-        make_reference(PAPER16, UNIT, build(), 0.5, cache_dir=tmp_path)
+        make_reference(PAPER16, UNIT, build(), 0.5)
     assert len(reference_module._memory_cache) == 0
-    assert list(tmp_path.iterdir()) == []
     symbol = linear_symbol(UNIT, G16)
-    served = make_reference(PAPER16, UNIT, symbol, 0.5, cache_dir=tmp_path)
+    served = make_reference(PAPER16, UNIT, symbol, 0.5)
     solved, _, _ = reference_module._doubling_solve(
         reference_module._Lanes(reference_module._etdrk4_kernel(PAPER16, UNIT, symbol)),
         0.5, reference_module._QUALITY_TOL["standard"],
@@ -281,4 +281,12 @@ def test_rejected_reference_leaves_no_cache_entry(foreign, tmp_path, monkeypatch
     np.testing.assert_array_equal(served.coeffs, solved.coeffs)
     # rejected before the cache lookup, so a warm entry does not hide the mistake
     with pytest.raises(error):
-        make_reference(PAPER16, UNIT, build(), 0.5, cache_dir=tmp_path)
+        make_reference(PAPER16, UNIT, build(), 0.5)
+
+
+@pytest.mark.parametrize("foreign", ["other_domain", "other_n"])
+def test_linear_exact_solution_rejects_a_symbol_from_another_grid(foreign):
+    # it takes no params, so it can check the grid only
+    build, error = FOREIGN_SYMBOLS[foreign]
+    with pytest.raises(error, match="^symbol and state were built on different grids$"):
+        linear_exact_solution(PAPER16, build(), 0.5)

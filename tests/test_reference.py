@@ -1,8 +1,6 @@
 import ast
-import hashlib
 import logging
 import os
-import struct
 import subprocess
 import sys
 from collections import OrderedDict
@@ -16,7 +14,6 @@ import kbf.reference as reference_module
 from helpers import etd_weights_point_by_point, longdouble_if_rk4, random_band_limited
 from kbf import (
     ConfigError,
-    FileFormatError,
     InitialConditionSpec,
     KbfError,
     ModelParams,
@@ -33,10 +30,8 @@ from kbf import (
     make_grid,
     make_reference,
     norm,
-    read_reference_file,
     to_physical,
     to_spectral,
-    write_reference_file,
 )
 from kbf.errors import NegativeDuration
 from kbf.reference import (
@@ -179,47 +174,6 @@ def test_make_reference_logistic_limit():
     ref = make_reference(initial, params, sym, 1.0, quality="standard")
     expected = logistic_exact(0.5, 1.0, 1.0)
     assert np.max(np.abs(to_physical(ref) - expected)) < 1e-10
-
-
-def test_make_reference_disk_cache(tmp_path, full_params):
-    g = make_grid(32, 0.0, TWO_PI)
-    sym = linear_symbol(full_params, g)
-    initial = build_initial(InitialConditionSpec(kind="paper"), g)
-    ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
-    files = list(tmp_path.glob("*.kbfr"))
-    assert len(files) == 1
-    reread = read_reference_file(files[0], g)
-    np.testing.assert_array_equal(reread.coeffs, ref.coeffs)
-
-
-def test_reference_file_round_trip(tmp_path, rng):
-    g = make_grid(16, 0.0, TWO_PI)
-    state = to_spectral(rng.standard_normal(16), g)
-    path = tmp_path / "state.kbfr"
-    write_reference_file(path, state)
-    back = read_reference_file(path, g)
-    np.testing.assert_array_equal(back.coeffs, state.coeffs)
-
-
-def test_reference_file_rejects_garbage(tmp_path):
-    g = make_grid(16, 0.0, TWO_PI)
-    bad = tmp_path / "bad.kbfr"
-    bad.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(FileFormatError):
-        read_reference_file(bad, g)
-    truncated = tmp_path / "short.kbfr"
-    truncated.write_bytes(b"KBFR" + (1).to_bytes(4, "little") + (16).to_bytes(4, "little") + b"\x00" * 8)
-    with pytest.raises(FileFormatError):
-        read_reference_file(truncated, g)
-
-
-def test_reference_file_mode_count_must_match(tmp_path, rng):
-    g16 = make_grid(16, 0.0, TWO_PI)
-    g32 = make_grid(32, 0.0, TWO_PI)
-    path = tmp_path / "state.kbfr"
-    write_reference_file(path, to_spectral(rng.standard_normal(16), g16))
-    with pytest.raises(FileFormatError):
-        read_reference_file(path, g32)
 
 
 # ----- ETDRK4 solver -----
@@ -644,77 +598,9 @@ def test_overflowing_coarse_solve_recovers_without_a_warning(caplog, empty_memor
 
 # ----- reference caches -----
 
-def _fixed_step_content_key(initial, params, t_final, quality):
-    """The content key used when each quality was a fixed IF-RK4 step count."""
-    g = initial.grid
-    h = hashlib.sha256()
-    h.update(initial.coeffs.tobytes())
-    h.update(struct.pack("<qdd", g.n_modes, g.domain_start, g.domain_length))
-    h.update(
-        struct.pack("<5d", params.nu, params.mu, params.gamma, params.eps_conv, params.eps_react)
-    )
-    h.update(struct.pack("<d", t_final))
-    h.update(quality.encode())
-    return h.hexdigest()
-
-
 @pytest.fixture
 def empty_memory_cache(monkeypatch):
     monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
-
-
-def test_fixed_step_cache_entry_is_not_read(tmp_path, full_params, empty_memory_cache):
-    g = make_grid(32, 0.0, TWO_PI)
-    sym = linear_symbol(full_params, g)
-    initial = build_initial(InitialConditionSpec(kind="paper"), g)
-    stale = tmp_path / f"{_fixed_step_content_key(initial, full_params, 0.5, 'standard')}.kbfr"
-    write_reference_file(stale, SpectralState(np.zeros(32), g))
-    ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
-    solved, _, _ = doubling(
-        _etdrk4_kernel, initial, full_params, sym, 0.5, _QUALITY_TOL["standard"]
-    )
-    np.testing.assert_array_equal(ref.coeffs, solved.coeffs)
-    assert len(list(tmp_path.glob("*.kbfr"))) == 2
-
-
-def test_if_rk4_cache_entry_is_not_read(tmp_path, monkeypatch, full_params, empty_memory_cache):
-    g = make_grid(32, 0.0, TWO_PI)
-    sym = linear_symbol(full_params, g)
-    initial = build_initial(InitialConditionSpec(kind="paper"), g)
-    with monkeypatch.context() as patch:
-        patch.setattr(reference_module, "_METHOD", b"if-rk4 step-doubling v2")
-        old_content = reference_module._content(initial, full_params, 0.5, "standard", "none")
-        old_key = reference_module._content_key(old_content)
-    write_reference_file(tmp_path / f"{old_key}.kbfr", SpectralState(np.zeros(32), g))
-    ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
-    solved, _, _ = doubling(
-        _etdrk4_kernel, initial, full_params, sym, 0.5, _QUALITY_TOL["standard"]
-    )
-    np.testing.assert_array_equal(ref.coeffs, solved.coeffs)
-    assert len(list(tmp_path.glob("*.kbfr"))) == 2
-
-
-def test_interrupted_disk_write_leaves_no_entry(tmp_path, monkeypatch, full_params, empty_memory_cache):
-    g = make_grid(32, 0.0, TWO_PI)
-    sym = linear_symbol(full_params, g)
-    initial = build_initial(InitialConditionSpec(kind="paper"), g)
-
-    def crashing_writer(path, state):
-        with open(path, "wb") as fh:
-            fh.write(b"KBFR" + struct.pack("<II", 1, 32) + b"\x00" * 40)
-        raise OSError("disk full")
-
-    monkeypatch.setattr(reference_module, "write_reference_file", crashing_writer)
-    with pytest.raises(OSError, match="disk full"):
-        make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
-
-    monkeypatch.setattr(reference_module, "write_reference_file", write_reference_file)
-    monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
-    ref = make_reference(initial, full_params, sym, 0.5, quality="standard", cache_dir=tmp_path)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].suffix == ".kbfr"
-    np.testing.assert_array_equal(read_reference_file(files[0], g).coeffs, ref.coeffs)
 
 
 def test_memory_cache_is_bounded(monkeypatch, empty_memory_cache):
@@ -752,15 +638,13 @@ def test_dealiased_reference_is_cached_apart(empty_memory_cache):
     assert error_norm(dealiased, plain) > 1e-3
 
 
-def test_make_reference_logs_where_it_was_served_from(tmp_path, caplog, full_params, empty_memory_cache):
+def test_make_reference_logs_where_it_was_served_from(caplog, full_params, empty_memory_cache):
     initial, sym = _small_problem(full_params)
     caplog.set_level(logging.DEBUG, logger="kbf")
-    make_reference(initial, full_params, sym, 1.0, quality="high", cache_dir=tmp_path)
-    make_reference(initial, full_params, sym, 1.0, quality="high", cache_dir=tmp_path)
-    reference_module._memory_cache.clear()
-    make_reference(initial, full_params, sym, 1.0, quality="high", cache_dir=tmp_path)
+    make_reference(initial, full_params, sym, 1.0, quality="high")
+    make_reference(initial, full_params, sym, 1.0, quality="high")
     records = [r for r in caplog.records if r.name == "kbf"]
-    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
     lanes = _Lanes(_etdrk4_kernel(initial, full_params, sym))
     _, steps, estimate = _doubling_solve(lanes, 1.0, _QUALITY_TOL["high"])
     assert lanes.started == [64, 128, 256, 512]
@@ -774,24 +658,11 @@ def test_make_reference_logs_where_it_was_served_from(tmp_path, caplog, full_par
             "solved": lanes.started,
         },
         {"method": method, "steps": steps, "estimate": estimate, "source": "memory", "solved": None},
-        {"method": method, "steps": None, "estimate": None, "source": "disk", "solved": None},
     ]
     assert records[0].getMessage() == (
         f"reference {method} from solve: steps {steps}, estimate {estimate}"
     )
     assert logging.getLogger("kbf").handlers == []
-
-
-def test_disk_cache_file_names_are_unchanged(tmp_path, full_params, empty_memory_cache):
-    # a changed key would orphan every existing cache file without a word
-    g = make_grid(16, 0.0, TWO_PI)
-    coeffs = np.zeros(16, dtype=complex)
-    coeffs[0], coeffs[1], coeffs[15] = 8.0, -2j, 2j
-    initial = SpectralState(coeffs, g)
-    make_reference(initial, full_params, linear_symbol(full_params, g), 0.5, cache_dir=tmp_path)
-    assert [p.name for p in tmp_path.iterdir()] == [
-        "3f9196de6aabee7d89d6d566c2bdf01480b22e951c17e3b3084b740e2fda4e53.kbfr"
-    ]
 
 
 def test_memory_cache_key_is_exact(caplog, full_params, empty_memory_cache):
@@ -808,8 +679,8 @@ def test_memory_cache_key_is_exact(caplog, full_params, empty_memory_cache):
     np.testing.assert_array_equal(again.coeffs, first.coeffs)
 
 
-def test_a_study_without_a_disk_cache_loads_neither_openssl_nor_logging():
-    # hashlib's OpenSSL serves only disk-cache names; the reference's DEBUG
+def test_a_temporal_study_loads_neither_openssl_nor_logging():
+    # nothing in a study needs hashlib's OpenSSL; the reference's DEBUG
     # record is built only once something has imported logging
     src = str(Path(reference_module.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -30,7 +30,7 @@ from kbf import (
     to_spectral,
 )
 from kbf import splitting
-from helpers import assert_exactly_hermitian, full_spectrum_solve
+from helpers import assert_exactly_hermitian, full_spectrum_solve, random_band_limited
 
 TWO_PI = 2.0 * np.pi
 
@@ -528,6 +528,43 @@ def test_dense_kernel_matches_fft_kernel(monkeypatch, full_params, scheme, deali
     dense = evolve(initial, full_params, cfg).final.coeffs
     monkeypatch.setattr(splitting, "_DENSE_MAX", 0)
     fft = evolve(initial, full_params, cfg).final.coeffs
+    assert np.max(np.abs(dense - fft)) <= 1e-13 * np.max(np.abs(fft))
+
+
+_QUARTERS = st.integers(-4, 4).map(lambda q: q / 4.0)
+
+
+@settings(max_examples=40)
+@given(
+    half_n=st.integers(4, splitting._DENSE_MAX // 2),
+    nu=st.integers(1, 4).map(lambda q: q / 4.0),
+    mu=_QUARTERS,
+    gamma=_QUARTERS,
+    eps_conv=_QUARTERS,
+    eps_react=_QUARTERS,
+    steps=st.integers(16, 128),
+    scheme=st.sampled_from(["strang", "lie_trotter"]),
+    dealias=st.sampled_from(["none", "two_thirds"]),
+    substeps=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_kernel_matches_fft_kernel_on_fuzzed_runs(
+    half_n, nu, mu, gamma, eps_conv, eps_react, steps, scheme, dealias, substeps, seed
+):
+    # data in [0, 1] with modes |k| <= min(4, N/4), and at least the steps that keep
+    # the stiffness number |eps_conv|*max(y^2)*(N/2)*dt at 2 or below (ROADMAP item 2)
+    n = 2 * half_n
+    g = make_grid(n, 0.0, TWO_PI)
+    values, _ = random_band_limited(np.random.default_rng(seed), g.points, min(4, n // 4))
+    values = 0.5 + 0.5 * values / np.max(np.abs(values))
+    steps = max(steps, int(np.ceil(abs(eps_conv) * np.max(values**2) * half_n / 2.0)))
+    params = ModelParams(nu=nu, mu=mu, gamma=gamma, eps_conv=eps_conv, eps_react=eps_react)
+    cfg = SolveConfig(1.0 / steps, 1.0, scheme, NonlinearFlowConfig(substeps=substeps, dealias=dealias))
+    initial = to_spectral(values, g)
+    dense = evolve(initial, params, cfg).final.coeffs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_DENSE_MAX", 0)
+        fft = evolve(initial, params, cfg).final.coeffs
     assert np.max(np.abs(dense - fft)) <= 1e-13 * np.max(np.abs(fft))
 
 

@@ -45,10 +45,10 @@ PARAMS = ModelParams(nu=1.0, eps_react=1.0)
 SYMBOL = linear_symbol(PARAMS, G16)
 
 
-def _spec(axis, t_final=1.0):
+def _spec(axis, t_final=1.0, **kwargs):
     return ExperimentSpec(
         params=PARAMS, grid=G16, initial_condition=InitialConditionSpec(), t_final=t_final,
-        axis=axis,
+        axis=axis, **kwargs,
     )
 
 
@@ -133,6 +133,8 @@ CASES = {
     "experiment_t_final_negative": (lambda: _spec((4, 8), t_final=-1.0), "t_final"),
     "experiment_t_final_nan": (lambda: _spec((4, 8), t_final=math.nan), "t_final"),
     "experiment_t_final_str": (lambda: _spec((4, 8), t_final="1"), "t_final"),
+    # the text form of configs and reports; a study would fail only after every solve
+    "experiment_norm_text": (lambda: _spec((4, 8), norm="h1"), "norm"),
     "spatial_odd_axis": (lambda: spatial_convergence_study(_spec((5,))), "axis"),
     "spatial_small_axis": (lambda: spatial_convergence_study(_spec((2,))), "axis"),
     "spatial_reference_collision": (lambda: spatial_convergence_study(_spec((8, 16))), "axis"),
@@ -141,6 +143,13 @@ CASES = {
     ),
     "report_error_nan": (
         lambda: ConvergenceReport("temporal", (24, 48), (1.0, math.nan), (), NormSpec()), "errors"
+    ),
+    "report_error_count": (
+        lambda: ConvergenceReport("temporal", (12, 24, 48), (1.0,), (), NormSpec()), "errors"
+    ),
+    "report_order_count": (
+        lambda: ConvergenceReport("temporal", (12, 24, 48), (1.0, 0.25, 0.0625), (2.0,), NormSpec()),
+        "orders",
     ),
 }
 
