@@ -10,6 +10,10 @@ structured text form, both of which reparse exactly.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
 
 from .conditions import InitialConditionSpec, build_initial
@@ -25,7 +29,7 @@ from .errors import (
     _check_real,
 )
 from .model import ModelParams, linear_symbol
-from .reference import make_reference
+from .reference import _cached, make_reference
 from .spectral import (
     GridSpec,
     NormSpec,
@@ -108,6 +112,8 @@ class ConvergenceReport:
             _check_real(ConfigError, "errors", e)
         if len(self.orders) not in (0, len(self.axis) - 1):
             raise ConfigError("orders", f"must be none or one per axis step, got {len(self.orders)}")
+        for o in self.orders:
+            _check_real(ConfigError, "orders", o)
 
 
 @dataclass(frozen=True)
@@ -205,6 +211,87 @@ def _study(spec: ExperimentSpec, kind: str, error_at, own_echo: dict) -> Converg
     )
 
 
+# Smallest half that ``_beside`` forks, in point-steps (steps times grid points,
+# summed over its lanes).  A fork's round trip costs about 2.3 ms and the half
+# runs slower in the child: cold spatial blocks of 15k and 23k point-steps took
+# 12.6 -> 16.8 and 17.4 -> 16.6 ms inline -> forked, temporal ladders of 7.9k
+# and 23.8k 12.3 -> 12.3 and 22.9 -> 14.4 ms (2-core Xeon, see README).
+_FORK_MIN = 20_000
+
+
+def _beside(work, own, fork: bool):
+    """``(work(), own())``, with ``work`` in a forked child while ``own`` runs here.
+
+    The child runs only when ``fork`` holds and ``_fork`` can start it; it
+    sends ``work()``'s result back pickled over a pipe.  When it fails in
+    any way, or does not start, ``work()`` runs here after ``own()``, as
+    inline, so every bit, exception and message is the inline one.  The
+    child is reaped on every path, and killed first when ``own()`` raises or
+    is interrupted.
+    """
+    child = _fork(work) if fork else None
+    if child is None:
+        mine = own()
+        return work(), mine
+    pid, fd = child
+    with open(fd, "rb") as pipe:
+        try:
+            mine = own()
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            # imported here: its enums would add about 0.7 ms to ``import kbf``
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    # a length ahead of the result tells a complete one from a short read
+    if os.waitstatus_to_exitcode(status) == 0 and int.from_bytes(data[:8], "little") == len(data) - 8:
+        return pickle.loads(data[8:]), mine
+    return work(), mine
+
+
+def _fork(work):
+    """``(pid, read end of a pipe)`` of a child that writes ``work()``'s result to it.
+
+    None unless the child can run beside this process, on a CPU and under an
+    interpreter lock of its own: that needs ``os.fork``, a second usable CPU
+    and no other Python thread.  From CPython 3.12 ``fork`` warns in a
+    process with threads, BLAS's pool among them, so it is not used there.
+    """
+    if not (
+        hasattr(os, "fork")
+        and sys.version_info < (3, 12)
+        and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
+        and threading.active_count() == 1
+    ):
+        return None
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # the child never returns into the caller's stack
+        code = 1
+        try:
+            os.close(r)
+            data = pickle.dumps(work(), pickle.HIGHEST_PROTOCOL)
+            with open(w, "wb") as pipe:
+                pipe.write(len(data).to_bytes(8, "little") + data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
 def temporal_convergence_study(
     spec: ExperimentSpec,
     quality: str = "high",
@@ -215,23 +302,34 @@ def temporal_convergence_study(
     solve), with the spec's dealias rule, and is shared by every step count;
     the error is measured at the final time only.  The errors are absolute.
     The step counts are solved together, as lanes of one time loop, each of
-    which blows up on its own, so the error names the first step count to
-    blow up.
+    which blows up on its own, so the error names the smallest step count
+    to blow up.  The lanes run in a forked child while this process makes
+    the reference (``_beside``), when the reference is not cached and the
+    lanes hold more than ``_FORK_MIN`` point-steps; otherwise they run after
+    it.
     """
     initial = build_initial(spec.initial_condition, spec.grid)
     symbol = linear_symbol(spec.params, spec.grid)
-    ref = make_reference(
-        initial, spec.params, symbol, spec.t_final, quality=quality,
-        dealias=spec.nonlinear_cfg.dealias,
-    )
+    dealias = spec.nonlinear_cfg.dealias
 
-    lanes = _Lanes(_Splitting(initial, spec.params, spec.scheme, spec.nonlinear_cfg))
-    for n in spec.axis:
-        cfg = SolveConfig(spec.t_final / n, spec.t_final, spec.scheme, spec.nonlinear_cfg)
-        lanes.start(cfg.n_steps, cfg.dt)
+    def ladder() -> dict:
+        lanes = _Lanes(_Splitting(initial, spec.params, spec.scheme, spec.nonlinear_cfg))
+        for n in spec.axis:
+            cfg = SolveConfig(spec.t_final / n, spec.t_final, spec.scheme, spec.nonlinear_cfg)
+            lanes.start(cfg.n_steps, cfg.dt)
+        # ascending, as _study takes them, so a blow-up names the smallest step count
+        return {n: _at_axis_value(n, lanes.result) for n in sorted(spec.axis)}
+
+    def reference() -> SpectralState:
+        return make_reference(initial, spec.params, symbol, spec.t_final, quality=quality, dealias=dealias)
+
+    fork = spec.grid.n_modes * sum(spec.axis) > _FORK_MIN and not _cached(
+        initial, spec.params, spec.t_final, quality, dealias
+    )
+    finals, ref = _beside(ladder, reference, fork)
 
     def error_at(n_steps: int) -> float:
-        return error_norm(lanes.result(n_steps), ref, spec.norm)
+        return error_norm(finals[n_steps], ref, spec.norm)
 
     return _study(spec, "temporal", error_at, {"reference_quality": quality})
 
@@ -245,12 +343,14 @@ def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> 
     the spatial error.  Coarse solutions are interpolated onto the reference
     grid for differencing.  Every coarse grid is built before any solve.
 
-    The reference runs first, alone.  When three or more coarse grids have
-    at most ``_DENSE_MAX`` points they are then solved together, as one
-    block of the dense kernel: each agrees with its own ``evolve`` to
-    rounding, not bit for bit.  After a blow-up in the block they are solved
-    again one by one in ascending order, so the error names the first grid
-    to blow up.  Every other coarse grid runs through ``evolve``.
+    When three or more coarse grids have at most ``_DENSE_MAX`` points they
+    are solved together, as one block of the dense kernel: each agrees with
+    its own ``evolve`` to rounding, not bit for bit.  After a blow-up in the
+    block they are solved again one by one in ascending order, so the error
+    names the first grid to blow up.  The block runs in a forked child while
+    this process solves the reference (``_beside``), when it holds more than
+    ``_FORK_MIN`` point-steps; otherwise it runs after the reference.  Every
+    other coarse grid runs through ``evolve``, after both.
     """
     if dt is None:
         dt = spec.t_final / 2048.0
@@ -274,24 +374,28 @@ def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> 
         initial = build_initial(spec.initial_condition, grids[n_modes])
         return evolve(initial, spec.params, cfg).final
 
-    ref = _at_axis_value(ref_grid.n_modes, run_on)
     # one or two coarse grids stay with evolve, whose calls perfbench's tracer test counts
     block = sorted(n for n in spec.axis if n <= _DENSE_MAX)
-    finals = {}
-    if len(block) > 2:
+    if len(block) < 3:
+        block = []
+
+    def coarse_block() -> dict:
+        if not block:
+            return {}
         initials = tuple(build_initial(spec.initial_condition, grids[n]) for n in block)
         lanes = _Lanes(_Splitting(initials, spec.params, cfg.scheme, cfg.nonlinear_cfg))
         lanes.start(cfg.n_steps, cfg.dt)
         try:
-            finals = dict(zip((grids[n] for n in block), lanes.result(cfg.n_steps)))
+            return dict(zip(block, lanes.result(cfg.n_steps)))
         except BlowUp:
             # separate solves in ascending order name the first grid to blow up
-            finals = {grids[n]: _at_axis_value(n, run_on) for n in block}
-        del lanes  # the block's matrices need not outlive its solve
+            return {n: _at_axis_value(n, run_on) for n in block}
+
+    fork = cfg.n_steps * sum(block) > _FORK_MIN
+    finals, ref = _beside(coarse_block, lambda: _at_axis_value(ref_grid.n_modes, run_on), fork)
 
     def error_at(n_modes: int) -> float:
-        grid = grids[n_modes]
-        return error_norm(finals[grid] if grid in finals else run_on(n_modes), ref, spec.norm)
+        return error_norm(finals[n_modes] if n_modes in finals else run_on(n_modes), ref, spec.norm)
 
     echo = {"dt": _fmt(dt), "reference_n_modes": str(ref_grid.n_modes)}
     return _study(spec, "spatial", error_at, echo)

@@ -350,6 +350,16 @@ def _cache_get(key: bytes):
         return hit
 
 
+def _cached(
+    initial: SpectralState, params: ModelParams, t_final: float, quality: str, dealias: str
+) -> bool:
+    """Whether ``make_reference`` would serve these inputs from its memory cache."""
+    if not isinstance(quality, str):
+        return False  # make_reference rejects it
+    with _cache_lock:
+        return _content(initial, params, t_final, quality, dealias) in _memory_cache
+
+
 def _cache_put(key: bytes, entry: tuple[np.ndarray, int, float]) -> None:
     with _cache_lock:
         _memory_cache[key] = entry

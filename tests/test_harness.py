@@ -1,9 +1,14 @@
 import math
+import os
+import signal
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import kbf.harness as harness_module
+import kbf.reference as reference_module
 from kbf import splitting
 from kbf import (
     BlowUp,
@@ -372,6 +377,196 @@ def test_spatial_study_solves_its_coarse_grids_as_one_block(monkeypatch, full_pa
     assert report.axis == (8, 16, 32, 64)
 
 
+# ----- the two halves of a study, one in a forked child -----
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every ``os.fork`` call, counted in this process; the reference cache starts empty."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(reference_module, "_memory_cache", OrderedDict())
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# each shape holds more than _FORK_MIN point-steps; N = 256 steps by FFT, N <= 128 densely
+FORKED_SHAPES = {
+    "temporal_fft": (temporal_convergence_study, 256, (12, 24, 48, 96), {"quality": "standard"}),
+    "temporal_dense": (temporal_convergence_study, 128, (12, 24, 48, 96, 192), {"quality": "standard"}),
+    "spatial_block": (spatial_convergence_study, 128, (8, 16, 32, 64), {"dt": 1.0 / 192}),
+}
+
+
+@pytest.mark.parametrize("dealias", ["none", "two_thirds"])
+@pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
+@pytest.mark.parametrize("shape", sorted(FORKED_SHAPES))
+def test_forked_half_gives_the_inline_bits(monkeypatch, forks, full_params, shape, scheme, dealias):
+    study, n_modes, axis, kwargs = FORKED_SHAPES[shape]
+    spec = ExperimentSpec(
+        params=full_params,
+        grid=make_grid(n_modes, 0.0, TWO_PI),
+        initial_condition=InitialConditionSpec(kind="paper"),
+        t_final=1.0,
+        scheme=scheme,
+        axis=axis,
+        nonlinear_cfg=NonlinearFlowConfig(dealias=dealias),
+    )
+    forked = study(spec, **kwargs).errors
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+    monkeypatch.setattr(harness_module, "_FORK_MIN", math.inf)
+    inline = study(spec, **kwargs).errors
+    assert len(forks) == 1
+    assert [e.hex() for e in forked] == [e.hex() for e in inline]
+
+
+def test_studies_shaped_like_the_benchmark_fork(forks, full_params):
+    table1 = _study_spec(full_params, make_grid(256, 0.0, TWO_PI), (12, 24, 48, 96, 192, 384))
+    temporal_convergence_study(table1)
+    assert len(forks) == 1
+    spatial = _study_spec(full_params, make_grid(128, 0.0, TWO_PI), (8, 16, 32, 64))
+    spatial_convergence_study(spatial, dt=1.0 / 2048)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raises", "signal", "no_data", "fork_error"])
+def test_a_failed_child_leaves_the_work_to_the_caller(monkeypatch, failure):
+    parent = os.getpid()
+    order = []
+
+    def work():
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("in the child")
+            if failure == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(0)  # a clean exit that sent nothing
+        order.append("work")
+        return "inline"
+
+    def own():
+        order.append("own")
+        return "own"
+
+    if failure == "fork_error":
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", fork)
+    assert harness_module._beside(work, own, True) == ("inline", "own")
+    assert order == ["own", "work"]
+    _assert_no_child_left()
+
+
+def test_beside_returns_the_child_result():
+    parent = os.getpid()
+    assert harness_module._beside(os.getpid, lambda: "own", True)[0] != parent
+    _assert_no_child_left()
+
+
+def test_spatial_blow_up_in_a_forked_block_names_its_grid(monkeypatch, forks):
+    # test_spatial_blow_up_inside_the_block_names_its_grid, with the block in a child
+    monkeypatch.setattr(harness_module, "_FORK_MIN", 0)
+    spec = ExperimentSpec(
+        params=ModelParams(eps_react=1.0),
+        grid=make_grid(64, 0.0, TWO_PI),
+        initial_condition=InitialConditionSpec(kind="paper"),
+        t_final=2.0,
+        axis=(32, 8, 16),
+    )
+    logistic = InitialConditionSpec(kind="constant", c=-0.5)
+
+    def initial_for(ic, grid):
+        return build_initial(logistic if grid.n_modes == 8 else ic, grid)
+
+    monkeypatch.setattr(harness_module, "build_initial", initial_for)
+    with pytest.raises(BlowUp, match="^blow-up at axis value 8: L2 norm exploded$") as info:
+        spatial_convergence_study(spec, dt=0.05)
+    assert len(forks) == 1
+    assert info.value.step == 23
+    assert info.value.time == pytest.approx(1.15)
+    _assert_no_child_left()
+
+
+def test_no_child_outlives_a_failed_reference(monkeypatch, forks, full_params):
+    def failed(*args, **kwargs):
+        raise ValueError("the reference failed")
+
+    monkeypatch.setattr(harness_module, "make_reference", failed)
+    spec = _study_spec(full_params, make_grid(256, 0.0, TWO_PI), (12, 24, 48, 96, 192, 384))
+    with pytest.raises(ValueError, match="the reference failed"):
+        temporal_convergence_study(spec)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_no_child_outlives_a_blow_up_on_the_finest_grid(monkeypatch, forks):
+    monkeypatch.setattr(harness_module, "_FORK_MIN", 0)
+    spec = ExperimentSpec(
+        params=ModelParams(eps_react=1.0),
+        grid=make_grid(64, 0.0, TWO_PI),
+        initial_condition=InitialConditionSpec(kind="constant", c=-0.5),
+        t_final=2.0,
+        axis=(8, 16, 32),
+    )
+    with pytest.raises(BlowUp, match="^blow-up at axis value 64: L2 norm exploded$"):
+        spatial_convergence_study(spec, dt=0.05)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "case", ["control", "one_cpu", "second_thread", "reference_cached", "below_the_size_constant"]
+)
+def test_a_study_forks_only_when_it_can_gain(monkeypatch, forks, full_params, case):
+    grid = make_grid(64, 0.0, TWO_PI)
+    spatial = _study_spec(full_params, grid, (8, 16, 32))
+    temporal = _study_spec(full_params, grid, (12, 24, 48, 96, 192))  # 23808 point-steps
+
+    def study():
+        if case == "reference_cached":
+            return temporal_convergence_study(temporal, quality="standard")
+        # 14336 point-steps below the size constant, 21504 above it
+        return spatial_convergence_study(spatial, dt=1.0 / (256 if case == "below_the_size_constant" else 384))
+
+    if case == "control":
+        study()
+        assert len(forks) == 1
+        return
+    if case == "reference_cached":
+        study()
+        assert len(forks) == 1
+    if case == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def refused():
+        pytest.fail("the study forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10.0,))
+    if case == "second_thread":
+        thread.start()
+    try:
+        study()
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(10.0)
+    assert not thread.is_alive()
+
+
 # ----- report serialization -----
 
 def test_report_round_trips(full_params, grid256):
@@ -415,6 +610,8 @@ def test_hand_written_report_parses():
         # misplaced orders, which the writer would move to other rows
         ([("24", "0.5", "0.001", "7"), ("48", "0.25", "0.00025", "")], "l2"),  # on the first row
         ([("12", "1", "0.004", ""), *GOOD_ROWS], "l2"),  # missing before the last row
+        ([GOOD_ROWS[0], ("48", "0.25", "0.00025", "nan")], "l2"),  # non-finite order
+        ([GOOD_ROWS[0], ("48", "0.25", "0.00025", "inf")], "l2"),
     ],
 )
 def test_malformed_report_raises_file_format_error(rows, norm):

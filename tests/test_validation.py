@@ -147,6 +147,9 @@ CASES = {
     "report_error_count": (
         lambda: ConvergenceReport("temporal", (12, 24, 48), (1.0,), (), NormSpec()), "errors"
     ),
+    "report_order_inf": (
+        lambda: ConvergenceReport("temporal", (24, 48), (1.0, 0.25), (math.inf,), NormSpec()), "orders"
+    ),
     "report_order_count": (
         lambda: ConvergenceReport("temporal", (12, 24, 48), (1.0, 0.25, 0.0625), (2.0,), NormSpec()),
         "orders",
