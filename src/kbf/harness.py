@@ -29,7 +29,7 @@ from .errors import (
     _check_real,
 )
 from .model import ModelParams, linear_symbol
-from .reference import _cached, make_reference
+from .reference import _QUALITY_TOL, _cached, make_reference
 from .spectral import (
     GridSpec,
     NormSpec,
@@ -308,6 +308,7 @@ def temporal_convergence_study(
     lanes hold more than ``_FORK_MIN`` point-steps; otherwise they run after
     it.
     """
+    _check_choice(ConfigError, "quality", quality, tuple(_QUALITY_TOL))
     initial = build_initial(spec.initial_condition, spec.grid)
     symbol = linear_symbol(spec.params, spec.grid)
     dealias = spec.nonlinear_cfg.dealias
@@ -384,9 +385,8 @@ def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> 
             return {}
         initials = tuple(build_initial(spec.initial_condition, grids[n]) for n in block)
         lanes = _Lanes(_Splitting(initials, spec.params, cfg.scheme, cfg.nonlinear_cfg))
-        lanes.start(cfg.n_steps, cfg.dt)
         try:
-            return dict(zip(block, lanes.result(cfg.n_steps)))
+            return dict(zip(block, lanes.run(cfg.n_steps, cfg.dt)))
         except BlowUp:
             # separate solves in ascending order name the first grid to blow up
             return {n: _at_axis_value(n, run_on) for n in block}

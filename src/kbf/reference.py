@@ -38,6 +38,8 @@ from .model import LinearSymbol, ModelParams, _check_symbol, _half_spectrum_rhs
 from .spectral import (
     DEALIAS_RULES,
     SpectralState,
+    _from_half,
+    _real_half,
     dealias_mask,
     norm,
 )
@@ -74,9 +76,7 @@ def integrating_factor_rk4_solve(
     ``_if_rk4_kernel``.
     """
     n = _step_count(dt, t_final)
-    lanes = _Lanes(_if_rk4_kernel(initial, params, symbol, dealias))
-    lanes.start(n, dt)
-    return lanes.result(n)
+    return _Lanes(_if_rk4_kernel(initial, params, symbol, dealias)).run(n, dt)
 
 
 def logistic_exact(c0: float, eps_react: float, t: float) -> float:
@@ -147,39 +147,53 @@ def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
         total += row
 
 
+def _non_finite_rows(c: np.ndarray) -> dict:
+    """``{lane: why}`` for each lane of ``c`` with a non-finite entry."""
+    return {i: "non-finite" for i, row in enumerate(np.atleast_2d(c)) if not np.isfinite(row).all()}
+
+
 class _Kernel(NamedTuple):
     """A fixed-step integrator of one problem, written for the lanes of ``_Lanes``.
 
-    ``weights(dt)`` is the tuple of rows that one lane steps with; ``stepper(rows)``,
-    given one lane's rows or those rows stacked over lanes, returns ``step(v)``, which
-    advances the half-spectra ``v`` by one step of each lane's own size.  A lane fails
-    only when it turns non-finite, with ``error``'s NonFiniteState.
+    Every lane starts from the half-spectrum ``start``, and ``state(half)`` is
+    its state.  ``weights(dt)`` is the tuple of rows that one lane steps with;
+    ``stepper(rows)``, given one lane's rows or those rows stacked over lanes,
+    returns ``step(v)``, which advances the half-spectra ``v`` by one step of
+    each lane's own size.  A lane fails only when it turns non-finite, with
+    ``error``'s NonFiniteState: ``quick``, the largest float, sends each
+    non-finite reduction to ``failures``.
     """
 
     name: str
-    initial: SpectralState
+    start: np.ndarray
+    state: Callable
     weights: Callable
     stepper: Callable
-    cap: float = math.inf
+    quick: float = sys.float_info.max
+    failures: Callable = _non_finite_rows
     error: Callable = lambda step, time, why: NonFiniteState(
         f"reference solve turned non-finite at step {step}"
     )
 
 
 def _problem(initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str):
-    """The symbol on ``k = 0..N/2`` and ``rhs(lanes)``, the model's RHS on ``lanes + (N/2+1,)``."""
+    """A kernel's ``start`` and ``state``, the symbol on ``k = 0..N/2`` and ``rhs(lanes)``.
+
+    ``rhs(lanes)`` is the model's right-hand side on ``lanes + (N/2+1,)``.
+    """
     grid = initial.grid
     _check_symbol(symbol, params, grid)
     mask = None if dealias == "none" else dealias_mask(grid, dealias)
     lam = symbol.values[: grid.n_modes // 2 + 1]
-    return lam, lambda lanes: _half_spectrum_rhs(grid, params, mask, lanes)
+    return (_real_half(initial), lambda half: _from_half(half, grid), lam,
+            lambda lanes: _half_spectrum_rhs(grid, params, mask, lanes))
 
 
 def _etdrk4_kernel(
     initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str = "none"
 ) -> _Kernel:
     """The ETDRK4 scheme of Cox and Matthews, on the weights of ``_etd_weights``."""
-    lam, rhs = _problem(initial, params, symbol, dealias)
+    start, state, lam, rhs = _problem(initial, params, symbol, dealias)
 
     def stepper(rows):
         e_half, e_full, q, f1, f2, f3 = rows
@@ -208,14 +222,14 @@ def _etdrk4_kernel(
 
         return step
 
-    return _Kernel("ETDRK4", initial, lambda dt: _etd_weights(lam, dt), stepper)
+    return _Kernel("ETDRK4", start, state, lambda dt: _etd_weights(lam, dt), stepper)
 
 
 def _if_rk4_kernel(
     initial: SpectralState, params: ModelParams, symbol: LinearSymbol, dealias: str = "none"
 ) -> _Kernel:
     """The integrating-factor RK4 method."""
-    lam, rhs = _problem(initial, params, symbol, dealias)
+    start, state, lam, rhs = _problem(initial, params, symbol, dealias)
 
     def weights(dt):
         e_half = np.exp(lam * (dt / 2.0))
@@ -234,25 +248,7 @@ def _if_rk4_kernel(
 
         return step
 
-    return _Kernel("IF-RK4", initial, weights, stepper)
-
-
-def _etdrk4_solve(
-    initial: SpectralState,
-    params: ModelParams,
-    symbol: LinearSymbol,
-    dt: float,
-    t_final: float,
-    dealias: str = "none",
-) -> SpectralState:
-    """Integrate the full equation with ETDRK4: a one-lane run of ``_etdrk4_kernel``.
-
-    Same arguments and checks as :func:`integrating_factor_rk4_solve`.
-    """
-    n = _step_count(dt, t_final)
-    lanes = _Lanes(_etdrk4_kernel(initial, params, symbol, dealias))
-    lanes.start(n, dt)
-    return lanes.result(n)
+    return _Kernel("IF-RK4", start, state, weights, stepper)
 
 
 # Relative tolerance on the Richardson estimate behind each quality name.
@@ -354,8 +350,6 @@ def _cached(
     initial: SpectralState, params: ModelParams, t_final: float, quality: str, dealias: str
 ) -> bool:
     """Whether ``make_reference`` would serve these inputs from its memory cache."""
-    if not isinstance(quality, str):
-        return False  # make_reference rejects it
     with _cache_lock:
         return _content(initial, params, t_final, quality, dealias) in _memory_cache
 

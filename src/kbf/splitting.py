@@ -231,15 +231,17 @@ def _block_diag(blocks) -> np.ndarray:
 
 
 class _Splitting:
-    """The stepping kernel of one splitting problem, shaped as the reference's ``_Kernel``.
+    """The stepping kernel of one splitting problem, a kernel of ``_Lanes``.
 
     ``initial`` is a state, or a tuple of states on dense grids solved as one
-    block: their half-spectra, linear factors and matrices concatenated
-    (block-diagonally).  ``weights(dt)`` are a lane's rows: the scheme's
-    linear factors on ``k = 0..N/2`` (None with ``symbols=()``), the substep
-    size and, on the dense path, its ``_rk4_rows``.  ``stepper(rows)`` sets
-    the kernel up, in place, for the lanes of ``rows`` and returns its step:
-    one lane's state is one half-spectrum, stacked ones ``(lanes, N/2+1)``.
+    block: their half-spectra (``start``), linear factors and matrices
+    concatenated (block-diagonally).  A lane fails, with ``BlowUp``, once it
+    is non-finite or a grid's L2 norm passes its cap (``_guards``).
+    ``weights(dt)`` are a lane's rows: the scheme's linear factors on ``k =
+    0..N/2`` (None with ``symbols=()``), the substep size and, on the dense
+    path, its ``_rk4_rows``.  ``stepper(rows)`` sets the kernel up, in place,
+    for the lanes of ``rows`` and returns its step: one lane's state is one
+    half-spectrum, stacked ones ``(lanes, N/2+1)``.
     Above ``_DENSE_MAX`` points each RK4 substep is ``_rk4_coeffs`` on the FFT
     pair, whose buffers are lanes inner (``powers`` is ``(2, *lanes, N)``), so
     ``cubes``, ``squares``, ``cubed`` and ``squared`` are contiguous blocks.
@@ -249,14 +251,17 @@ class _Splitting:
     which rounds each lane as ``np.dot`` does.
     """
 
-    cap = BLOWUP_NORM_FACTOR
     error = BlowUp
 
     def __init__(self, initial, params: ModelParams, scheme: str, cfg: NonlinearFlowConfig,
                  symbols=None):
-        self.initial = initial
-        grids = tuple(state.grid for state in (initial if isinstance(initial, tuple) else (initial,)))
+        self.block = isinstance(initial, tuple)
+        states = initial if self.block else (initial,)
+        grids = tuple(state.grid for state in states)
         self.symbols = tuple(linear_symbol(params, g) for g in grids) if symbols is None else symbols
+        halves = [_real_half(state) for state in states]
+        self.start = np.concatenate(halves) if self.block else halves[0]
+        self._guards, self.quick = _guards(halves, grids)
         self.strang, self.react, self.substeps = scheme == "strang", params.eps_react, cfg.substeps
         self.n, self.m = sum(g.n_modes for g in grids), sum(g.n_modes // 2 + 1 for g in grids)
         self.inv = None
@@ -275,6 +280,20 @@ class _Splitting:
             self.conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[: self.m]
             self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[: self.m]
             self.irfft, self.rfft = _rfft_pair(self.n)
+
+    def failures(self, c: np.ndarray) -> dict:
+        """``{lane: why}`` for each lane of ``c`` that is non-finite or past a grid's cap."""
+        failed = {}
+        for i, row in enumerate(np.atleast_2d(c)):
+            if not np.isfinite(row).all():
+                failed[i] = _NON_FINITE
+            elif not all(_half_l2(row[part], grid) <= cap for part, grid, cap in self._guards):
+                failed[i] = "L2 norm exploded"
+        return failed
+
+    def state(self, half: np.ndarray):
+        states = tuple(_from_half(half[part], grid) for part, grid, _ in self._guards)
+        return states if self.block else states[0]
 
     def weights(self, dt: float) -> tuple:
         factors = [build_propagator(sym, dt / (2.0 if self.strang else 1.0)).factors for sym in self.symbols]
@@ -365,8 +384,7 @@ def nonlinear_flow(state: SpectralState, dt: float, params: ModelParams,
     """Advance the nonlinear subproblem by ``dt`` using RK4 substeps."""
     _check_real(ConfigError, "dt", dt)
     kernel = _Splitting(state, params, "strang", cfg, symbols=())
-    half = kernel._own(*kernel.weights(dt)).nonlinear(_real_half(state))
-    return _from_half(_finite(half), state.grid)
+    return _from_half(_finite(kernel._own(*kernel.weights(dt)).nonlinear(kernel.start)), state.grid)
 
 
 def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
@@ -384,7 +402,7 @@ def _one_step(state, dt, params, symbol, cfg, scheme) -> SpectralState:
     _check_real(ConfigError, "dt", dt, 0, strict=True)
     _check_symbol(symbol, params, state.grid)
     kernel = _Splitting(state, params, scheme, cfg, (symbol,))
-    return _from_half(_finite(kernel._own(*kernel.weights(dt)).step(_real_half(state))), state.grid)
+    return _from_half(_finite(kernel._own(*kernel.weights(dt)).step(kernel.start)), state.grid)
 
 
 def strang_step(state: SpectralState, dt: float, params: ModelParams, symbol: LinearSymbol,
@@ -407,10 +425,9 @@ def evolve(initial: SpectralState, params: ModelParams, config: SolveConfig,
     and final states; stride 0 records the final state only.  The observer,
     when given, is called as ``observer(step, time, state)`` at each recorded
     step.  Raises BlowUp at the first step whose state is non-finite or whose
-    L2 norm exceeds ``BLOWUP_NORM_FACTOR`` times the initial norm (one
-    reduction per step checks both), with no numpy warning on the way; the
-    observer runs under the caller's numpy error state.  The returned
-    Trajectory holds every recorded state; ``_record_solve`` keeps none.
+    L2 norm exceeds ``BLOWUP_NORM_FACTOR`` times the initial norm, with no
+    numpy warning on the way; the observer runs under the caller's numpy
+    error state.  The returned Trajectory holds every recorded state.
     """
     times, states = [], []
 
@@ -436,23 +453,22 @@ def _record_solve(initial: SpectralState, params: ModelParams, config: SolveConf
     n, stride = config.n_steps, config.snapshot_stride
     lanes = _Lanes(_Splitting(initial, params, config.scheme, config.nonlinear_cfg))
     # a range, not a set: its size does not grow with the number of snapshots
-    record_at = range(0, n, stride) if stride > 0 else ()
-    lanes.start(n, config.dt, lambda step, state: record(step, step * config.dt, state), record_at)
+    lanes.start(n, config.dt, record, range(0, n, stride) if stride > 0 else ())
     record(n, config.t_final, lanes.result(n))
 
 
-def _guards(halves, grids, factor=BLOWUP_NORM_FACTOR):
+def _guards(halves, grids):
     """``(slice, grid, cap)`` per grid of the state concatenating ``halves``, and ``quick``.
 
     A state ``c`` (lanes included) with ``vdot(c, c) <= quick`` has each grid's
     ``_half_l2``, at most ``sqrt(2*vdot(c, c)*h/N)``, under its cap, with 1e-9 kept
-    for rounding and the norm's sums finite.  A cap is ``factor`` times a norm, so its
-    bound is 0 (the floor 1e-300 squares to 0) or holds 12 digits even when subnormal;
-    a NaN cap (its norm overflowed) passes nothing, and an infinite factor caps nothing.
+    for rounding and the norm's sums finite.  A cap is ``BLOWUP_NORM_FACTOR`` times a
+    norm, so its bound is 0 (the floor 1e-300 squares to 0) or holds 12 digits even
+    when subnormal; a NaN cap (its norm overflowed) passes nothing.
     """
     guards, end, quick = [], 0, sys.float_info.max
     for half, grid in zip(halves, grids):
-        cap = factor * max(_half_l2(half, grid), 1e-300) if factor < math.inf else math.inf
+        cap = BLOWUP_NORM_FACTOR * max(_half_l2(half, grid), 1e-300)
         guards.append((slice(end, end + half.size), grid, cap))
         end += half.size
         h = grid.spacing
@@ -464,27 +480,19 @@ def _guards(halves, grids, factor=BLOWUP_NORM_FACTOR):
 class _Lanes:
     """The one time loop: fixed-step solves of one problem, run as lanes of one kernel.
 
-    The kernel is a ``_Splitting`` or a ``reference._Kernel``.  A lane is a
-    step count ``n`` and its step ``dt``; it starts from the kernel's
-    ``initial`` and steps with ``weights(dt)``, computed once, when it
-    starts.  Lanes start between steps and leave when they finish or fail;
-    ``stepper(rows)`` is rebuilt for the lanes still running.  One lane
-    keeps its 1-d state, more are stacked as ``(lanes, ·)``, and each lane
-    gets the bits it would get alone.  ``started`` lists the step counts in
-    the order they started.  A step pays one reduction against ``quick``
-    (``_guards``); only a step that fails it takes each lane's exact checks,
-    and a lane that fails them is retired with ``kernel.error(step, time,
-    why)``.  A non-finite state came from an RK4 stage, as no linear factor
-    exceeds 1 in modulus.
+    A lane is a step count ``n`` and its step ``dt``.  Lanes start between
+    steps from the kernel's ``start``, each with its ``weights(dt)``, and
+    leave when they finish or fail; ``stepper(rows)`` is rebuilt for the
+    lanes still running, one lane 1-d, more stacked as ``(lanes, ·)``, each
+    with the bits it would get alone.  ``started`` lists the step counts in
+    the order they started.  A step pays one reduction against the kernel's
+    ``quick``; only a step that fails it takes its exact ``failures(c)``,
+    and a lane they name is retired with ``error(step, time, why)``.  A
+    lane's result, and each state it records, is ``state(half)``.
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
-        initial = kernel.initial
-        states = initial if isinstance(initial, tuple) else (initial,)
-        halves = [_real_half(state) for state in states]
-        self._guards, self._quick = _guards(halves, [state.grid for state in states], kernel.cap)
-        self._start = np.concatenate(halves) if len(halves) > 1 else halves[0]
         self.started: list[int] = []
         # finished lanes: step count -> final state, or the error the lane failed with
         self._results: dict = {}
@@ -494,18 +502,23 @@ class _Lanes:
 
     def start(self, n: int, dt: float, record=None, record_at=()) -> None:
         """Start a lane of ``n`` steps of ``dt``, unless it has started already; ``record(step,
-        state)`` runs at each step in ``record_at``, under the caller's numpy error state."""
+        step*dt, state)`` runs at each step in ``record_at``, under the caller's numpy error state."""
         if n in self.started:
             return
         self.started.append(n)
         if 0 in record_at:
-            record(0, self._state(self._start))
+            record(0, 0.0, self.kernel.state(self.kernel.start))
         self._running.append([n, n, dt, self.kernel.weights(dt), record, record_at])
-        self._c = self._start if self._c is None else np.vstack((self._c, self._start))
+        self._c = self.kernel.start if self._c is None else np.vstack((self._c, self.kernel.start))
         self._step = None
 
+    def run(self, n: int, dt: float):
+        """The result of a lane of ``n`` steps of ``dt``, started now."""
+        self.start(n, dt)
+        return self.result(n)
+
     def result(self, n: int):
-        """Lane ``n``'s final state (a tuple for a block), or its own error if it failed."""
+        """Lane ``n``'s final state, or its own error if it failed."""
         caller = np.geterr()
         # A blow-up overflows on its way to the checks, which report it as the lane's
         # error alone; entered once per call, as per step it would cost ~5% of a step.
@@ -519,22 +532,23 @@ class _Lanes:
 
     def _advance(self, caller) -> None:
         # steps every lane until the first finishes or one fails
-        lanes = self._running
+        lanes, kernel = self._running, self.kernel
         if self._step is None:
             rows = [lane[3] for lane in lanes]
-            self._step = self.kernel.stepper(rows[0] if len(rows) == 1 else tuple(map(np.stack, zip(*rows))))
-        step, c, quick = self._step, self._c, self._quick
+            self._step = kernel.stepper(rows[0] if len(rows) == 1 else tuple(map(np.stack, zip(*rows))))
+        step, c, quick = self._step, self._c, kernel.quick
         recording = [(i, lane) for i, lane in enumerate(lanes) if lane[5]]
         failed = {}
         for taken in range(1, min(lane[1] for lane in lanes) + 1):
             c = step(c)
             # one reduction (NaN fails it); only a state that fails it takes the exact checks
             if not np.vdot(c, c).real <= quick:
-                failed = self._failures(c)
-            for i, (n, left, _, _, record, record_at) in recording:
-                if i not in failed and n - left + taken in record_at:
+                failed = kernel.failures(c)
+            for i, (n, left, dt, _, record, record_at) in recording:
+                at = n - left + taken
+                if i not in failed and at in record_at:
                     with np.errstate(**caller):
-                        record(n - left + taken, self._state(c if c.ndim == 1 else c[i]))
+                        record(at, at * dt, kernel.state(c if c.ndim == 1 else c[i]))
             if failed:
                 break
         states = np.atleast_2d(c)
@@ -543,27 +557,12 @@ class _Lanes:
             lane[1] -= taken
             n, left, dt = lane[:3]
             if i in failed:
-                self._results[n] = self.kernel.error(n - left, (n - left) * dt, failed[i])
+                self._results[n] = kernel.error(n - left, (n - left) * dt, failed[i])
             elif left == 0:
-                self._results[n] = self._state(states[i])
+                self._results[n] = kernel.state(states[i])
             else:
                 stay.append(i)
         if len(stay) < len(lanes):
             self._running, self._step = [lanes[i] for i in stay], None
             c = states[stay] if len(stay) > 1 else states[stay[0]] if stay else None
         self._c = c
-
-    def _failures(self, c: np.ndarray) -> dict:
-        """``{lane: why}`` for each lane of ``c`` that is non-finite or past a cap."""
-        failed = {}
-        for i, row in enumerate(np.atleast_2d(c)):
-            if not np.isfinite(row).all():
-                failed[i] = _NON_FINITE
-            elif not all(_half_l2(row[part], grid) <= cap for part, grid, cap in self._guards):
-                failed[i] = "L2 norm exploded"
-        return failed
-
-    def _state(self, half: np.ndarray):
-        """The state, or for a block the tuple of states, whose half-spectra ``half`` concatenates."""
-        states = tuple(_from_half(half[part], grid) for part, grid, _ in self._guards)
-        return states if isinstance(self.kernel.initial, tuple) else states[0]

@@ -413,7 +413,7 @@ def test_bad_study_dt_reported_under_its_flag(tmp_path, capsys, value):
 
 
 def test_bad_quality_reported_under_its_flag(tmp_path, capsys, monkeypatch):
-    # make_reference rejects the name before any solve, and no usage line is printed
+    # the study rejects the name before any solve, and no usage line is printed
     monkeypatch.setattr(reference_module, "_doubling_solve", None)
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(HEAT_CONFIG)

@@ -224,6 +224,20 @@ def test_repeated_axis_value_rejected_before_any_solve(monkeypatch, full_params,
     assert info.value.key == "axis"
 
 
+@pytest.mark.parametrize("quality", ["bogus", 3])
+def test_bad_quality_rejected_before_any_fork_or_solve(monkeypatch, full_params, grid256, quality):
+    # Table 1's shape forks its ladder beside an uncached reference
+    def no_run(*args, **kwargs):
+        raise AssertionError("a child or a solve started before the quality was checked")
+
+    for module, name in ((os, "fork"), (harness_module, "make_reference"), (harness_module, "_Lanes")):
+        monkeypatch.setattr(module, name, no_run)
+    spec = _study_spec(full_params, grid256, (12, 24, 48, 96, 192, 384))
+    with pytest.raises(ConfigError) as info:
+        temporal_convergence_study(spec, quality=quality)
+    assert info.value.key == "quality"
+
+
 def test_spatial_study_rejects_reference_collision(full_params, grid256):
     spec = _study_spec(full_params, grid256, (8, 256))
     with pytest.raises(ValueError):
@@ -366,8 +380,7 @@ def test_spatial_study_solves_its_coarse_grids_as_one_block(monkeypatch, full_pa
     stepper = splitting._Splitting.stepper
 
     def counted(kernel, rows):
-        initial = kernel.initial
-        builds.append(tuple(s.grid.n_modes for s in (initial if isinstance(initial, tuple) else (initial,))))
+        builds.append(tuple(grid.n_modes for _, grid, _ in kernel._guards))
         return stepper(kernel, rows)
 
     monkeypatch.setattr(splitting._Splitting, "stepper", counted)

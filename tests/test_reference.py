@@ -39,7 +39,6 @@ from kbf.reference import (
     _doubling_solve,
     _etd_weights,
     _etdrk4_kernel,
-    _etdrk4_solve,
     _if_rk4_kernel,
 )
 from kbf.spectral import _derivative_symbol, dealias_mask
@@ -181,7 +180,8 @@ def test_make_reference_logistic_limit():
 def test_etdrk4_self_convergence(full_params, grid256, sine_initial):
     # fourth order: the solution change per dt-halving shrinks ~16x
     sym = linear_symbol(full_params, grid256)
-    sols = {n: _etdrk4_solve(sine_initial, full_params, sym, 1.0 / n, 1.0) for n in (64, 128, 256)}
+    kernel = _etdrk4_kernel(sine_initial, full_params, sym)
+    sols = {n: _one_lane(kernel, n, 1.0 / n) for n in (64, 128, 256)}
     d_coarse = error_norm(sols[64], sols[128])
     d_fine = error_norm(sols[128], sols[256])
     assert 12.0 <= d_coarse / d_fine <= 20.0
@@ -189,7 +189,7 @@ def test_etdrk4_self_convergence(full_params, grid256, sine_initial):
 
 def test_etdrk4_output_is_hermitian(full_params, grid256, sine_initial):
     sym = linear_symbol(full_params, grid256)
-    c = _etdrk4_solve(sine_initial, full_params, sym, 1.0 / 64, 1.0).coeffs
+    c = _one_lane(_etdrk4_kernel(sine_initial, full_params, sym), 64, 1.0 / 64).coeffs
     np.testing.assert_array_equal(c[1:], np.conj(c[:0:-1]))
     assert c[0].imag == 0.0 and c[128].imag == 0.0
 
@@ -201,9 +201,7 @@ KERNELS = {"etdrk4": _etdrk4_kernel, "if_rk4": _if_rk4_kernel}
 
 def _one_lane(kernel, n, dt):
     """The final state of ``n`` steps of ``dt`` on ``kernel``, a lane run alone."""
-    lanes = _Lanes(kernel)
-    lanes.start(n, dt)
-    return lanes.result(n)
+    return _Lanes(kernel).run(n, dt)
 
 
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])
@@ -572,7 +570,7 @@ def test_doubling_retries_a_coarse_non_finite_solve(full_params):
     state, n, _ = _doubling_solve(lanes, 1.0, _QUALITY_TOL["high"])
     assert lanes.started == [64, 128, 256, 512]
     assert n == 512
-    direct = _etdrk4_solve(initial, full_params, sym, 1.0 / 512, 1.0)
+    direct = _one_lane(_etdrk4_kernel(initial, full_params, sym), 512, 1.0 / 512)
     np.testing.assert_array_equal(state.coeffs, direct.coeffs)
 
 

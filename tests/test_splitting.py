@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -458,12 +461,85 @@ def test_lanes_record_only_the_asked_steps_and_build_once_per_change(full_params
     assert lanes.started == [6, 3, 12, 24]
     recorded = []
     lanes = splitting._Lanes(splitting._Splitting(initial, full_params, "strang", NonlinearFlowConfig()))
-    lanes.start(6, 0.5 / 6, lambda step, state: recorded.append((step, state)), range(0, 6, 2))
+    lanes.start(6, 0.5 / 6, lambda step, time, state: recorded.append((step, state)), range(0, 6, 2))
     final = lanes.result(6)
     assert [step for step, _ in recorded] == [0, 2, 4]
     cfg = SolveConfig(dt=0.5 / 6, t_final=0.5, snapshot_stride=2)
     for (_, state), expected in zip(recorded + [(6, final)], evolve(initial, full_params, cfg).states):
         assert np.array_equal(state.coeffs, expected.coeffs)
+
+
+class _Limit(Exception):
+    def __init__(self, step, time, why):
+        super().__init__(why)
+        self.step, self.time = step, time
+
+
+class _Decay:
+    """A toy kernel: each mode ``k`` of four scales exactly by ``exp((1 - k^2)*t)``.
+
+    Mode 0 grows, so a lane fails, with its own ``_Limit``, once mode 0 passes
+    ``limit``; the one reduction can pass nothing past it, as every mode counts.
+    """
+
+    rates = 1.0 - np.arange(4.0) ** 2
+    start = np.array([1.0, 0.5j, -0.25, 2.0])
+    limit = 5.0
+    quick = limit**2
+    error = _Limit
+
+    def failures(self, c):
+        return {i: f"mode 0 passed {self.limit}" for i, row in enumerate(np.atleast_2d(c))
+                if abs(row[0]) > self.limit}
+
+    def state(self, half):
+        return half.copy()
+
+    def weights(self, dt):
+        return (np.exp(self.rates * dt),)
+
+    def stepper(self, rows):
+        (factors,) = rows
+        return lambda c: factors * c
+
+
+def test_lanes_run_any_kernel_on_its_own_start_checks_and_states():
+    def alone(n, dt):
+        return splitting._Lanes(_Decay()).run(n, dt)
+
+    # lanes that start between steps keep the bits they get alone
+    lanes = splitting._Lanes(_Decay())
+    for n in (8, 16):
+        lanes.start(n, 0.8 / n)
+    assert np.array_equal(lanes.result(8), alone(8, 0.1))
+    lanes.start(32, 0.8 / 32)
+    for n in (32, 16):
+        assert np.array_equal(lanes.result(n), alone(n, 0.8 / n))
+    # a failing lane raises the kernel's own error while its neighbour runs on
+    lanes = splitting._Lanes(_Decay())
+    lanes.start(40, 0.1)
+    lanes.start(50, 0.01)
+    with pytest.raises(_Limit, match="^mode 0 passed 5.0$") as info:
+        lanes.result(40)
+    assert (info.value.step, info.value.time) == (17, 17 * 0.1)
+    assert np.array_equal(lanes.result(50), alone(50, 0.01))
+    # the observer sees (step, step*dt, state) at its steps, and the lane's result last
+    seen = []
+    lanes = splitting._Lanes(_Decay())
+    lanes.start(8, 0.1, lambda *record: seen.append(record), range(0, 8, 3))
+    lanes.start(5, 0.2)
+    final = lanes.result(8)
+    assert [(step, time) for step, time, _ in seen] == [(0, 0.0), (3, 3 * 0.1), (6, 6 * 0.1)]
+    assert np.array_equal(seen[0][2], _Decay.start)
+    for step, _, state in seen[1:]:
+        assert np.array_equal(state, alone(step, 0.1))
+    assert np.array_equal(final, alone(8, 0.1))
+
+
+def test_the_lane_loop_names_nothing_of_the_splitting_kernel():
+    source = inspect.getsource(splitting._Lanes)
+    for name in ("_guards", "_half_l2", "_real_half", "_from_half", "BLOWUP_NORM_FACTOR", "cap", "initial"):
+        assert not re.search(rf"\b{name}\b", source), name
 
 
 def test_local_defect_third_order_in_asymptotic_window(full_params, grid256, sine_initial):
@@ -782,18 +858,21 @@ def test_reaction_alone_is_the_logistic_rk4_at_every_point(n_modes, substeps):
 
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])
 @pytest.mark.parametrize("scheme", ["strang", "lie_trotter"])
-@pytest.mark.parametrize("n_modes", [64, 256])
+@pytest.mark.parametrize("n_modes", [64, 256, (8, 16, 32)])
 def test_without_reaction_the_mean_is_conserved_bit_for_bit(n_modes, scheme, dealias):
     # with eps_react = 0 every term is a derivative, so mode 0 never moves:
-    # N = 64 runs the dense kernel, N = 256 the FFT one, and the ladder stacks lanes
+    # N = 64 runs the dense kernel, N = 256 the FFT one, (8, 16, 32) a block of
+    # dense grids, and the ladder stacks lanes
     params = ModelParams(nu=1.0, mu=1.0, gamma=1.0, eps_conv=1.0)
-    initial = _rich_initial(n_modes)
+    initials = tuple(_rich_initial(n) for n in np.atleast_1d(n_modes))
     flow = NonlinearFlowConfig(substeps=2, dealias=dealias)
     ladder = [SolveConfig(1.0 / n, 0.25, scheme, flow) for n in (64, 128, 256)]
-    mean = initial.coeffs[0]
-    assert evolve(initial, params, ladder[0]).final.coeffs[0] == mean
-    finals = _finals(initial, params, ladder)
-    assert [final.coeffs[0] for final in finals.values()] == [mean] * 3
+    means = [initial.coeffs[0] for initial in initials]
+    for initial in initials:
+        assert evolve(initial, params, ladder[0]).final.coeffs[0] == initial.coeffs[0]
+    block = len(initials) > 1
+    for final in _finals(initials if block else initials[0], params, ladder).values():
+        assert [s.coeffs[0] for s in (final if block else (final,))] == means
 
 
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])
@@ -865,17 +944,27 @@ def test_outputs_are_exactly_hermitian(rng, full_params):
 
 @pytest.mark.parametrize("dealias", ["none", "two_thirds"])
 def test_dense_kernel_outputs_are_exactly_hermitian(rng, full_params, dealias):
+    flow = NonlinearFlowConfig(substeps=2, dealias=dealias)
+    ladder = [SolveConfig(dt, 0.125, nonlinear_cfg=flow) for dt in (1.0 / 256, 1.0 / 128, 1.0 / 64)]
+    states = []
     for n in (8, 16, 64, splitting._DENSE_MAX):
         g = make_grid(n, 0.0, TWO_PI)
         state = to_spectral(0.5 + 0.1 * rng.standard_normal(n), g)
         sym = linear_symbol(full_params, g)
-        flow = NonlinearFlowConfig(substeps=2, dealias=dealias)
         cfg = SolveConfig(dt=1.0 / 256, t_final=0.125, snapshot_stride=8, nonlinear_cfg=flow)
         for snap in evolve(state, full_params, cfg).states:
             assert_exactly_hermitian(snap.coeffs)
         assert_exactly_hermitian(strang_step(state, 0.01, full_params, sym, flow).coeffs)
         assert_exactly_hermitian(lie_trotter_step(state, 0.01, full_params, sym, flow).coeffs)
         assert_exactly_hermitian(nonlinear_flow(state, 0.01, full_params, flow).coeffs)
+        for final in _finals(state, full_params, ladder).values():
+            assert_exactly_hermitian(final.coeffs)
+        states.append(state)
+    # the grids up to 64 as one block, alone and with its lanes stacked
+    for lanes in (ladder[:1], ladder):
+        for finals in _finals(tuple(states[:3]), full_params, lanes).values():
+            for final in finals:
+                assert_exactly_hermitian(final.coeffs)
 
 
 def test_non_real_input_is_rejected(full_params):
