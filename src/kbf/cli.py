@@ -11,7 +11,9 @@ command-line flags, with flags taking precedence.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -32,6 +34,9 @@ from .harness import (
     ExperimentSpec,
     _DIGITS,
     _fmt,
+    _fork,
+    _join,
+    _kill,
     _run_echo,
     report_to_csv,
     report_to_text,
@@ -197,25 +202,88 @@ def _require_output(cfg: RunConfig) -> Path:
     return out
 
 
+# Smallest run, in recorded values (grid points times recorded states), whose
+# snapshots ``_cmd_solve`` shares with a forked writer (measured in README).
+_WRITE_FORK_MIN = 20_000
+
+
 def _cmd_solve(cfg: RunConfig) -> int:
     out = _require_output(cfg)
     snapshot = _snapshot_writer(cfg)
     final_path = out / "final.csv"
-    written = 0
+    n, stride, points = cfg.solve.n_steps, cfg.solve.snapshot_stride, cfg.grid.n_modes
+    recorded = len(range(0, n, stride)) + 1 if stride else 1
 
-    # each state is written as it is recorded and then dropped, so memory
-    # does not grow with the snapshot count
-    def write(step, time, state):
-        nonlocal written
-        text = snapshot(step, time, to_physical(state))
+    def write(step, time, values):
+        text = snapshot(step, time, values)
         (out / f"snapshot_{step:06d}.csv").write_text(text, encoding="utf-8")
-        if step == cfg.solve.n_steps:  # step n is always recorded, at t_final
+        if step == n:  # step n is always recorded, at t_final
             final_path.write_text(text, encoding="utf-8")
-        written += 1
 
-    _record_solve(build_initial(cfg.ic, cfg.grid), cfg.params, cfg.solve, write)
-    print(f"wrote {written} snapshot(s) and {final_path}")
+    # each state is written, or sent, as it is recorded and then dropped, so
+    # memory does not grow with the snapshot count
+    def solve(share):
+        _record_solve(build_initial(cfg.ic, cfg.grid), cfg.params, cfg.solve,
+                      lambda step, time, state: share(step, time, to_physical(state)))
+
+    split = stride > 0 and recorded * points > _WRITE_FORK_MIN
+    if not (split and _shared_solve(solve, write, points)):
+        solve(write)
+    print(f"wrote {recorded} snapshot(s) and {final_path}")
     return 0
+
+
+def _shared_solve(solve, write, points: int) -> bool:
+    """Whether ``solve(share)`` ran with every other state sent to a forked child that ``write``s it.
+
+    False when the child does not start or fails in any way: the caller then solves inline.
+    An exception in ``solve`` waits for the child's files, so it is raised as inline.
+    """
+    r, w = os.pipe()
+    child = _fork(lambda: _drain(r, w, write, points))
+    os.close(r)
+    if child is None:
+        os.close(w)
+        return False
+    feed = open(w, "wb")
+    sent = own = 0
+
+    def share(step, time, values):
+        nonlocal sent, own
+        if own < sent:
+            own += 1
+            write(step, time, values)
+        else:
+            sent += 1
+            feed.write(np.concatenate(((step, time), values)))
+
+    try:
+        solve(share)
+        feed.close()
+    except Exception:
+        with suppress(OSError):  # a child that has gone: _join tells
+            feed.close()
+        if _join(child) != sent:
+            return False  # the inline solve writes every file, then raises this again
+        raise
+    except BaseException:
+        _kill(child)
+        with suppress(OSError):
+            feed.close()
+        raise
+    return _join(child) == sent
+
+
+def _drain(r: int, w: int, write, points: int) -> int:
+    """The writer child's work: ``write`` each record that the pipe ``r`` carries; their count."""
+    os.close(w)
+    count = 0
+    with open(r, "rb") as feed:
+        while record := feed.read(8 * (points + 2)):
+            rec = np.frombuffer(record)
+            write(int(rec[0]), float(rec[1]), rec[2:])
+            count += 1
+    return count
 
 
 def _run_study(cfg: RunConfig, flags: dict, raw_axis: str, study, stem: str):

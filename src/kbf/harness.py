@@ -211,54 +211,79 @@ def _study(spec: ExperimentSpec, kind: str, error_at, own_echo: dict) -> Converg
     )
 
 
-# Smallest half that ``_beside`` forks, in point-steps (steps times grid points,
-# summed over its lanes).  A fork's round trip costs about 2.3 ms and the half
-# runs slower in the child: cold spatial blocks of 15k and 23k point-steps took
-# 12.6 -> 16.8 and 17.4 -> 16.6 ms inline -> forked, temporal ladders of 7.9k
-# and 23.8k 12.3 -> 12.3 and 22.9 -> 14.4 ms (2-core Xeon, see README).
-_FORK_MIN = 20_000
+# A splitting solve's cost in us: per step of its loop, and per point-step (steps
+# times grid points, summed over lanes), fitted to ladders and blocks at N <= 128,
+# where the break-even lies; FFT grids take about 100 us a step (2-core Xeon, README).
+_STEP_US, _POINT_US = 20.0, 0.2
+# Forking ``work`` beside ``own`` gains ``min(work, own - _CHILD_US) - _FORK_MIN`` us:
+# the fork's round trip costs about ``_FORK_MIN``, and the child runs about
+# ``_CHILD_US`` slower, which only a longer ``own`` hides.
+_FORK_MIN, _CHILD_US = 2400.0, 2500.0
+
+
+def _cost_us(steps: int, point_steps: int) -> float:
+    return _STEP_US * steps + _POINT_US * point_steps
+
+
+def _fork_pays(work_us: float, own_us: float = math.inf) -> bool:
+    return min(work_us, own_us - _CHILD_US) > _FORK_MIN
 
 
 def _beside(work, own, fork: bool):
-    """``(work(), own())``, with ``work`` in a forked child while ``own`` runs here.
+    """``(work(), own())``, with ``work`` in a forked child, when ``fork``, while ``own`` runs here.
 
-    The child runs only when ``fork`` holds and ``_fork`` can start it; it
-    sends ``work()``'s result back pickled over a pipe.  When it fails in
-    any way, or does not start, ``work()`` runs here after ``own()``, as
-    inline, so every bit, exception and message is the inline one.  The
-    child is reaped on every path, and killed first when ``own()`` raises or
-    is interrupted.
+    A child that fails in any way, or does not start, leaves ``work()`` to run here after
+    ``own()``, as inline.  The child is always reaped, and killed first if ``own()`` raises.
     """
     child = _fork(work) if fork else None
     if child is None:
         mine = own()
         return work(), mine
-    pid, fd = child
-    with open(fd, "rb") as pipe:
-        try:
-            mine = own()
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-        except BaseException:
-            # imported here: its enums would add about 0.7 ms to ``import kbf``
-            from signal import SIGKILL
+    try:
+        mine = own()
+    except BaseException:
+        _kill(child)
+        raise
+    done = _join(child)
+    return (work() if done is _FAILED else done), mine
 
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-            raise
+
+# what ``_join`` returns of a child that failed in any way
+_FAILED = object()
+
+
+def _join(child):
+    """What ``child`` (from ``_fork``) sent, or ``_FAILED``; reaps it, killed first if interrupted."""
+    pid, fd = child
+    try:
+        with open(fd, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    except BaseException:
+        _kill(child)
+        raise
+    os.close(fd)
     # a length ahead of the result tells a complete one from a short read
     if os.waitstatus_to_exitcode(status) == 0 and int.from_bytes(data[:8], "little") == len(data) - 8:
-        return pickle.loads(data[8:]), mine
-    return work(), mine
+        return pickle.loads(data[8:])
+    return _FAILED
+
+
+def _kill(child) -> None:
+    # imported here: its enums would add about 0.7 ms to ``import kbf``
+    from signal import SIGKILL
+
+    pid, fd = child
+    os.close(fd)
+    os.kill(pid, SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _fork(work):
-    """``(pid, read end of a pipe)`` of a child that writes ``work()``'s result to it.
+    """``(pid, read end of a pipe)`` of a child that writes ``work()``'s result to it, pickled.
 
-    None unless the child can run beside this process, on a CPU and under an
-    interpreter lock of its own: that needs ``os.fork``, a second usable CPU
-    and no other Python thread.  From CPython 3.12 ``fork`` warns in a
-    process with threads, BLAS's pool among them, so it is not used there.
+    None unless the child can run beside this process (README): ``os.fork``, a second
+    usable CPU, no other Python thread, and CPython before 3.12.
     """
     if not (
         hasattr(os, "fork")
@@ -296,17 +321,10 @@ def temporal_convergence_study(
     spec: ExperimentSpec,
     quality: str = "high",
 ) -> ConvergenceReport:
-    """Errors versus step count at fixed N, against the ETDRK4 reference.
+    """Absolute errors at ``t_final`` versus step count at fixed N, against ``make_reference``.
 
-    The reference comes from ``make_reference`` (its in-memory cache or one
-    solve), with the spec's dealias rule, and is shared by every step count;
-    the error is measured at the final time only.  The errors are absolute.
-    The step counts are solved together, as lanes of one time loop, each of
-    which blows up on its own, so the error names the smallest step count
-    to blow up.  The lanes run in a forked child while this process makes
-    the reference (``_beside``), when the reference is not cached and the
-    lanes hold more than ``_FORK_MIN`` point-steps; otherwise they run after
-    it.
+    The step counts run as lanes of one loop, in a forked child beside an uncached
+    reference when ``_fork_pays`` (README); a blow-up names the smallest count to blow up.
     """
     _check_choice(ConfigError, "quality", quality, tuple(_QUALITY_TOL))
     initial = build_initial(spec.initial_condition, spec.grid)
@@ -324,9 +342,9 @@ def temporal_convergence_study(
     def reference() -> SpectralState:
         return make_reference(initial, spec.params, symbol, spec.t_final, quality=quality, dealias=dealias)
 
-    fork = spec.grid.n_modes * sum(spec.axis) > _FORK_MIN and not _cached(
-        initial, spec.params, spec.t_final, quality, dealias
-    )
+    # a cold reference takes 5 ms or more (N = 8..256, `standard`): only the ladder's cost is estimated
+    ladder_us = _cost_us(max(spec.axis), spec.grid.n_modes * sum(spec.axis))
+    fork = _fork_pays(ladder_us) and not _cached(initial, spec.params, spec.t_final, quality, dealias)
     finals, ref = _beside(ladder, reference, fork)
 
     def error_at(n_steps: int) -> float:
@@ -336,22 +354,12 @@ def temporal_convergence_study(
 
 
 def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> ConvergenceReport:
-    """Errors versus mode count at a fixed fine time step.
+    """Errors versus mode count against ``spec.grid``, every run at one ``dt`` (default ``t_final/2048``).
 
-    Every run, including the reference on ``spec.grid`` (the finest grid),
-    uses the same scheme and the same ``dt`` (default ``t_final/2048``), so
-    the shared time-discretization error cancels and the differences isolate
-    the spatial error.  Coarse solutions are interpolated onto the reference
-    grid for differencing.  Every coarse grid is built before any solve.
-
-    When three or more coarse grids have at most ``_DENSE_MAX`` points they
-    are solved together, as one block of the dense kernel: each agrees with
-    its own ``evolve`` to rounding, not bit for bit.  After a blow-up in the
-    block they are solved again one by one in ascending order, so the error
-    names the first grid to blow up.  The block runs in a forked child while
-    this process solves the reference (``_beside``), when it holds more than
-    ``_FORK_MIN`` point-steps; otherwise it runs after the reference.  Every
-    other coarse grid runs through ``evolve``, after both.
+    Three or more coarse grids of at most ``_DENSE_MAX`` points run as one dense block,
+    in a forked child beside the finest grid when ``_fork_pays``, and again one by one
+    after a blow-up, which names the first grid to blow up (README).  Every coarse grid
+    is built before any solve, and interpolated onto the finest for its error.
     """
     if dt is None:
         dt = spec.t_final / 2048.0
@@ -391,7 +399,8 @@ def spatial_convergence_study(spec: ExperimentSpec, dt: float | None = None) -> 
             # separate solves in ascending order name the first grid to blow up
             return {n: _at_axis_value(n, run_on) for n in block}
 
-    fork = cfg.n_steps * sum(block) > _FORK_MIN
+    n = cfg.n_steps
+    fork = bool(block) and _fork_pays(_cost_us(n, n * sum(block)), _cost_us(n, n * ref_grid.n_modes))
     finals, ref = _beside(coarse_block, lambda: _at_axis_value(ref_grid.n_modes, run_on), fork)
 
     def error_at(n_modes: int) -> float:

@@ -114,14 +114,10 @@ def nonlinear_rhs_physical(values: np.ndarray, params: ModelParams, grid: GridSp
 
 
 def _half_spectrum_rhs(grid: GridSpec, params: ModelParams, mask: np.ndarray | None, lanes: tuple):
-    """The conservative nonlinear right-hand side on ``k = 0..N/2``.
+    """``rhs(c, out=None)``: ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` on ``k = 0..N/2``.
 
-    ``-(eps_conv/3)*ik*T(y^3) + eps_react*(c - T(y^2))`` for half-spectra
-    of shape ``lanes + (N/2+1,)``, from one ``irfft`` and one batched ``rfft`` of
-    ``[y^3, y^2]``, the products dealiased by the keep-mask ``mask`` over the
-    N modes (None keeps them all).  ``rhs(c, out)`` writes into ``out``, and
-    ``rhs(c)`` returns a new array.  Written apart from the splitting kernel's,
-    so that the reference does not inherit a bug of the solver it measures.
+    ``c`` has shape ``lanes + (N/2+1,)``; the products are dealiased by the keep-mask
+    ``mask`` (None keeps all).  Written apart from the splitting kernel's (README).
     """
     n = grid.n_modes
     m = n // 2 + 1

@@ -67,13 +67,10 @@ def integrating_factor_rk4_solve(
     t_final: float,
     dealias: str = "none",
 ) -> SpectralState:
-    """Integrate the full equation with the integrating-factor RK4 method.
+    """Integrate the full equation with the integrating-factor RK4 method (``_if_rk4_kernel``).
 
-    The linear part is removed by the substitution ``w = exp(-lambda*(t-t_n))
-    * yhat``, recentered at each step, so the RK4 stages see only the
-    nonlinearity, dealiased by the rule ``dealias``; exact for any ``dt``
-    when the nonlinear coefficients vanish.  A one-lane run of
-    ``_if_rk4_kernel``.
+    RK4 sees only the nonlinearity of ``w = exp(-lambda*(t-t_n)) * yhat``, recentered each
+    step, so the solve is exact for any ``dt`` when the nonlinear coefficients vanish.
     """
     n = _step_count(dt, t_final)
     return _Lanes(_if_rk4_kernel(initial, params, symbol, dealias)).run(n, dt)
@@ -113,14 +110,8 @@ _BLOCK_VALUES = 1024
 def _etd_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     """ETDRK4 weights ``E2, E, Q, f1, f2, f3`` for steps of ``h`` on eigenvalues ``lam``.
 
-    ``E2 = exp(h*lam/2)``, ``E = exp(h*lam)``; ``Q`` and the Cox-Matthews
-    coefficients ``f1, f2, f3`` are contour means (Kassam-Trefethen) over
-    points on the full unit circle around each ``h*lam``, which avoids the
-    cancellation of their closed forms near 0.  The symbol is complex, so
-    the mean is complex.  The points come in conjugate pairs, so a real
-    ``h*lam`` (``k = 0``, Nyquist) gets real weights.  They are evaluated in
-    blocks of rows, one point a row, and the rows are summed one at a time
-    in the order of the points: the bits of a point-by-point loop.
+    ``Q, f1, f2, f3`` are Kassam-Trefethen contour means over the unit circle around
+    each ``h*lam`` (README), summed point by point in blocks of rows.
     """
     z = h * lam
     q, f1, f2, f3 = (np.zeros_like(z) for _ in range(4))
@@ -153,15 +144,10 @@ def _non_finite_rows(c: np.ndarray) -> dict:
 
 
 class _Kernel(NamedTuple):
-    """A fixed-step integrator of one problem, written for the lanes of ``_Lanes``.
+    """A fixed-step integrator of one problem, as a kernel of ``_Lanes`` (README).
 
-    Every lane starts from the half-spectrum ``start``, and ``state(half)`` is
-    its state.  ``weights(dt)`` is the tuple of rows that one lane steps with;
-    ``stepper(rows)``, given one lane's rows or those rows stacked over lanes,
-    returns ``step(v)``, which advances the half-spectra ``v`` by one step of
-    each lane's own size.  A lane fails only when it turns non-finite, with
-    ``error``'s NonFiniteState: ``quick``, the largest float, sends each
-    non-finite reduction to ``failures``.
+    Its defaults fail a lane only when it turns non-finite, with NonFiniteState:
+    ``quick``, the largest float, sends each non-finite reduction to ``failures``.
     """
 
     name: str
@@ -262,17 +248,10 @@ _METHOD = "etdrk4 step-doubling v3"
 
 
 def _doubling_solve(lanes: _Lanes, t_final: float, tol: float) -> tuple[SpectralState, int, float]:
-    """Fixed-step solve at 64, 128, 256, ... steps until it verifies itself.
+    """``(u_2n, 2n, estimate)`` of the fourth-order ``lanes`` at 64, 128, ... steps, once verified.
 
-    ``lanes`` runs a fourth-order fixed-step kernel.  After each doubling
-    the error of ``u_2n`` is estimated as ``||u_2n - u_n|| / 15``, and
-    ``(u_2n, 2n, estimate)`` is returned once that is at most ``tol *
-    ||u_2n||``; a non-finite solve below the cap counts as not converged.
-    Raises ReferenceNotConverged when a doubling shrinks the difference by
-    less than 2x or the step cap is passed.  The counts run as lanes: ``n``,
-    and ``2n`` beside it when there is no ``u_n/2`` or the last estimate,
-    shrunk 16x, predicts that ``n`` will not verify.  The verdicts, taken in
-    ascending step count, are those of solving the counts one by one.
+    The estimate ``||u_2n - u_n|| / 15`` must reach ``tol * ||u_2n||``; README gives the lane
+    schedule and when ReferenceNotConverged is raised.
     """
     name = lanes.kernel.name
     coarse = None
@@ -370,15 +349,10 @@ def make_reference(
     quality: str = "standard",
     dealias: str = "none",
 ) -> SpectralState:
-    """Cached, self-verifying ETDRK4 reference solution at ``t_final``.
+    """Cached, self-verifying ETDRK4 reference solution at ``t_final`` (README, "The reference solution").
 
-    ``quality`` names a relative tolerance on the Richardson estimate:
-    ``standard`` 1e-10, ``high`` 1e-12; the step count doubles from 64 until
-    the estimate meets it (``_doubling_solve``).  ``dealias`` is the rule of
-    the run it serves.  The last 8 results are cached in memory, keyed by
-    the exact bytes of the inputs.  Each call logs one DEBUG record to the
-    ``kbf`` logger once ``logging`` is imported.  README's "The reference
-    solution" gives the details.
+    ``quality`` names the relative tolerance of ``_doubling_solve``: ``standard`` 1e-10,
+    ``high`` 1e-12.  The last 8 results are cached in memory, and each call logs one DEBUG record.
     """
     _check_choice(ConfigError, "quality", quality, tuple(_QUALITY_TOL))
     _check_real(ConfigError, "t_final", t_final, 0, strict=True)

@@ -1,24 +1,14 @@
 """The splitting solver: both subflows, their compositions and the time loop.
 
-The linear subflow is exact in Fourier space (per-mode factors
-``exp(lambda_k*t)``); the nonlinear subflow is classical RK4 on the
-conservative spectral right-hand side.  A Strang step is half a linear
-step, a full nonlinear step and another half linear step; a Lie-Trotter
-step is a full linear step followed by a full nonlinear step.  Both, and
-the nonlinear flow alone, run in one stepping kernel, ``_Splitting``, on
-the real half-spectrum ``k = 0..N/2``: by pocketfft's transforms, or on
-grids of at most ``_DENSE_MAX`` points by dense real-DFT matrices.  The
-public functions convert FFT-order ``SpectralState`` vectors at the
-boundary, so every state they return is exactly Hermitian, and they reject
-states that are not real-representable.
-
-Every solve, the reference's included, runs through one time loop,
-``_Lanes``; README describes its lanes.
+The linear subflow is exact per mode; the nonlinear one is RK4.  Both run in
+one stepping kernel, ``_Splitting``, on the real half-spectrum, and every
+solve runs through one time loop, ``_Lanes``.  README describes both.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -62,9 +52,7 @@ BLOWUP_NORM_FACTOR = 1e6
 _NON_FINITE = "RK4 stage produced non-finite values"
 
 # Largest grid whose right-hand side applies dense real-DFT matrices instead of
-# the FFT pair.  A Strang step costs 44 us dense against 82 us by FFT at N = 64,
-# 67 against 85 us at N = 128 and 240 against 112 us at N = 256.  At 64 the spatial
-# study's errors' round-off floor would also rise from 2.6e-16 to 4.0e-16.
+# the FFT pair; README gives the timings that set it.
 _DENSE_MAX = 128
 
 
@@ -90,11 +78,7 @@ class NonlinearFlowConfig:
 
 
 def build_propagator(symbol: LinearSymbol, t: float) -> LinearPropagator:
-    """Exact linear propagator over duration ``t``.
-
-    Negative durations are rejected: the backward flow amplifies high modes
-    without bound when ``nu > 0``.
-    """
+    """Exact linear propagator over duration ``t >= 0`` (backward, ``nu > 0`` would blow up)."""
     _check_real(NegativeDuration, "t", t, 0)
     factors = np.exp(symbol.values * t)
     factors.setflags(write=False)
@@ -138,11 +122,7 @@ def rk4_step(state: SpectralState, dt: float, rhs) -> SpectralState:
 
 
 def _step_count(dt: float, t_final: float) -> int:
-    """Number of steps of size ``dt`` that make up ``t_final``.
-
-    Raises ConfigError unless both are real numbers, positive and finite,
-    and their ratio a whole number (to 1e-9 relative) of at least 1.
-    """
+    """Number of steps of size ``dt`` that make up ``t_final``, a whole number to 1e-9 relative."""
     _check_real(ConfigError, "t_final", t_final, 0, strict=True)
     _check_real(ConfigError, "dt", dt, 0, strict=True)
     ratio = t_final / dt
@@ -181,14 +161,10 @@ class Trajectory:
 
 @functools.lru_cache(maxsize=8)
 def _dense_forward(grid: GridSpec, eps_conv: float, eps_react: float, dealias: str) -> np.ndarray:
-    """Read-only real matrix of the dense right-hand side's forward half.
+    """Read-only matrix of ``[y^3, y^2] -> -(eps_conv/3)*ik*T(y^3) - eps_react*T(y^2)``, dealiased.
 
-    Its rows act on ``[y^3, y^2]`` flattened; read as complex, its columns are
-    the modes ``k = 0..N/2``.  The product is ``-(eps_conv/3)*ik*T(y^3) -
-    eps_react*T(y^2)`` with ``T`` the ``rfft`` matrix of ``_dft_matrices``
-    and the products dealiased by the rule ``dealias``.  Cached per grid,
-    coefficients and rule: at N = 128 a fresh matrix (266 kB) costs about as
-    much to allocate as a whole ``strang_step`` call.
+    Its columns, read as complex, are the modes ``k = 0..N/2``; cached, as a fresh one
+    costs about a ``strang_step`` at N = 128.
     """
     m = grid.n_modes // 2 + 1
     keep = dealias_mask(grid, dealias)[:m]
@@ -200,13 +176,9 @@ def _dense_forward(grid: GridSpec, eps_conv: float, eps_react: float, dealias: s
 
 
 def _rk4_rows(h: float, react: float) -> np.ndarray:
-    """Coefficients of one dense RK4 substep of size ``h`` over ``S = [c, G0, G1, G2, G3]``.
+    """Coefficients of one dense RK4 substep of size ``h`` over ``S = [c, G0, G1, G2, G3]`` (README).
 
-    ``G_i`` is the right-hand side at the stage input ``u_i`` without its
-    term ``react*u_i``, so the stage's slope is ``K_i = G_i + react*u_i``.
-    Row ``i < 3`` holds ``u_{i+1} - c`` and row 3 the substep's result minus
-    ``c``, each over the rows of ``S`` and zero past ``G_i``.  ``c``'s own 1
-    stays out: rounded into a coefficient, it would repeat every substep.
+    Row ``i < 3`` holds ``u_{i+1} - c`` and row 3 the substep's result minus ``c``.
     """
     rows = np.zeros((4, 5))
     u = np.zeros(5)  # u_i - c; u_0 = c
@@ -231,24 +203,10 @@ def _block_diag(blocks) -> np.ndarray:
 
 
 class _Splitting:
-    """The stepping kernel of one splitting problem, a kernel of ``_Lanes``.
+    """The stepping kernel of one splitting problem, or of a block of dense grids (README).
 
-    ``initial`` is a state, or a tuple of states on dense grids solved as one
-    block: their half-spectra (``start``), linear factors and matrices
-    concatenated (block-diagonally).  A lane fails, with ``BlowUp``, once it
-    is non-finite or a grid's L2 norm passes its cap (``_guards``).
-    ``weights(dt)`` are a lane's rows: the scheme's linear factors on ``k =
-    0..N/2`` (None with ``symbols=()``), the substep size and, on the dense
-    path, its ``_rk4_rows``.  ``stepper(rows)`` sets the kernel up, in place,
-    for the lanes of ``rows`` and returns its step: one lane's state is one
-    half-spectrum, stacked ones ``(lanes, N/2+1)``.
-    Above ``_DENSE_MAX`` points each RK4 substep is ``_rk4_coeffs`` on the FFT
-    pair, whose buffers are lanes inner (``powers`` is ``(2, *lanes, N)``), so
-    ``cubes``, ``squares``, ``cubed`` and ``squared`` are contiguous blocks.
-    Below, each stage input, and the result, is ``c`` plus one product of a
-    row of ``_rk4_rows`` with the stage rows ``S = [c, G0, G1, G2, G3]``
-    already written, by ``np.dot`` for one lane and ``np.matmul`` for more,
-    which rounds each lane as ``np.dot`` does.
+    ``parts`` holds each grid's slice of a state; ``weights(dt)`` are a lane's rows (no
+    linear factors with ``symbols=()``), and ``stepper(rows)`` sets up those lanes' step.
     """
 
     error = BlowUp
@@ -261,7 +219,8 @@ class _Splitting:
         self.symbols = tuple(linear_symbol(params, g) for g in grids) if symbols is None else symbols
         halves = [_real_half(state) for state in states]
         self.start = np.concatenate(halves) if self.block else halves[0]
-        self._guards, self.quick = _guards(halves, grids)
+        ends = (0, *itertools.accumulate(half.size for half in halves))
+        self.parts = tuple((slice(a, b), g) for a, b, g in zip(ends, ends[1:], grids))
         self.strang, self.react, self.substeps = scheme == "strang", params.eps_react, cfg.substeps
         self.n, self.m = sum(g.n_modes for g in grids), sum(g.n_modes // 2 + 1 for g in grids)
         self.inv = None
@@ -281,18 +240,27 @@ class _Splitting:
             self.drop = None if cfg.dealias == "none" else ~dealias_mask(grid, cfg.dealias)[: self.m]
             self.irfft, self.rfft = _rfft_pair(self.n)
 
+    @functools.cached_property
+    def _caps(self) -> tuple:
+        # on first use: the one-step wrappers never check the caps
+        return _guards([self.start[part] for part, _ in self.parts], [grid for _, grid in self.parts])
+
+    @property
+    def quick(self) -> float:
+        return self._caps[1]
+
     def failures(self, c: np.ndarray) -> dict:
         """``{lane: why}`` for each lane of ``c`` that is non-finite or past a grid's cap."""
         failed = {}
         for i, row in enumerate(np.atleast_2d(c)):
             if not np.isfinite(row).all():
                 failed[i] = _NON_FINITE
-            elif not all(_half_l2(row[part], grid) <= cap for part, grid, cap in self._guards):
+            elif not all(_half_l2(row[part], grid) <= cap for part, grid, cap in self._caps[0]):
                 failed[i] = "L2 norm exploded"
         return failed
 
     def state(self, half: np.ndarray):
-        states = tuple(_from_half(half[part], grid) for part, grid, _ in self._guards)
+        states = tuple(_from_half(half[part], grid) for part, grid in self.parts)
         return states if self.block else states[0]
 
     def weights(self, dt: float) -> tuple:
@@ -388,11 +356,7 @@ def nonlinear_flow(state: SpectralState, dt: float, params: ModelParams,
 
 
 def _half_l2(half: np.ndarray, grid: GridSpec) -> float:
-    """Discrete L2 norm of the real data whose half-spectrum is ``half``.
-
-    Of a stack of half-spectra (``vdot`` flattens it) it is the norm of all of them
-    together, which no lane's own norm exceeds.  Modes ``0 < k < N/2`` count twice.
-    """
+    """Discrete L2 norm of the real data whose half-spectrum (or stack of them, together) is ``half``."""
     inner = half[..., 1:-1]
     sq = np.vdot(half, half).real + np.vdot(inner, inner).real
     return math.sqrt(sq * grid.spacing / grid.n_modes)
@@ -419,15 +383,10 @@ def lie_trotter_step(state: SpectralState, dt: float, params: ModelParams, symbo
 
 def evolve(initial: SpectralState, params: ModelParams, config: SolveConfig,
            observer=None) -> Trajectory:
-    """Run ``t_final/dt`` steps of the chosen scheme from ``initial``.
+    """Run ``t_final/dt`` steps of the chosen scheme, keeping each state that ``_record_solve`` records.
 
-    Snapshots are recorded every ``snapshot_stride`` steps plus the initial
-    and final states; stride 0 records the final state only.  The observer,
-    when given, is called as ``observer(step, time, state)`` at each recorded
-    step.  Raises BlowUp at the first step whose state is non-finite or whose
-    L2 norm exceeds ``BLOWUP_NORM_FACTOR`` times the initial norm, with no
-    numpy warning on the way; the observer runs under the caller's numpy
-    error state.  The returned Trajectory holds every recorded state.
+    ``observer(step, time, state)``, when given, runs at each.  Raises BlowUp at the first step whose
+    state is non-finite or whose L2 norm exceeds ``BLOWUP_NORM_FACTOR`` times the initial norm.
     """
     times, states = [], []
 
@@ -444,11 +403,8 @@ def evolve(initial: SpectralState, params: ModelParams, config: SolveConfig,
 def _record_solve(initial: SpectralState, params: ModelParams, config: SolveConfig, record) -> None:
     """Solve ``config`` from ``initial``, calling ``record(step, time, state)`` at each recorded step.
 
-    The one recording rule of a single solve: steps ``0, stride, ...`` below
-    ``n_steps`` when ``snapshot_stride`` is positive, and always step
-    ``n_steps``, last, at ``t_final`` exactly.  Nothing is kept, so memory
-    does not grow with the number of recorded steps.  ``record`` runs under
-    the caller's numpy error state; BlowUp is raised as by ``evolve``.
+    Those are steps ``0, stride, ...`` below ``n_steps`` (none at stride 0) and, last, step
+    ``n_steps`` at ``t_final``.  Nothing is kept.
     """
     n, stride = config.n_steps, config.snapshot_stride
     lanes = _Lanes(_Splitting(initial, params, config.scheme, config.nonlinear_cfg))
@@ -460,11 +416,8 @@ def _record_solve(initial: SpectralState, params: ModelParams, config: SolveConf
 def _guards(halves, grids):
     """``(slice, grid, cap)`` per grid of the state concatenating ``halves``, and ``quick``.
 
-    A state ``c`` (lanes included) with ``vdot(c, c) <= quick`` has each grid's
-    ``_half_l2``, at most ``sqrt(2*vdot(c, c)*h/N)``, under its cap, with 1e-9 kept
-    for rounding and the norm's sums finite.  A cap is ``BLOWUP_NORM_FACTOR`` times a
-    norm, so its bound is 0 (the floor 1e-300 squares to 0) or holds 12 digits even
-    when subnormal; a NaN cap (its norm overflowed) passes nothing.
+    ``vdot(c, c) <= quick`` puts each grid of ``c`` under its cap, with 1e-9 kept for
+    rounding (README); a NaN cap passes nothing.
     """
     guards, end, quick = [], 0, sys.float_info.max
     for half, grid in zip(halves, grids):
@@ -478,22 +431,15 @@ def _guards(halves, grids):
 
 
 class _Lanes:
-    """The one time loop: fixed-step solves of one problem, run as lanes of one kernel.
+    """The one time loop: fixed-step solves of one kernel, run as lanes (README).
 
-    A lane is a step count ``n`` and its step ``dt``.  Lanes start between
-    steps from the kernel's ``start``, each with its ``weights(dt)``, and
-    leave when they finish or fail; ``stepper(rows)`` is rebuilt for the
-    lanes still running, one lane 1-d, more stacked as ``(lanes, ·)``, each
-    with the bits it would get alone.  ``started`` lists the step counts in
-    the order they started.  A step pays one reduction against the kernel's
-    ``quick``; only a step that fails it takes its exact ``failures(c)``,
-    and a lane they name is retired with ``error(step, time, why)``.  A
-    lane's result, and each state it records, is ``state(half)``.
+    A lane is a step count ``n`` and its ``dt``; ``started`` lists the counts in order.
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
-        self.started: list[int] = []
+        # each started lane's step count -> its dt, in the order they started
+        self._dts: dict = {}
         # finished lanes: step count -> final state, or the error the lane failed with
         self._results: dict = {}
         # running lanes, in stack order: [step count, steps left, dt, rows, record, record_at]
@@ -501,16 +447,22 @@ class _Lanes:
         self._c = self._step = None
 
     def start(self, n: int, dt: float, record=None, record_at=()) -> None:
-        """Start a lane of ``n`` steps of ``dt``, unless it has started already; ``record(step,
-        step*dt, state)`` runs at each step in ``record_at``, under the caller's numpy error state."""
-        if n in self.started:
+        """Start a lane of ``n`` steps of ``dt``, unless it has (with another ``dt``: ConfigError);
+        ``record(step, step*dt, state)`` runs at the steps ``record_at``, under the caller's error state."""
+        if n in self._dts:
+            if self._dts[n] != dt:
+                raise ConfigError("dt", f"a lane of {n} steps started with dt {self._dts[n]!r}, not {dt!r}")
             return
-        self.started.append(n)
+        self._dts[n] = dt
         if 0 in record_at:
             record(0, 0.0, self.kernel.state(self.kernel.start))
         self._running.append([n, n, dt, self.kernel.weights(dt), record, record_at])
         self._c = self.kernel.start if self._c is None else np.vstack((self._c, self.kernel.start))
         self._step = None
+
+    @property
+    def started(self) -> list:
+        return list(self._dts)
 
     def run(self, n: int, dt: float):
         """The result of a lane of ``n`` steps of ``dt``, started now."""

@@ -1,5 +1,6 @@
 import gc
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 import kbf
+import kbf.cli as cli_module
 import kbf.reference as reference_module
 from kbf import ParseError, ValidationError, report_from_csv, report_from_text
 from kbf.cli import _snapshot_writer, emit_config, parse_config, run_cli
 from kbf.harness import _fmt
+from test_harness import _assert_no_child_left, forks  # noqa: F401 (a fixture)
 
 TWO_PI = 2.0 * np.pi
 
@@ -301,12 +304,126 @@ def test_solve_memory_does_not_grow_with_the_snapshot_count(tmp_path, capsys):
     assert every_step - sparse < 4 * 1024 * 16
 
 
+# ----- the snapshots shared with a forked writer -----
+
+def _solve_in(where, config, capsys):
+    """``kbf solve`` of ``config`` in the directory ``where``: its exit code, output lines and files."""
+    where.mkdir()
+    (where / "run.cfg").write_text(config)
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        code = run_cli(["solve", "--config", "run.cfg", "--output", "out"])
+    finally:
+        os.chdir(cwd)
+    out = where / "out"
+    return code, capsys.readouterr(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _inline(monkeypatch, tmp_path, config, capsys):
+    """``_solve_in`` with no writer child."""
+    with monkeypatch.context() as m:
+        m.setattr(cli_module, "_fork", lambda work: None)
+        return _solve_in(tmp_path / "inline", config, capsys)
+
+
+def _stepped(n_modes, stride):
+    return FULL_CONFIG.replace("n_modes = 256", f"n_modes = {n_modes}").replace(
+        "dt = 0.125", "dt = 0.015625"
+    ) + f"snapshot_stride = {stride}\n"
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("n_modes", [64, 256], ids=["dense", "fft"])
+def test_forked_writer_writes_the_inline_files(monkeypatch, tmp_path, capsys, forks, n_modes, stride):
+    monkeypatch.setattr(cli_module, "_WRITE_FORK_MIN", 0)
+    config = _stepped(n_modes, stride)
+    forked = _solve_in(tmp_path / "forked", config, capsys)
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+    inline = _inline(monkeypatch, tmp_path, config, capsys)
+    assert len(forks) == 1
+    assert forked == inline
+    assert len(inline[2]) == len(range(0, 64, stride)) + 2  # every snapshot and final.csv
+    assert inline[2]["final.csv"] == inline[2]["snapshot_000064.csv"]
+
+
+@pytest.mark.parametrize("failure", ["raises", "signal", "no_data", "miscounted"])
+@pytest.mark.parametrize("drained", [False, True], ids=["at_once", "after_the_feed"])
+def test_a_failed_writer_leaves_the_inline_files(monkeypatch, tmp_path, capsys, forks, failure, drained):
+    # at once, the parent's next record meets a broken pipe; after the feed, only the result tells
+    drain_feed = cli_module._drain
+
+    def drain(r, w, write, points):
+        count = drain_feed(r, w, lambda *record: None, points) if drained else 0
+        if failure == "raises":
+            raise RuntimeError("in the writer")
+        if failure == "signal":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if failure == "miscounted":
+            return count - 1
+        os._exit(0)  # a clean exit that sent nothing
+
+    monkeypatch.setattr(cli_module, "_WRITE_FORK_MIN", 0)
+    monkeypatch.setattr(cli_module, "_drain", drain)
+    config = _stepped(256, 1)
+    forked = _solve_in(tmp_path / "forked", config, capsys)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert forked == _inline(monkeypatch, tmp_path, config, capsys)
+
+
+BLOW_UP_CONFIG = (
+    "nu = 0\nmu = 0\ngamma = 0\neps_conv = 0\neps_react = 1\n"
+    "n_modes = 16\ndt = 0.05\nt_final = 2\nic.kind = constant\nic.c = -0.5\n"
+)
+
+
+def test_a_blow_up_beside_the_writer_leaves_the_inline_files(monkeypatch, tmp_path, capsys, forks):
+    monkeypatch.setattr(cli_module, "_WRITE_FORK_MIN", 0)
+    config = BLOW_UP_CONFIG + "snapshot_stride = 1\n"
+    code, printed, files = _solve_in(tmp_path / "forked", config, capsys)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert (code, printed, files) == _inline(monkeypatch, tmp_path, config, capsys)
+    assert code == 2
+    assert printed.err.startswith("kbf: error: BlowUp:") and len(printed.err.splitlines()) == 1
+    # every step before the one that blew up has its snapshot
+    assert sorted(files) == [f"snapshot_{step:06d}.csv" for step in range(23)]
+
+
+def test_an_interrupt_kills_the_writer(monkeypatch, tmp_path, capsys, forks):
+    monkeypatch.setattr(cli_module, "_WRITE_FORK_MIN", 0)
+    converted = []
+
+    def interrupted(state):
+        converted.append(state)
+        if len(converted) == 5:
+            raise KeyboardInterrupt
+        return kbf.to_physical(state)
+
+    monkeypatch.setattr(cli_module, "to_physical", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _solve_in(tmp_path / "forked", _stepped(256, 1), capsys)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_stride_0_never_forks(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli_module, "_WRITE_FORK_MIN", 0)
+
+    def refused():
+        pytest.fail("kbf solve forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+    code, printed, files = _solve_in(tmp_path / "solve", _stepped(256, 0), capsys)
+    assert code == 0
+    assert sorted(files) == ["final.csv", "snapshot_000064.csv"]
+
+
 def test_blow_up_exits_2(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(
-        "nu = 0\nmu = 0\ngamma = 0\neps_conv = 0\neps_react = 1\n"
-        "n_modes = 16\ndt = 0.05\nt_final = 2\nic.kind = constant\nic.c = -0.5\n"
-    )
+    cfg_file.write_text(BLOW_UP_CONFIG)
     out = tmp_path / "out"
     code = run_cli(["solve", "--config", str(cfg_file), "--output", str(out)])
     assert code == 2

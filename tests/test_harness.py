@@ -380,7 +380,7 @@ def test_spatial_study_solves_its_coarse_grids_as_one_block(monkeypatch, full_pa
     stepper = splitting._Splitting.stepper
 
     def counted(kernel, rows):
-        builds.append(tuple(grid.n_modes for _, grid, _ in kernel._guards))
+        builds.append(tuple(grid.n_modes for _, grid in kernel.parts))
         return stepper(kernel, rows)
 
     monkeypatch.setattr(splitting._Splitting, "stepper", counted)
@@ -412,7 +412,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# each shape holds more than _FORK_MIN point-steps; N = 256 steps by FFT, N <= 128 densely
+# each shape's forked half is worth a fork (_fork_pays); N = 256 steps by FFT, N <= 128 densely
 FORKED_SHAPES = {
     "temporal_fft": (temporal_convergence_study, 256, (12, 24, 48, 96), {"quality": "standard"}),
     "temporal_dense": (temporal_convergence_study, 128, (12, 24, 48, 96, 192), {"quality": "standard"}),
@@ -490,7 +490,7 @@ def test_beside_returns_the_child_result():
 
 def test_spatial_blow_up_in_a_forked_block_names_its_grid(monkeypatch, forks):
     # test_spatial_blow_up_inside_the_block_names_its_grid, with the block in a child
-    monkeypatch.setattr(harness_module, "_FORK_MIN", 0)
+    monkeypatch.setattr(harness_module, "_FORK_MIN", -math.inf)
     spec = ExperimentSpec(
         params=ModelParams(eps_react=1.0),
         grid=make_grid(64, 0.0, TWO_PI),
@@ -525,7 +525,7 @@ def test_no_child_outlives_a_failed_reference(monkeypatch, forks, full_params):
 
 
 def test_no_child_outlives_a_blow_up_on_the_finest_grid(monkeypatch, forks):
-    monkeypatch.setattr(harness_module, "_FORK_MIN", 0)
+    monkeypatch.setattr(harness_module, "_FORK_MIN", -math.inf)
     spec = ExperimentSpec(
         params=ModelParams(eps_react=1.0),
         grid=make_grid(64, 0.0, TWO_PI),
@@ -545,13 +545,13 @@ def test_no_child_outlives_a_blow_up_on_the_finest_grid(monkeypatch, forks):
 def test_a_study_forks_only_when_it_can_gain(monkeypatch, forks, full_params, case):
     grid = make_grid(64, 0.0, TWO_PI)
     spatial = _study_spec(full_params, grid, (8, 16, 32))
-    temporal = _study_spec(full_params, grid, (12, 24, 48, 96, 192))  # 23808 point-steps
+    temporal = _study_spec(full_params, grid, (12, 24, 48, 96, 192))  # a ladder of about 8 ms
 
     def study():
         if case == "reference_cached":
             return temporal_convergence_study(temporal, quality="standard")
-        # 14336 point-steps below the size constant, 21504 above it
-        return spatial_convergence_study(spatial, dt=1.0 / (256 if case == "below_the_size_constant" else 384))
+        # block and finest grid of about 4 ms each below the break-even, 12 ms above it
+        return spatial_convergence_study(spatial, dt=1.0 / (128 if case == "below_the_size_constant" else 384))
 
     if case == "control":
         study()

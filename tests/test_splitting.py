@@ -536,6 +536,37 @@ def test_lanes_run_any_kernel_on_its_own_start_checks_and_states():
     assert np.array_equal(final, alone(8, 0.1))
 
 
+def test_a_step_count_restarted_with_another_dt_is_refused(full_params):
+    initial = build_initial(InitialConditionSpec(kind="paper"), make_grid(16, 0.0, TWO_PI))
+    lanes = _lanes(initial, full_params, [SolveConfig(dt=0.1, t_final=0.8)])
+    first = lanes.result(8)
+    with pytest.raises(ConfigError, match=r"^dt: a lane of 8 steps started with dt 0.1, not 0.2$"):
+        lanes.run(8, 0.2)
+    assert lanes.run(8, 0.1) is first
+    fresh = _lanes(initial, full_params, [SolveConfig(dt=0.2, t_final=1.6)]).result(8)
+    assert not np.array_equal(fresh.coeffs, first.coeffs)
+
+
+@pytest.mark.parametrize("n_modes", [16, 256], ids=["dense", "fft"])
+def test_the_one_step_wrappers_never_build_the_blow_up_guards(monkeypatch, full_params, n_modes):
+    grid = make_grid(n_modes, 0.0, TWO_PI)
+    state = build_initial(InitialConditionSpec(kind="paper"), grid)
+    symbol = linear_symbol(full_params, grid)
+    steps = {
+        "strang": lambda: strang_step(state, 0.1, full_params, symbol),
+        "lie_trotter": lambda: lie_trotter_step(state, 0.1, full_params, symbol),
+        "nonlinear": lambda: nonlinear_flow(state, 0.1, full_params),
+    }
+    guarded = {name: step().coeffs for name, step in steps.items()}
+
+    def refused(*args):
+        pytest.fail("_guards was called")
+
+    monkeypatch.setattr(splitting, "_guards", refused)
+    for name, step in steps.items():
+        assert np.array_equal(step().coeffs, guarded[name]), name
+
+
 def test_the_lane_loop_names_nothing_of_the_splitting_kernel():
     source = inspect.getsource(splitting._Lanes)
     for name in ("_guards", "_half_l2", "_real_half", "_from_half", "BLOWUP_NORM_FACTOR", "cap", "initial"):
