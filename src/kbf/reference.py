@@ -20,6 +20,7 @@ import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -101,41 +102,39 @@ def linear_exact_solution(
     return SpectralState(np.exp(symbol.values * t) * initial.coeffs, initial.grid)
 
 
-# Contour points on the full circle of radius 1 around each h*lambda_k.
-_CONTOUR_POINTS = 32
-# A block of contour points holds about this many complex values.
-_BLOCK_VALUES = 1024
+# Taylor coefficients of Q/h, f1/h, f2/h and f3/h in z = h*lambda, from z^19 down to z^0.
+_SERIES = [
+    [1 / (2 ** (k + 1) * math.factorial(k + 1)) for k in range(19, -1, -1)],
+    [(k + 1) ** 2 / math.factorial(k + 3) for k in range(19, -1, -1)],
+    [(k + 1) / math.factorial(k + 3) for k in range(19, -1, -1)],
+    [(1 - k) / math.factorial(k + 3) for k in range(19, -1, -1)],
+]
 
 
 def _etd_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     """ETDRK4 weights ``E2, E, Q, f1, f2, f3`` for steps of ``h`` on eigenvalues ``lam``.
 
-    ``Q, f1, f2, f3`` are Kassam-Trefethen contour means over the unit circle around
-    each ``h*lam`` (README), summed point by point in blocks of rows.
+    ``Q, f1, f2, f3`` are closed forms where ``|h*lam| >= 1.5`` and 20-term Taylor series
+    below, by Horner's rule; each mode's weights depend on its own ``h*lam`` alone (README).
     """
     z = h * lam
-    q, f1, f2, f3 = (np.zeros_like(z) for _ in range(4))
-    half = _CONTOUR_POINTS // 2
-    r = np.exp(1j * np.pi * (np.arange(half) + 0.5) / half)
-    points = np.stack((r, r.conjugate()), axis=1).ravel()  # r0, conj r0, r1, ...
-    # several points to a block only while it stays near 1k values, far below the 256 KiB
-    # at which numpy's temporary elision may swap a product's operands
-    size = min(_CONTOUR_POINTS, -(-_BLOCK_VALUES // z.size))
-    for start in range(0, _CONTOUR_POINTS, size):
-        w = z + points[start : start + size, None]
-        e = np.exp(w)
-        w3 = w * w * w
-        _add_rows(q, (np.exp(w / 2.0) - 1.0) / w)
-        _add_rows(f1, (-4.0 - w + e * (4.0 - 3.0 * w + w * w)) / w3)
-        _add_rows(f2, (2.0 + w + e * (w - 2.0)) / w3)
-        _add_rows(f3, (-4.0 - 3.0 * w - w * w + e * (4.0 - w)) / w3)
-    scale = h / _CONTOUR_POINTS
-    return np.exp(z / 2.0), np.exp(z), q * scale, f1 * scale, f2 * scale, f3 * scale
-
-
-def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
-    for row in rows:
-        total += row
+    e_half, e = np.exp(z / 2.0), np.exp(z)
+    weights = np.empty((4, z.size), dtype=complex)
+    big = abs(z) >= 1.5
+    w, ew = z[big], e[big]
+    w3 = w * w * w
+    # each array product puts its temporary first: past 256 KiB numpy may do a * tmp as tmp *= a
+    weights[:, big] = (
+        (e_half[big] - 1.0) / w,
+        (-4.0 - w + (4.0 - 3.0 * w + w * w) * ew) / w3,
+        (2.0 + w + (w - 2.0) * ew) / w3,
+        (-4.0 - 3.0 * w - w * w + (4.0 - w) * ew) / w3,
+    )
+    for i, zi in zip(np.flatnonzero(~big), z[~big].tolist()):
+        for row, series in zip(weights, _SERIES):
+            row[i] = reduce(lambda total, c: total * zi + c, series, 0j)  # Horner's rule
+    q, f1, f2, f3 = weights * h
+    return e_half, e, q, f1, f2, f3
 
 
 def _non_finite_rows(c: np.ndarray) -> dict:

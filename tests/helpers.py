@@ -122,29 +122,6 @@ def assert_exactly_hermitian(coeffs):
     np.testing.assert_array_equal(coeffs[n // 2 + 1 :], np.conj(coeffs[1 : n // 2][::-1]))
 
 
-def etd_weights_point_by_point(lam, h, points=32):
-    """ETDRK4 weights ``E2, E, Q, f1, f2, f3`` as contour means taken one point at a time.
-
-    The points lie on the unit circle around each ``h*lam``, in conjugate
-    pairs ``r0, conj r0, r1, ...``, and each point's terms are added to the
-    sums before the next point's are computed.  The package's weights must
-    equal these bit for bit.
-    """
-    z = h * lam
-    q, f1, f2, f3 = (np.zeros_like(z) for _ in range(4))
-    half = points // 2
-    for r in np.exp(1j * np.pi * (np.arange(half) + 0.5) / half):
-        for w in (z + r, z + r.conjugate()):
-            e = np.exp(w)
-            w3 = w * w * w
-            q += (np.exp(w / 2.0) - 1.0) / w
-            f1 += (-4.0 - w + e * (4.0 - 3.0 * w + w * w)) / w3
-            f2 += (2.0 + w + e * (w - 2.0)) / w3
-            f3 += (-4.0 - 3.0 * w - w * w + e * (4.0 - w)) / w3
-    scale = h / points
-    return np.exp(z / 2.0), np.exp(z), q * scale, f1 * scale, f2 * scale, f3 * scale
-
-
 def longdouble_if_rk4(coeffs, params, t_final, n_steps, rules=("none",)):
     """IF-RK4 on the full spectrum in ``np.longdouble``, on a 2*pi-periodic grid.
 

@@ -106,12 +106,12 @@ def test_criterion_01_table1_orders(strang_table):
 
 
 TABLE1_ERRORS_HEX = [
-    "0x1.7a6018dbcb691p-14",
-    "0x1.68992c7448ed5p-16",
-    "0x1.671ddaf9b7931p-18",
-    "0x1.5dc1f740104e1p-20",
-    "0x1.5cdc2fe72ce71p-22",
-    "0x1.5ca10d7d0d9b6p-24",
+    "0x1.7a6018dbc654cp-14",
+    "0x1.68992c7433aa2p-16",
+    "0x1.671ddaf9628cep-18",
+    "0x1.5dc1f73eb2fcdp-20",
+    "0x1.5cdc2fe1b3e44p-22",
+    "0x1.5ca10d6725e37p-24",
 ]
 
 

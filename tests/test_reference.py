@@ -6,12 +6,13 @@ import sys
 from collections import OrderedDict
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import kbf.model as model_module
 import kbf.reference as reference_module
-from helpers import etd_weights_point_by_point, longdouble_if_rk4, random_band_limited
+from helpers import longdouble_if_rk4, random_band_limited
 from kbf import (
     ConfigError,
     InitialConditionSpec,
@@ -247,7 +248,10 @@ def test_a_non_finite_lane_leaves_its_neighbour_unchanged(kernel):
 
 
 def _plain_loop(kernel, initial, params, symbol, dt, n, dealias):
-    """``n`` steps of ``dt`` on one half-spectrum, each integrator written out as a plain loop."""
+    """``n`` steps of ``dt`` on one half-spectrum, each integrator written out as a plain loop.
+
+    ETDRK4 takes its weights from ``_etd_weights``, whose values the mpmath test checks.
+    """
     grid = initial.grid
     m = grid.n_modes // 2 + 1
     conv = (-params.eps_conv / 3.0) * _derivative_symbol(grid, 1)[:m]
@@ -272,7 +276,7 @@ def _plain_loop(kernel, initial, params, symbol, dt, n, dealias):
             s4 = f(e_full * v + dt * (e_half * s3))
             v = e_full * v + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + s3) + s4)
     else:
-        e_half, e_full, q, f1, f2, f3 = etd_weights_point_by_point(symbol.values[:m], dt)
+        e_half, e_full, q, f1, f2, f3 = _etd_weights(symbol.values[:m], dt)
         for _ in range(n):
             nv = f(v)
             ev = e_half * v
@@ -309,16 +313,51 @@ def test_stacked_etdrk4_lanes_keep_their_bits_past_numpy_elision_size(full_param
     np.testing.assert_array_equal(lanes.result(2).coeffs, _one_lane(kernel, 2, 1e-6 / 2).coeffs)
 
 
-# ----- the contour weights -----
+# ----- the weights -----
 
 @pytest.mark.parametrize("n_modes", [16, 256, 1024, 4096, 16384])
 def test_etd_weights_equal_a_point_by_point_loop_bit_for_bit(n_modes):
+    # each mode's weights, taken over the whole half-spectrum, equal its weights taken
+    # alone: a lane's weights never change with the grid they are computed on.  nu = 0
+    # gives z up to 2e18 on the imaginary axis; nu = 1 at h = 1/4096 sums 6-7 modes' series
     g = make_grid(n_modes, 0.0, TWO_PI)
-    for nu in (0.0, 0.01, 1.0):
+    for nu, h in ((0.0, 1 / 16), (1.0, 1 / 4096)):
         lam = linear_symbol(ModelParams(nu=nu, mu=1.0, gamma=1.0), g).values[: n_modes // 2 + 1]
-        for h in (1 / 16, 1 / 512, 1 / 4096):
-            for got, want in zip(_etd_weights(lam, h), etd_weights_point_by_point(lam, h)):
-                np.testing.assert_array_equal(got, want)
+        alone = [_etd_weights(lam[k : k + 1], h) for k in range(len(lam))]
+        for i, whole in enumerate(_etd_weights(lam, h)):
+            np.testing.assert_array_equal(whole, [weights[i][0] for weights in alone])
+
+
+def _mp_weights(z):
+    """``Q/h, f1/h, f2/h, f3/h`` at ``z = h*lambda`` from their closed forms in 60 digits."""
+    if z == 0:
+        return [mpmath.mpf(1) / 2] + [mpmath.mpf(1) / 6] * 3
+    z = mpmath.mpc(z.real, z.imag)
+    e, z3 = mpmath.exp(z), z**3
+    return [
+        (mpmath.exp(z / 2) - 1) / z,
+        (-4 - z + e * (4 - 3 * z + z * z)) / z3,
+        (2 + z + e * (z - 2)) / z3,
+        (-4 - 3 * z - z * z + e * (4 - z)) / z3,
+    ]
+
+
+# |h*lambda| on both sides of the series' radius 1.5 and of Kassam and Trefethen's 1;
+# none near 2.6-4, where f1 has a zero on the negative axis and no relative bound holds
+WEIGHT_RADII = [0, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.99, 1, 1.01, 1.49, 1.5, 1.51, 10, 1e3, 1e6, 1e10, 1e13]
+
+
+@pytest.mark.parametrize("radius", WEIGHT_RADII)
+def test_etd_weights_are_within_1e_14_of_60_digit_values(radius):
+    # over the arguments of a dissipative symbol, pi/2 to pi; h = 2^-9 scales z exactly
+    h = 2.0**-9
+    z = radius * np.exp(1j * np.linspace(np.pi / 2, np.pi, 31))
+    _, _, *weights = _etd_weights(z / h, h)
+    with mpmath.workdps(60):
+        for j, zj in enumerate(z):
+            for name, got, want in zip(("Q", "f1", "f2", "f3"), weights, _mp_weights(zj)):
+                error = abs(mpmath.mpc(got[j].real, got[j].imag) / h - want) / abs(want)
+                assert error <= 1e-14, (name, zj, float(error))
 
 
 def _phi1(z):
@@ -330,8 +369,7 @@ def _phi1(z):
 @pytest.mark.parametrize("n_modes", [16, 64, 256, 1024])
 def test_etd_weights_are_exact_for_constant_forcing(n_modes):
     # a constant forcing is integrated exactly: f1 + 4*f2 + f3 = h*phi1(h*lam) and
-    # Q = (h/2)*phi1(h*lam/2), each to 1e4 eps (1 + |h*lam|) times its terms' magnitudes;
-    # the contour points round to ulp(h*lam), so the error grows with |h*lam|
+    # Q = (h/2)*phi1(h*lam/2), each to 1e3 eps times its terms' magnitudes
     eps = np.finfo(float).eps
     g = make_grid(n_modes, 0.0, TWO_PI)
     for nu in (0.0, 0.01, 0.1, 1.0):
@@ -345,7 +383,7 @@ def test_etd_weights_are_exact_for_constant_forcing(n_modes):
                     (f1 + 4 * f2 + f3, full, abs(f1) + 4 * abs(f2) + abs(f3) + abs(full)),
                     (q, half, abs(q) + abs(half)),
                 ):
-                    assert np.all(abs(got - want) <= 1e4 * eps * (1 + abs(z)) * size), (nu, mu, gamma, h)
+                    assert np.all(abs(got - want) <= 1e3 * eps * size), (nu, mu, gamma, h)
                 # k = 0: Q = h/2 and f1 = f2 = f3 = h/6
                 np.testing.assert_allclose([q[0], f1[0], f2[0], f3[0]], [h / 2] + [h / 6] * 3, rtol=1e-15)
 
